@@ -282,6 +282,33 @@ def classicality_filter(
     )
 
 
+def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
+    """Z_M-sector blocks of a classical (Q, M) family, linear in its parameters.
+
+    Because every mediator factor is I or Z, a member H = sum_p x_p B_p is
+    block diagonal in Z_M: H = H_+ (x) |0><0| + H_- (x) |1><1| with 2x2 blocks
+    ``H_m = c_m I + n_m . sigma`` on Q.  Returns W of shape (2, n_params, 4)
+    with ``(c_m, n_m) = x @ W[m]`` in (I, X, Y, Z) coordinates; m = 0 is the
+    Z_M = +1 sector.
+    """
+    if not family.basis or family.basis[0].n_sites != 2:
+        raise StructuralError("sector reduction needs a two-system (Q, M) family")
+    w = np.zeros((2, len(family.params), 4))
+    for p_idx, b in enumerate(family.basis):
+        terms = list(b)
+        if len(terms) != 1:
+            raise StructuralError("family basis must be single Pauli products")
+        ((label, coeff),) = terms
+        if label[1] not in "IZ":
+            raise StructuralError(f"mediator factor of {label} is not classical")
+        if abs(coeff.imag) > 1e-13:
+            raise StructuralError("family basis must be Hermitian")
+        comp = PAULI_CHARS.index(label[0])
+        w[0, p_idx, comp] = coeff.real
+        w[1, p_idx, comp] = -coeff.real if label[1] == "Z" else coeff.real
+    return w
+
+
 def conservation_residual(target, conserved: ConservedQuantity, mode: str = "unitary") -> float:
     """Frobenius norm of [target, C] in dense form; ~0 means conserved.
 
@@ -323,6 +350,17 @@ def classical_mediator_family() -> HamiltonianFamily:
         ],
         params=("alpha", "beta", "gamma", "a", "b", "c"),
     )
+
+
+def classical_filtered_family(
+    conserved: ConservedQuantity | None = None,
+) -> HamiltonianFamily:
+    """Classical mediator family constrained by ``conserved``, then filtered.
+
+    The default non-additive law bakes in a = -alpha and b = -beta.
+    """
+    conserved = conserved or ConservedQuantity.nonadditive()
+    return classicality_filter(constrain_family(classical_mediator_family(), conserved))
 
 
 def channel_extension_family() -> HamiltonianFamily:

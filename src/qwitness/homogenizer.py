@@ -9,7 +9,9 @@ small joint simulation in the tests).
 The weight of the reservoir state inside the system state after n steps
 follows the closed law ``1 - cos(eta)**(2n)``; the weight is extracted from
 the simulated state by a least-squares split described at
-:func:`xi_coefficient`.
+:func:`xi_coefficient`.  The classical-reservoir search is exact on 2x2 Z_M
+sectors: the reservoir enters as the diagonal |0><0| and every classical H is
+block diagonal in Z_M, so the probe only meets the Z_M = +1 block.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from .circuit import GateSpec, PARTIAL_SWAP, gate_expr
 from .conservation import (
     ConservedQuantity,
     HamiltonianFamily,
-    classical_mediator_family,
-    classicality_filter,
+    classical_filtered_family,
     conservation_residual,
-    constrain_family,
+    zm_sector_maps,
 )
 from .dense import (
-    PAULI_MATS,
     DenseOperator,
     assert_density_matrix,
     partial_trace,
@@ -151,33 +151,11 @@ def run(config: HomogenizerConfig) -> HomogenizerTrajectory:
 # -- classical-reservoir impossibility check --------------------------------
 
 
-def _default_classical_family() -> HamiltonianFamily:
-    return classicality_filter(
-        constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
-    )
-
-
-def _admissible(params: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Closed-form involution mask for the default family at (alpha, beta, gamma, c).
-
-    For H = alpha(X_Q - X_Q Z_M) + beta(Y_Q - Y_Q Z_M) + gamma Z_Q + c Z_Q Z_M
-    the condition H^2 = I splits over mediator sectors into
-    (gamma + c)^2 = 1 and 4 alpha^2 + 4 beta^2 + (gamma - c)^2 = 1.
-    """
-    alpha, beta, gamma, c = params.T
-    plus = np.abs((gamma + c) ** 2 - 1.0) <= tol
-    minus = np.abs(4 * alpha**2 + 4 * beta**2 + (gamma - c) ** 2 - 1.0) <= tol
-    return plus & minus
-
-
-def _involution_mask(h_stack: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Mask of stacked Hermitian matrices with H^2 = I (Frobenius test)."""
-    squares = np.einsum("bij,bjk->bik", h_stack, h_stack)
-    return np.linalg.norm(squares - np.eye(h_stack.shape[-1]), axis=(1, 2)) <= tol
-
-
 def _admissible_surface_draws(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Random (alpha, beta, gamma, c) drawn directly on the H^2 = I surface."""
+    """Random (alpha, beta, gamma, c) drawn directly on the H^2 = I surface.
+
+    Per Z_M sector: (gamma + c)^2 = 1 and 4 alpha^2 + 4 beta^2 + (gamma - c)^2 = 1.
+    """
     sign = rng.choice([-1.0, 1.0], size=count)           # gamma + c
     vec = rng.normal(size=(count, 3))
     vec /= np.linalg.norm(vec, axis=1, keepdims=True)     # (2a, 2b, gamma - c)
@@ -188,23 +166,93 @@ def _admissible_surface_draws(rng: np.random.Generator, count: int) -> np.ndarra
     return np.column_stack([alpha, beta, gamma, c])
 
 
-def _dense_family_members(params: np.ndarray) -> np.ndarray:
-    """Stack of 4x4 default-family members at (alpha, beta, gamma, c) rows."""
-    kron = lambda a, b: np.kron(PAULI_MATS[a], PAULI_MATS[b])
-    basis = np.stack(
-        [
-            kron("X", "I") - kron("X", "Z"),
-            kron("Y", "I") - kron("Y", "Z"),
-            kron("Z", "I"),
-            kron("Z", "Z"),
-        ]
+def _sector_involution_residual(blocks: np.ndarray) -> np.ndarray:
+    """|H^2 - I|_F from sector blocks (2, B, 4) in (I, X, Y, Z) coordinates.
+
+    (c I + n.sigma)^2 - I = (c^2 + |n|^2 - 1) I + 2c n.sigma, and a 2x2 block
+    a I + b.sigma has squared Frobenius norm 2(a^2 + |b|^2).
+    """
+    c2 = blocks[..., 0] ** 2
+    n2 = (blocks[..., 1:] ** 2).sum(axis=-1)
+    return np.sqrt((2 * ((c2 + n2 - 1) ** 2 + 4 * c2 * n2)).sum(axis=0))
+
+
+def _sector_image_gap(blocks: np.ndarray) -> np.ndarray:
+    """|H X_Q H - Z_Q|_F from sector blocks (2, B, 4).
+
+    Per sector H X H = 2c n_x I + (c^2 + n_x^2 - n_y^2 - n_z^2) X
+    + 2 n_x n_y Y + 2 n_x n_z Z.
+    """
+    c, nx, ny, nz = np.moveaxis(blocks, -1, 0)
+    sq = 2 * (
+        (2 * c * nx) ** 2
+        + (c * c + nx * nx - ny * ny - nz * nz) ** 2
+        + (2 * nx * ny) ** 2
+        + (2 * nx * nz - 1) ** 2
     )
-    return np.einsum("bk,kij->bij", params, basis)
+    return np.sqrt(sq.sum(axis=0))
+
+
+def _final_distances(plus: np.ndarray, eta: float, n_steps: int) -> np.ndarray:
+    """D(rho_N, |0><0|) after N collisions, from Z_M = +1 blocks (B, 4).
+
+    U (rho x |0><0|) U^dag = U_+ rho U_+^dag x |0><0|, so the probe state is
+    psi = U_+^N |+> with U_+ = cos(eta) I + i sin(eta) H_+, and the traceless
+    rho_N - |0><0| has trace distance sqrt(d00^2 + |d01|^2).
+    """
+    c, nx, ny, nz = plus.T
+    cos, sin = math.cos(eta), math.sin(eta)
+    u00 = cos + 1j * sin * (c + nz)
+    u01 = sin * (ny + 1j * nx)
+    u10 = sin * (-ny + 1j * nx)
+    u11 = cos + 1j * sin * (c - nz)
+    psi0 = np.full(len(plus), 1 / math.sqrt(2), dtype=complex)
+    psi1 = psi0.copy()
+    for _ in range(n_steps):
+        psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
+    d00 = psi0.real**2 + psi0.imag**2 - 1.0
+    d01 = psi0 * psi1.conj()
+    return np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
+
+
+def _reservoir_scan(
+    family: HamiltonianFamily, eta_grid: np.ndarray, n_steps: int, budget: int,
+    seed: int, grid_points: int, param_range: float,
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample data of the reservoir search over the default classical family.
+
+    Returns the admissibility mask of each sample source (grid, random,
+    surface), the admissible free parameters (B, 4), the final trace
+    distances (len(eta_grid), B) and the operator-image gaps (B,).
+    """
+    to_sectors = family.expansion_matrix() @ zm_sector_maps(family)  # (2, 4, 4)
+    free_names = family.free_params()
+    rng = np.random.default_rng(seed)
+    axis_vals = np.linspace(-param_range, param_range, grid_points)
+    grid = (
+        np.array(np.meshgrid(*[axis_vals] * len(free_names), indexing="ij"))
+        .reshape(len(free_names), -1)
+        .T
+    )
+    random = rng.uniform(-param_range, param_range, size=(budget, len(free_names)))
+    alpha, beta, gamma, c = _admissible_surface_draws(rng, budget).T
+    # free coordinates are (gamma, a, b, c) with a = -alpha, b = -beta
+    surface = np.column_stack([gamma, -alpha, -beta, c])
+
+    masks, kept = {}, []
+    for name, block in (("grid", grid), ("random", random), ("surface", surface)):
+        masks[name] = _sector_involution_residual(block @ to_sectors) <= 1e-7
+        kept.append(block[masks[name]])
+    free_params = np.vstack(kept)
+    blocks = free_params @ to_sectors
+    distances = np.array(
+        [_final_distances(blocks[0], eta, n_steps) for eta in eta_grid]
+    ).reshape(len(eta_grid), len(free_params))
+    return masks, free_params, distances, _sector_image_gap(blocks)
 
 
 def classical_reservoir_check(
     eta_grid: np.ndarray | None = None,
-    family: HamiltonianFamily | None = None,
     n_steps: int = 8,
     budget: int = 10_000,
     seed: int = 7,
@@ -216,18 +264,18 @@ def classical_reservoir_check(
     """Search for a classical reservoir that homogenises |+> towards |0>.
 
     The interaction is ``U(eta) = cos(eta) I + i sin(eta) H`` with H drawn
-    from ``family`` (default: the constrained classical family); U is unitary
-    only when H^2 = I, so samples failing that are skipped and counted.  The
-    default family additionally gets draws parametrised directly on the
-    involution surface, since uniform draws almost never land on it.  Reports
-    the minimal final trace distance D(rho_N, |0><0|) and the minimal
-    operator distance ``|H X_Q H - Z_Q|_F`` over the search; verdict
-    POSITIVE-GAP when both stay above their thresholds.
+    from the constrained classical family; U is unitary only when H^2 = I, so
+    samples failing that are skipped and counted.  Draws parametrised directly
+    on that surface join the grid and the uniform box, which almost never hit
+    it.  Reports the minimal final trace distance D(rho_N, |0><0|) and the
+    minimal ``|H X_Q H - Z_Q|_F``; verdict POSITIVE-GAP when both stay above
+    their thresholds.  Everything runs on 2x2 Z_M-sector blocks
+    (:func:`zm_sector_maps`), exactly: the reservoir qubit enters as the
+    diagonal |0><0| and H is block diagonal in Z_M, so N collisions are one
+    conjugation of the probe by U_+^N.  ``argmin_trace_distance`` is a
+    tie-break among distances equal up to rounding (all sit at 1/sqrt(2)).
     """
-    use_surface = family is None
-    family = family or _default_classical_family()
-    if not family.basis or family.basis[0].n_sites != 2:
-        raise StructuralError("reservoir check needs a two-system (Q, M) family")
+    family = classical_filtered_family()
     free_names = family.free_params()
     report = WitnessReport(
         task="classical reservoir homogenisation of |+> towards |0>",
@@ -250,81 +298,31 @@ def classical_reservoir_check(
         eta_grid = np.linspace(math.pi / 32, math.pi / 2, 16)
     eta_grid = np.asarray(eta_grid, dtype=float)
 
-    expand = family.expansion_matrix()
-    basis_stack = np.stack([to_dense(b).mat for b in family.basis])
-
-    def members(free_mat: np.ndarray) -> np.ndarray:
-        return np.einsum("bp,pij->bij", free_mat @ expand, basis_stack)
-
-    rng = np.random.default_rng(seed)
-    axis_vals = np.linspace(-param_range, param_range, grid_points)
-    grid = (
-        np.array(np.meshgrid(*[axis_vals] * len(free_names), indexing="ij"))
-        .reshape(len(free_names), -1)
-        .T
+    masks, free_params, distances, image_gap = _reservoir_scan(
+        family, eta_grid, n_steps, budget, seed, grid_points, param_range
     )
-    sources = {"grid": grid, "random": rng.uniform(
-        -param_range, param_range, size=(budget, len(free_names))
-    )}
-    if use_surface:
-        # convert surface points (alpha, beta, gamma, c) to free coordinates
-        surf = _admissible_surface_draws(rng, budget)
-        full = np.column_stack(
-            [surf[:, 0], surf[:, 1], surf[:, 2], -surf[:, 0], -surf[:, 1], surf[:, 3]]
-        )
-        free_idx = [family.params.index(n) for n in free_names]
-        sources["surface"] = full[:, free_idx]
-
-    kept = []
-    skipped = {}
-    for name, block in sources.items():
-        mask = _involution_mask(members(block))
-        skipped[name] = int((~mask).sum())
-        kept.append(block[mask])
-    report.findings["skipped"] = skipped
-    free_params = np.vstack(kept)
+    report.findings["skipped"] = {name: int((~m).sum()) for name, m in masks.items()}
     report.findings["admissible_samples"] = int(len(free_params))
     if len(free_params) == 0:
         report.verdict = "UNPROVEN"
         return report
 
-    h_stack = members(free_params)           # (B, 4, 4)
-    xi = qubit_state((0.0, 0.0, 1.0))        # |0><0|
-    rho_plus = qubit_state((1.0, 0.0, 0.0))  # |+><+|
+    def located(idx: int) -> dict:
+        return {n: float(v) for n, v in zip(free_names, free_params[idx])}
 
-    def located(idx: int, extra: dict | None = None) -> dict:
-        point = {n: float(v) for n, v in zip(free_names, free_params[idx])}
-        point.update(extra or {})
-        return point
-
-    # operator-image gap, independent of eta
-    x_q = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
-    z_q = np.kron(np.array([[1, 0], [0, -1]], dtype=complex), np.eye(2))
-    image = np.einsum("bij,jk,bkl->bil", h_stack, x_q, h_stack)
-    image_gap = np.linalg.norm(image - z_q, axis=(1, 2))
-
-    best_dist = (np.inf, None)
-    for eta in eta_grid:
-        u = math.cos(eta) * np.eye(4) + 1j * math.sin(eta) * h_stack  # (B, 4, 4)
-        u_dag = u.conj().transpose(0, 2, 1)
-        rho = np.broadcast_to(rho_plus, (len(free_params), 2, 2)).copy()
-        for _ in range(n_steps):
-            joint = np.einsum("bij,bjk,bkl->bil", u, _batched_kron(rho, xi), u_dag)
-            rho = joint.reshape(-1, 2, 2, 2, 2).trace(axis1=2, axis2=4)
-        diff = rho - xi
-        dist = np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1) / 2
-        idx = int(np.argmin(dist))
-        if dist[idx] < best_dist[0]:
-            best_dist = (float(dist[idx]), located(idx, {"eta": float(eta)}))
-
+    # first occurrence of the minimum in (eta, sample) order
+    eta_idx, idx = np.unravel_index(np.argmin(distances), distances.shape)
+    best_dist = float(distances[eta_idx, idx])
     gap_idx = int(np.argmin(image_gap))
-    report.findings["min_final_trace_distance"] = best_dist[0]
-    report.findings["argmin_trace_distance"] = best_dist[1]
+    report.findings["min_final_trace_distance"] = best_dist
+    report.findings["argmin_trace_distance"] = {
+        **located(idx), "eta": float(eta_grid[eta_idx])
+    }
     report.findings["min_image_distance"] = float(image_gap[gap_idx])
     report.findings["argmin_image_distance"] = located(gap_idx)
     report.add_check(
         "final-distance-gap",
-        best_dist[0],
+        best_dist,
         ">",
         distance_threshold,
         "classical reservoir never drives |+> to |0>",
@@ -338,12 +336,6 @@ def classical_reservoir_check(
     )
     report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
     return report
-
-
-def _batched_kron(rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """kron(rho_b, xi) for a batch of 2x2 rho against one fixed 2x2 xi."""
-    out = np.einsum("bij,kl->bikjl", rho, xi)
-    return out.reshape(-1, 4, 4)
 
 
 def nonadditive_conservation_residual(eta: float) -> float:

@@ -26,10 +26,9 @@ import sympy
 from .circuit import SWAP, GateSpec, gate_unitary
 from .conservation import (
     ConservedQuantity,
-    classical_mediator_family,
-    classicality_filter,
+    classical_filtered_family,
     conservation_residual,
-    constrain_family,
+    zm_sector_maps,
 )
 from .dense import (
     PAULI_MATS,
@@ -366,35 +365,6 @@ def axis_constraint_report(theta: float = math.pi / 2) -> WitnessReport:
 # -- bounded classical-mediator search --------------------------------------
 
 
-def _sector_axis_maps(family) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sector rotation-axis maps of a classical (Q, M) family.
-
-    Because every mediator factor is I or Z, a family member splits over the
-    Z_M eigensectors into 2x2 blocks ``n(m) . sigma + const``; the returned
-    matrices W_m (n_params x 3) give ``axes_m = params @ W_m``.  Terms acting
-    as identity on Q only shift the sector constant, which conjugation and
-    coherence ignore.
-    """
-    if not family.basis or family.basis[0].n_sites != 2:
-        raise StructuralError("sector reduction needs a two-system (Q, M) family")
-    w = np.zeros((2, len(family.params), 3))
-    for p_idx, b in enumerate(family.basis):
-        terms = list(b)
-        if len(terms) != 1:
-            raise StructuralError("family basis must be single Pauli products")
-        ((label, coeff),) = terms
-        if label[1] not in "IZ":
-            raise StructuralError(f"mediator factor of {label} is not classical")
-        if abs(coeff.imag) > 1e-13:
-            raise StructuralError("family basis must be Hermitian")
-        if label[0] == "I":
-            continue
-        comp = "XYZ".index(label[0])
-        for m, sector in enumerate((1.0, -1.0)):
-            w[m, p_idx, comp] += coeff.real * (sector if label[1] == "Z" else 1.0)
-    return w[0], w[1]
-
-
 def _batched_rotations(axes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rotation matrices of exp(-i t n.sigma) conjugation, batched.
 
@@ -449,7 +419,7 @@ def classical_impossibility_search(
     if mediator.kind != CLASSICAL_BIT:
         raise StructuralError("search is defined for the classical-bit mediator")
     target = target or witness_target_map()
-    family = classicality_filter(constrain_family(classical_mediator_family(), conserved))
+    family = classical_filtered_family(conserved)
     free_names = family.free_params()
     report = WitnessReport(
         task="classical mediator, observable-level frame map",
@@ -471,7 +441,9 @@ def classical_impossibility_search(
         return report
 
     expand = family.expansion_matrix()          # free -> full parameters
-    w_plus, w_minus = _sector_axis_maps(family)
+    # rotation axes n_m per mediator sector; the sector constants c_m drop
+    # out of conjugation and coherence
+    w_plus, w_minus = zm_sector_maps(family)[:, :, 1:]
     rng = np.random.default_rng(seed)
     axis_vals = np.linspace(-param_range, param_range, grid_points)
     grid = (
@@ -653,10 +625,3 @@ def quantum_demo(
         raise StructuralError(f"unknown interaction {interaction!r}")
     report.verdict = "WITNESSED" if report.all_passed() else "FAILED"
     return report
-
-
-def classical_filtered_family():
-    """Constrained classical family: a = -alpha, b = -beta baked in."""
-    return classicality_filter(
-        constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
-    )

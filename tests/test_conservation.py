@@ -11,6 +11,7 @@ from qwitness.conservation import (
     _commutator_constraint_matrix,
     additive_commutant_reference,
     channel_extension_family,
+    classical_filtered_family,
     classical_mediator_family,
     classicality_filter,
     commutant_basis,
@@ -20,6 +21,7 @@ from qwitness.conservation import (
     family_to_json,
     pauli_operator_basis,
     span_projection_residual,
+    zm_sector_maps,
 )
 from qwitness.dense import expm_hermitian, to_dense
 from qwitness.errors import StructuralError
@@ -121,6 +123,42 @@ def test_classicality_filter():
     constrained = constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
     filtered = classicality_filter(constrained)
     assert len(filtered.basis) == len(constrained.basis)
+
+
+def test_classical_filtered_family_defaults_to_nonadditive_law():
+    family = classical_filtered_family()
+    assert family.conserved.kind == "nonadditive"
+    assert family.free_params() == ("gamma", "a", "b", "c")
+    assert family.constraints == [{"alpha": 1.0, "a": 1.0}, {"beta": 1.0, "b": 1.0}]
+    additive = classical_filtered_family(ConservedQuantity.additive())
+    assert additive.conserved.kind == "additive"
+
+
+def test_zm_sector_maps_reproduce_dense_blocks():
+    # includes Q-identity terms, whose sector constants c_m the map keeps
+    labels = ("II", "IZ", "XI", "YZ", "ZI", "ZZ", "XZ")
+    family = HamiltonianFamily(
+        basis=[OperatorExpr.from_label(l) for l in labels],
+        params=tuple(f"p{i}" for i in range(len(labels))),
+    )
+    w = zm_sector_maps(family)
+    assert w.shape == (2, len(labels), 4)
+    paulis = [to_dense(OperatorExpr.from_label(k)).mat for k in "IXYZ"]
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        x = rng.uniform(-2, 2, size=len(labels))
+        h = to_dense(family.member(dict(zip(family.params, x)))).mat
+        for m in range(2):
+            # mediator sector m occupies rows/cols {m, 2+m} in |qm> order
+            block = h[np.ix_([m, 2 + m], [m, 2 + m])]
+            coords = x @ w[m]
+            assert np.abs(block - sum(c * p for c, p in zip(coords, paulis))).max() < 1e-12
+        assert np.abs(h[np.ix_([0, 2], [1, 3])]).max() == 0.0
+    quantum = HamiltonianFamily(basis=[OperatorExpr.from_label("XX")], params=("p",))
+    with pytest.raises(StructuralError):
+        zm_sector_maps(quantum)
+    with pytest.raises(StructuralError):
+        zm_sector_maps(HamiltonianFamily(basis=[OperatorExpr.from_label("X")], params=("p",)))
 
 
 def test_conservation_residual_examples():

@@ -193,11 +193,11 @@ def test_sector_reduction_matches_joint_evolution():
     # axis maps against the full 4x4 evolution of constrained members
     from qwitness.dense import expm_hermitian, to_dense
     from qwitness.paulis import OperatorExpr
-    from qwitness.witness import _sector_axis_maps, classical_filtered_family
+    from qwitness.conservation import classical_filtered_family, zm_sector_maps
 
     family = classical_filtered_family()
     expand = family.expansion_matrix()
-    w_plus, w_minus = _sector_axis_maps(family)
+    w_plus, w_minus = zm_sector_maps(family)[:, :, 1:]
     free = family.free_params()
     rng = np.random.default_rng(37)
     q_ops = {g: to_dense(OperatorExpr.from_label(l)).mat
@@ -273,7 +273,7 @@ def test_impossibility_search_requires_classical_mediator():
 def test_classical_family_members_never_move_the_mediator():
     # [H, Z_M] = 0 exactly in symbolic form for every filtered member
     from qwitness.paulis import OperatorExpr, commutator
-    from qwitness.witness import classical_filtered_family
+    from qwitness.conservation import classical_filtered_family
 
     family = classical_filtered_family()
     rng = np.random.default_rng(29)
