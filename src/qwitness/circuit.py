@@ -155,12 +155,9 @@ def composite_unitary(circuit: Circuit) -> DenseOperator:
     return total
 
 
-def evolve_descriptors(
-    circuit: Circuit, frame0: DescriptorFrame | None = None
-) -> list[DescriptorFrame]:
+def evolve_descriptors(circuit: Circuit) -> list[DescriptorFrame]:
     """Frames at t_0 .. t_k from conjugation by the accumulated gate product."""
-    if frame0 is None:
-        frame0 = initial_frame()
+    frame0 = initial_frame()
     frames = [frame0]
     acc = np.eye(4, dtype=complex)
     for step, gate in enumerate(circuit.gates, start=1):
@@ -178,18 +175,14 @@ def evolve_descriptors(
     return frames
 
 
-def evolve_descriptors_stepwise(
-    circuit: Circuit, frame0: DescriptorFrame | None = None
-) -> list[DescriptorFrame]:
+def evolve_descriptors_stepwise(circuit: Circuit) -> list[DescriptorFrame]:
     """Frames computed gate-at-a-time, each gate expressed in the previous frame.
 
     Independent route to the same result as :func:`evolve_descriptors`: the
     slice-i gate is built from the descriptors at t_{i-1} and conjugates them
     symbolically.
     """
-    if frame0 is None:
-        frame0 = initial_frame()
-    frames = [frame0]
+    frames = [initial_frame()]
     for step, gate in enumerate(circuit.gates, start=1):
         prev = frames[-1]
         v = gate_expr_in_frame(gate, prev)

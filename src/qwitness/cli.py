@@ -2,13 +2,14 @@
 
 Every subcommand evaluates a fixed set of named checks, writes its artifacts
 (CSV/JSON) into the output directory and exits 0 only when all checks pass;
-exit 1 flags a failed check (partial artifacts are kept), exit 2 a usage or
-config error.  Identical configs produce byte-identical outputs.
+exit 1 flags a failed check (partial artifacts are kept), exit 2 a usage,
+config or output error.  Identical configs produce byte-identical outputs.
 
 Config files are JSON with a ``schema_version`` field; unknown keys are
-rejected so typos in tolerances cannot pass silently.  The output directory
-resolves as: ``--out`` flag, then the QWITNESS_OUT environment variable,
-then the config value.
+rejected so typos in tolerances cannot pass silently.  Every field is
+checked for type and range (:meth:`RunConfig.validate`) before a run starts.
+The output directory resolves as: ``--out`` flag, then the QWITNESS_OUT
+environment variable, then the config value.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ EXPERIMENTS = ("table1", "conservation", "witness", "homogenize", "oscillator", 
 
 SCHEMA_VERSION = 1
 
+# Accepted types per annotated field type, and the smallest accepted value of
+# each integer field.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_INT_MINIMUM = {
+    "seed": 0, "n_steps": 1, "d_b": 2, "budget": 0,
+    "grid_points": 1, "time_points": 2, "eta_points": 1, "reservoir_steps": 1,
+}
+
 
 @dataclass
 class RunConfig:
@@ -62,6 +71,8 @@ class RunConfig:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise StructuralError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise StructuralError(f"{path}: not UTF-8 text: {exc.reason}")
         if not isinstance(payload, dict):
             raise StructuralError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
@@ -76,6 +87,32 @@ class RunConfig:
         if "experiment" in payload and payload["experiment"] not in EXPERIMENTS:
             raise StructuralError(f"{path}: unknown experiment {payload['experiment']!r}")
         return cls(**payload)
+
+    def validate(self) -> None:
+        """Raise ``StructuralError`` on a field of the wrong type or out of range.
+
+        Values are rejected, never rewritten, so a valid config is written to
+        ``summary.json`` exactly as given.  ``bool`` does not count as an int.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise StructuralError(f"{f.name} must be {f.type}, got {value!r}")
+        for name, minimum in _INT_MINIMUM.items():
+            value = getattr(self, name)
+            if value < minimum:
+                raise StructuralError(f"{name} must be >= {minimum}, got {value}")
+        if not _finite(self.eta):
+            raise StructuralError(f"eta must be finite, got {self.eta!r}")
+        if not (_finite(self.param_range) and self.param_range > 0):
+            raise StructuralError(f"param_range must be finite and > 0, got {self.param_range!r}")
+
+
+def _finite(x: int | float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 # -- individual experiments --------------------------------------------------
@@ -186,13 +223,13 @@ def experiment_conservation(cfg: RunConfig, out: Path) -> list[Check]:
     swap_u = circuit_mod.gate_unitary(circuit_mod.GateSpec(circuit_mod.SWAP))
     h_net = circuit_mod.network_hamiltonian()
     residual_rows = [
-        ("swap-vs-nonadditive", cons.conservation_residual(swap_u, c_non, "unitary")),
-        ("xq-vs-additive", cons.conservation_residual(OperatorExpr.from_label("XI"), c_add, "hamiltonian")),
-        ("network-hamiltonian-vs-nonadditive", cons.conservation_residual(h_net, c_non, "hamiltonian")),
+        ("swap-vs-nonadditive", cons.conservation_residual(swap_u, c_non)),
+        ("xq-vs-additive", cons.conservation_residual(OperatorExpr.from_label("XI"), c_add)),
+        ("network-hamiltonian-vs-nonadditive", cons.conservation_residual(h_net, c_non)),
         (
             "composite-circuit-vs-nonadditive",
             cons.conservation_residual(
-                circuit_mod.composite_unitary(circuit_mod.witness_circuit()), c_non, "unitary"
+                circuit_mod.composite_unitary(circuit_mod.witness_circuit()), c_non
             ),
         ),
     ]
@@ -218,7 +255,7 @@ def experiment_conservation(cfg: RunConfig, out: Path) -> list[Check]:
         member, _vec = family.random_member(rng)
         t = rng.uniform(0.0, 2 * math.pi)
         u = expm_hermitian(to_dense(member), t)
-        worst = max(worst, cons.conservation_residual(u, c_non, "unitary"))
+        worst = max(worst, cons.conservation_residual(u, c_non))
     checks.append(Check.compare(
         "constrained-members-generate-conserving-unitaries", worst, "<", 1e-10,
         "exp(-iHt) commutes with the conserved quantity for every member",
@@ -408,7 +445,7 @@ def experiment_oscillator(cfg: RunConfig, out: Path) -> list[Check]:
         "exp(-iHt) preserves norm at every truncation",
     ))
 
-    q = osc.hp_qubit(0.5, 2)
+    q = osc.hp_qubit(2)
     su2_worst = max(
         float(np.linalg.norm(q.q_x @ q.q_y - q.q_y @ q.q_x - 1j * q.q_z)),
         float(np.linalg.norm(q.q_y @ q.q_z - q.q_z @ q.q_y - 1j * q.q_x)),
@@ -517,28 +554,30 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
+        cfg.experiment = args.experiment
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.eta is not None:
+            cfg.eta = args.eta
+        if args.n is not None:
+            cfg.n_steps = args.n
+        if args.db is not None:
+            cfg.d_b = args.db
+        if args.budget is not None:
+            cfg.budget = args.budget
+        if args.out is not None:
+            cfg.out_dir = str(args.out)
+        elif os.environ.get("QWITNESS_OUT"):
+            cfg.out_dir = os.environ["QWITNESS_OUT"]
+        cfg.validate()
     except (StructuralError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    cfg.experiment = args.experiment
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.eta is not None:
-        cfg.eta = args.eta
-    if args.n is not None:
-        cfg.n_steps = args.n
-    if args.db is not None:
-        cfg.d_b = args.db
-    if args.budget is not None:
-        cfg.budget = args.budget
-    if args.out is not None:
-        cfg.out_dir = str(args.out)
-    elif os.environ.get("QWITNESS_OUT"):
-        cfg.out_dir = os.environ["QWITNESS_OUT"]
-    if cfg.d_b < 2 or cfg.n_steps < 1 or cfg.budget < 0:
-        print("config error: d_b >= 2, n >= 1 and budget >= 0 required", file=sys.stderr)
+    try:
+        code, checks = run_experiment(cfg)
+    except OSError as exc:  # creating or writing the output directory
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
-    code, checks = run_experiment(cfg)
     for check in checks:
         state = "PASS" if check.passed else "FAIL"
         print(f"[{state}] {check.name}: {check.value:.6g} {check.op} {check.threshold:.6g}")

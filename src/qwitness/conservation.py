@@ -128,12 +128,13 @@ class HamiltonianFamily:
             out = out + float(c) * b
         return out
 
-    def random_member(
-        self, rng: np.random.Generator, scale: float = 2.0
-    ) -> tuple[OperatorExpr, np.ndarray]:
-        """Random constrained member; returns (expression, parameter vector)."""
+    def random_member(self, rng: np.random.Generator) -> tuple[OperatorExpr, np.ndarray]:
+        """Random constrained member; returns (expression, parameter vector).
+
+        Coordinates along the free directions are uniform on [-2, 2].
+        """
         dirs = self.free_directions()
-        coeffs = rng.uniform(-scale, scale, size=dirs.shape[1])
+        coeffs = rng.uniform(-2.0, 2.0, size=dirs.shape[1])
         vec = dirs @ coeffs
         out = OperatorExpr.zero(self.basis[0].n_sites)
         for c, b in zip(vec, self.basis):
@@ -249,20 +250,16 @@ def constrain_family(
     )
 
 
-def classicality_filter(
-    family: HamiltonianFamily, mediator_sites: tuple[int, ...] = (1,)
-) -> HamiltonianFamily:
-    """Keep only basis elements whose mediator-side factors are I or Z.
+def classicality_filter(family: HamiltonianFamily) -> HamiltonianFamily:
+    """Keep only basis elements whose mediator factor (site 1) is I or Z.
 
     This is the operational reading of a single-observable mediator: every
-    term must act on the mediator sites through functions of Z alone.
+    term must act on the mediator through functions of Z alone.
     """
     kept_idx = [
         j
         for j, b in enumerate(family.basis)
-        if all(
-            label[s] in "IZ" for label, _ in b for s in mediator_sites
-        )
+        if all(label[1] in "IZ" for label, _ in b)
     ]
     kept_params = tuple(family.params[j] for j in kept_idx)
     kept_set = set(kept_params)
@@ -309,15 +306,28 @@ def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
     return w
 
 
-def conservation_residual(target, conserved: ConservedQuantity, mode: str = "unitary") -> float:
+def box_samples(
+    rng: np.random.Generator, n_free: int, grid_points: int, param_range: float, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample points of a classical-mediator search over free parameters.
+
+    Returns the regular grid of ``grid_points`` values per coordinate on
+    ``[-param_range, param_range]`` (``grid_points**n_free`` rows) and
+    ``budget`` uniform draws from the same box, taken from ``rng``.
+    """
+    axis_vals = np.linspace(-param_range, param_range, grid_points)
+    grid = np.array(np.meshgrid(*[axis_vals] * n_free, indexing="ij")).reshape(n_free, -1).T
+    draws = rng.uniform(-param_range, param_range, size=(budget, n_free))
+    return grid, draws
+
+
+def conservation_residual(target, conserved: ConservedQuantity) -> float:
     """Frobenius norm of [target, C] in dense form; ~0 means conserved.
 
-    ``mode`` records whether ``target`` is meant as a generator
-    ("hamiltonian") or an evolution operator ("unitary"); the residual
+    ``target`` may be a generator or an evolution operator (an
+    ``OperatorExpr``, a ``DenseOperator`` or a plain matrix); the residual
     formula is the same for both.
     """
-    if mode not in ("hamiltonian", "unitary"):
-        raise StructuralError(f"unknown mode {mode!r}")
     if isinstance(target, OperatorExpr):
         target = to_dense(target)
     if not isinstance(target, DenseOperator):

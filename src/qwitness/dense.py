@@ -48,9 +48,6 @@ class DenseOperator:
     def side(self) -> int:
         return self.mat.shape[0]
 
-    def dag(self) -> "DenseOperator":
-        return DenseOperator(self.dims, self.mat.conj().T)
-
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         if self.dims != other.dims:
             raise StructuralError(f"dims mismatch: {self.dims} vs {other.dims}")
@@ -69,22 +66,12 @@ class DenseOperator:
 
     __rmul__ = __mul__
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return bool(np.linalg.norm(self.mat - self.mat.conj().T) <= tol)
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         eye = np.eye(self.side)
         return bool(np.linalg.norm(self.mat.conj().T @ self.mat - eye) <= tol)
-
-
-def identity(dims: tuple[int, ...]) -> DenseOperator:
-    return DenseOperator(tuple(dims), np.eye(prod(dims), dtype=complex))
 
 
 @lru_cache(maxsize=8)

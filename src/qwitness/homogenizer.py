@@ -25,6 +25,7 @@ from .circuit import GateSpec, PARTIAL_SWAP, gate_expr
 from .conservation import (
     ConservedQuantity,
     HamiltonianFamily,
+    box_samples,
     classical_filtered_family,
     conservation_residual,
     zm_sector_maps,
@@ -228,13 +229,7 @@ def _reservoir_scan(
     to_sectors = family.expansion_matrix() @ zm_sector_maps(family)  # (2, 4, 4)
     free_names = family.free_params()
     rng = np.random.default_rng(seed)
-    axis_vals = np.linspace(-param_range, param_range, grid_points)
-    grid = (
-        np.array(np.meshgrid(*[axis_vals] * len(free_names), indexing="ij"))
-        .reshape(len(free_names), -1)
-        .T
-    )
-    random = rng.uniform(-param_range, param_range, size=(budget, len(free_names)))
+    grid, random = box_samples(rng, len(free_names), grid_points, param_range, budget)
     alpha, beta, gamma, c = _admissible_surface_draws(rng, budget).T
     # free coordinates are (gamma, a, b, c) with a = -alpha, b = -beta
     surface = np.column_stack([gamma, -alpha, -beta, c])
@@ -258,8 +253,6 @@ def classical_reservoir_check(
     seed: int = 7,
     grid_points: int = 9,
     param_range: float = 2.0,
-    distance_threshold: float = 0.5,
-    image_threshold: float = 1.0,
 ) -> WitnessReport:
     """Search for a classical reservoir that homogenises |+> towards |0>.
 
@@ -268,8 +261,8 @@ def classical_reservoir_check(
     samples failing that are skipped and counted.  Draws parametrised directly
     on that surface join the grid and the uniform box, which almost never hit
     it.  Reports the minimal final trace distance D(rho_N, |0><0|) and the
-    minimal ``|H X_Q H - Z_Q|_F``; verdict POSITIVE-GAP when both stay above
-    their thresholds.  Everything runs on 2x2 Z_M-sector blocks
+    minimal ``|H X_Q H - Z_Q|_F``; verdict POSITIVE-GAP when they stay above
+    0.5 and 1.0 respectively.  Everything runs on 2x2 Z_M-sector blocks
     (:func:`zm_sector_maps`), exactly: the reservoir qubit enters as the
     diagonal |0><0| and H is block diagonal in Z_M, so N collisions are one
     conjugation of the probe by U_+^N.  ``argmin_trace_distance`` is a
@@ -324,14 +317,14 @@ def classical_reservoir_check(
         "final-distance-gap",
         best_dist,
         ">",
-        distance_threshold,
+        0.5,
         "classical reservoir never drives |+> to |0>",
     )
     report.add_check(
         "operator-image-gap",
         float(image_gap[gap_idx]),
         ">",
-        image_threshold,
+        1.0,
         "H X_Q H never matches Z_Q, so no sin^2 term proportional to xi x xi",
     )
     report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
@@ -340,6 +333,4 @@ def classical_reservoir_check(
 
 def nonadditive_conservation_residual(eta: float) -> float:
     """|[P(eta), Z_Q + Z_M + Z_Q Z_M]|_F (zero: the coupling is allowed)."""
-    return conservation_residual(
-        partial_swap(eta), ConservedQuantity.nonadditive(), mode="unitary"
-    )
+    return conservation_residual(partial_swap(eta), ConservedQuantity.nonadditive())

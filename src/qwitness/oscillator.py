@@ -51,25 +51,24 @@ def _clamped_sqrt_one_minus_number(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HPQubit:
-    """Spin-1/2 generators realised on a d-level truncation (half-Pauli scale)."""
+    """Spin-1/2 generators realised on a d-level truncation (half-Pauli scale).
 
-    spin: float
+    Only spin 1/2 is built: at d = 2 these are X/2, Y/2, Z/2.
+    """
+
     dim: int
     q_x: np.ndarray
     q_y: np.ndarray
     q_z: np.ndarray
 
 
-def hp_qubit(spin: float = 0.5, dim: int = 2) -> HPQubit:
-    """Generators q_z = 1/2 - a†a, q_x/q_y from the clamped hopping term."""
-    if spin != 0.5:
-        raise StructuralError("only the spin-1/2 construction is implemented")
+def hp_qubit(dim: int = 2) -> HPQubit:
+    """Spin-1/2 generators q_z = 1/2 - a†a, q_x/q_y from the clamped hopping term."""
     ops = fock_ops(dim)
     root = _clamped_sqrt_one_minus_number(dim)
     lower = root @ ops.a          # sqrt(1 - n) a
     raise_ = ops.a_dag @ root     # a† sqrt(1 - n)
     return HPQubit(
-        spin=spin,
         dim=dim,
         q_x=(lower + raise_) / 2,
         q_y=(lower - raise_) / (2j),
@@ -93,7 +92,7 @@ def hp_hamiltonian(d_b: int) -> DenseOperator:
     eye_b = np.eye(d_b, dtype=complex)
     eye = np.kron(eye_a, eye_b)
 
-    q_a = hp_qubit(0.5, d_a)
+    q_a = hp_qubit(d_a)
     root_a = _clamped_sqrt_one_minus_number(d_a)
     root_b = _clamped_sqrt_one_minus_number(d_b)
     lower_a = root_a @ a_ops.a
@@ -117,8 +116,8 @@ def hp_substitute(expr: OperatorExpr, d_b: int) -> DenseOperator:
     """
     if expr.n_sites != 2:
         raise StructuralError("substitution is defined for two-site expressions")
-    q_a = hp_qubit(0.5, 2)
-    q_b = hp_qubit(0.5, d_b)
+    q_a = hp_qubit(2)
+    q_b = hp_qubit(d_b)
     maps = [
         {"I": np.eye(2, dtype=complex), "X": q_a.q_x, "Y": q_a.q_y, "Z": q_a.q_z},
         {"I": np.eye(d_b, dtype=complex), "X": q_b.q_x, "Y": q_b.q_y, "Z": q_b.q_z},
@@ -139,16 +138,14 @@ def identity_free_difference(a: DenseOperator, b: DenseOperator) -> float:
     return float(np.linalg.norm(a0 - b0))
 
 
-def oscillator_witness_run(
-    d_b: int, t_grid: np.ndarray | None = None
-) -> dict[int, list[tuple[float, float]]]:
+def oscillator_witness_run(d_b: int) -> dict[int, list[tuple[float, float]]]:
     """Coherence of Q over time, one trajectory per initial mediator level.
 
     Q starts Z-sharp (|0> in the two-level truncation); the mediator starts
-    in each Fock basis state.  Returns {level: [(t, coherence), ...]}.
+    in each Fock basis state; times are 64 points on [0, 2 pi].  Returns
+    {level: [(t, coherence), ...]}.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 2 * math.pi, 64)
+    t_grid = np.linspace(0.0, 2 * math.pi, 64)
     h = hp_hamiltonian(d_b)
     evals, vecs = np.linalg.eigh(h.mat)
     trajectories: dict[int, list[tuple[float, float]]] = {}

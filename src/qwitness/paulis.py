@@ -75,19 +75,25 @@ class PauliString:
         return f"PauliString({self.label!r}, {self.coeff!r})"
 
 
+def _label_product(la: str, lb: str) -> tuple[complex, str]:
+    """(phase, label) of the unit product P_la P_lb; labels of equal length."""
+    phase: complex = 1
+    chars = []
+    for ca, cb in zip(la, lb):
+        p, c = _SITE_PRODUCT[(ca, cb)]
+        phase *= p
+        chars.append(c)
+    return phase, "".join(chars)
+
+
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     """Product of two Pauli strings, phase included."""
     if a.n_sites != b.n_sites:
         raise StructuralError(
             f"site count mismatch: {a.n_sites} vs {b.n_sites}"
         )
-    phase: complex = 1
-    chars = []
-    for ca, cb in zip(a.label, b.label):
-        p, c = _SITE_PRODUCT[(ca, cb)]
-        phase *= p
-        chars.append(c)
-    return PauliString("".join(chars), a.coeff * b.coeff * phase)
+    phase, label = _label_product(a.label, b.label)
+    return PauliString(label, a.coeff * b.coeff * phase)
 
 
 class OperatorExpr:
@@ -134,10 +140,6 @@ class OperatorExpr:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[str, complex]:
-        return dict(self._terms)
-
     def coeff(self, label: str) -> complex:
         return self._terms.get(label, 0j)
 
@@ -156,10 +158,6 @@ class OperatorExpr:
     def is_hermitian(self, tol: float = COEFF_TOL) -> bool:
         # Pauli products are Hermitian, so Hermiticity is realness of coeffs.
         return all(abs(c.imag) <= tol for c in self._terms.values())
-
-    def norm(self) -> float:
-        """Coefficient 2-norm (normalised Hilbert-Schmidt norm)."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))
 
     def max_coeff(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
@@ -205,21 +203,14 @@ class OperatorExpr:
         out: dict[str, complex] = {}
         for la, ca in self._terms.items():
             for lb, cb in other._terms.items():
-                p = pauli_mul(PauliString(la), PauliString(lb))
-                key = p.label
-                out[key] = out.get(key, 0j) + ca * cb * p.coeff
+                phase, key = _label_product(la, lb)
+                out[key] = out.get(key, 0j) + ca * cb * phase
         return OperatorExpr(out, self.n_sites)
 
     def dagger(self) -> "OperatorExpr":
         return OperatorExpr(
             {l: c.conjugate() for l, c in self._terms.items()}, self.n_sites
         )
-
-    def drop_identity(self) -> "OperatorExpr":
-        """Traceless part: the expression with its identity term removed."""
-        out = dict(self._terms)
-        out.pop("I" * self.n_sites, None)
-        return OperatorExpr(out, self.n_sites)
 
     # -- comparison --------------------------------------------------------
 

@@ -26,6 +26,7 @@ import sympy
 from .circuit import SWAP, GateSpec, gate_unitary
 from .conservation import (
     ConservedQuantity,
+    box_samples,
     classical_filtered_family,
     conservation_residual,
     zm_sector_maps,
@@ -44,37 +45,6 @@ from .reports import WitnessReport
 
 _AXES = "xyz"
 _E = {c: np.eye(3)[i] for i, c in enumerate(_AXES)}
-
-CLASSICAL_BIT = "classical_bit"
-QUBIT = "qubit"
-RESERVOIR = "reservoir"
-OSCILLATOR = "oscillator"
-
-
-@dataclass(frozen=True)
-class MediatorModel:
-    """What the mediator is allowed to expose to the interaction."""
-
-    kind: str
-    allowed_factors: tuple[str, ...]
-    state_policy: str
-
-    @classmethod
-    def classical_bit(cls) -> "MediatorModel":
-        return cls(CLASSICAL_BIT, ("I", "Z"), "diagonal density matrices only")
-
-    @classmethod
-    def qubit(cls) -> "MediatorModel":
-        return cls(QUBIT, ("I", "X", "Y", "Z"), "any density matrix")
-
-    @classmethod
-    def reservoir(cls) -> "MediatorModel":
-        return cls(RESERVOIR, ("I", "X", "Y", "Z"), "fresh product state per collision")
-
-    @classmethod
-    def oscillator(cls) -> "MediatorModel":
-        return cls(OSCILLATOR, ("ladder",), "Fock basis states on a finite truncation")
-
 
 @dataclass(frozen=True)
 class RotationSpec:
@@ -124,31 +94,6 @@ def witness_target_map() -> TargetMap:
     return TargetMap.from_signed({"z": "+x", "y": "-y", "x": "+z"})
 
 
-@dataclass(frozen=True)
-class ProductStateSpec:
-    """Joint initial state of (Q, M) with a diagonal mediator.
-
-    rho_0 = (I + r.q_Q + s_z Z_M + t.q_Q Z_M) / 4; Hermiticity and unit
-    trace hold by construction, positivity is reported, not assumed.
-    """
-
-    r: tuple[float, float, float]
-    s_z: float
-    t: tuple[float, float, float]
-
-    def reconstruct(self) -> np.ndarray:
-        rho = np.kron(PAULI_MATS["I"], PAULI_MATS["I"]).astype(complex)
-        for comp, val in zip("XYZ", self.r):
-            rho += val * np.kron(PAULI_MATS[comp], PAULI_MATS["I"])
-        rho += self.s_z * np.kron(PAULI_MATS["I"], PAULI_MATS["Z"])
-        for comp, val in zip("XYZ", self.t):
-            rho += val * np.kron(PAULI_MATS[comp], PAULI_MATS["Z"])
-        return rho / 4
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.reconstruct()).min())
-
-
 # -- rotation images -------------------------------------------------------
 
 
@@ -183,14 +128,6 @@ def rotation_unitary(spec: RotationSpec) -> np.ndarray:
     ) * n_sigma
 
 
-def bloch_rotation_matrix(axis: np.ndarray, theta: float) -> np.ndarray:
-    """3x3 matrix of generator images under conjugation by a unit-axis rotation."""
-    axis = np.asarray(axis, dtype=float)
-    return np.column_stack(
-        [conjugation_image(axis, theta, g) for g in _AXES]
-    )
-
-
 # -- axis constraint systems ------------------------------------------------
 
 
@@ -217,13 +154,12 @@ def solve_generator_system(
     generator: str,
     image: tuple[float, float, float],
     theta: float,
-    norm_tol: float = 1e-8,
 ) -> GeneratorSystemResult:
     """All real solutions of ``R† q_g R = image``, split by the unit-norm filter.
 
     The three scalar equations come from the general (non-unit-axis)
     conjugation expansion; acceptable roots are the real solutions whose norm
-    is 1 within ``norm_tol``.
+    is 1 within 1e-8.
     """
     nx, ny, nz = sympy.symbols("n_x n_y n_z", real=True)
     th = _symbolic_angle(theta)
@@ -257,7 +193,7 @@ def solve_generator_system(
     acceptable = [
         r
         for r in real_roots
-        if abs(math.sqrt(sum(x * x for x in r)) - 1.0) <= norm_tol
+        if abs(math.sqrt(sum(x * x for x in r)) - 1.0) <= 1e-8
     ]
     worst = 0.0
     for r in real_roots:
@@ -397,28 +333,23 @@ def _batched_rotations(axes: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def classical_impossibility_search(
     conserved: ConservedQuantity,
-    target: TargetMap | None = None,
     budget: int = 10_000,
     seed: int = 7,
     grid_points: int = 9,
     param_range: float = 2.0,
     time_points: int = 64,
-    mediator: MediatorModel | None = None,
 ) -> WitnessReport:
-    """Bounded search over the constrained classical family.
+    """Bounded search over the constrained classical-bit-mediator family.
 
     The searched Hamiltonians form the classicality-filtered family allowed
     by ``conserved``; its free coefficients are sampled on a grid plus
-    ``budget`` seeded random draws, with evolution times on ``[0, 2 pi]``.
-    For the observable-level frame map it reports the minimal Frobenius
-    residual of ``U† q_j U - target_j`` (joint and per mediator sector); for
-    comparison it also reports the best state-level coherence transfer over
-    diagonal mediator states.  The result is search evidence, never a proof.
+    ``budget`` seeded random draws (:func:`box_samples`), with evolution
+    times on ``[0, 2 pi]``.  For the witness frame map
+    (:func:`witness_target_map`) it reports the minimal Frobenius residual of
+    ``U† q_j U - target_j`` (joint and per mediator sector); for comparison it
+    also reports the best state-level coherence transfer over diagonal
+    mediator states.  The result is search evidence, never a proof.
     """
-    mediator = mediator or MediatorModel.classical_bit()
-    if mediator.kind != CLASSICAL_BIT:
-        raise StructuralError("search is defined for the classical-bit mediator")
-    target = target or witness_target_map()
     family = classical_filtered_family(conserved)
     free_names = family.free_params()
     report = WitnessReport(
@@ -445,16 +376,9 @@ def classical_impossibility_search(
     # out of conjugation and coherence
     w_plus, w_minus = zm_sector_maps(family)[:, :, 1:]
     rng = np.random.default_rng(seed)
-    axis_vals = np.linspace(-param_range, param_range, grid_points)
-    grid = (
-        np.array(np.meshgrid(*[axis_vals] * len(free_names), indexing="ij"))
-        .reshape(len(free_names), -1)
-        .T
-    )
-    draws = rng.uniform(-param_range, param_range, size=(budget, len(free_names)))
-    samples = np.vstack([grid, draws])
+    samples = np.vstack(box_samples(rng, len(free_names), grid_points, param_range, budget))
     times = np.linspace(0.0, 2 * math.pi, time_points)
-    t_mat = target.matrix()
+    t_mat = witness_target_map().matrix()
 
     best = {
         "joint": (np.inf, None),
@@ -550,15 +474,14 @@ def coherence(rho_q: np.ndarray) -> float:
     return float(2 * abs(rho_q[0, 1]))
 
 
-def quantum_demo(
-    interaction: str, time_points: int = 65
-) -> WitnessReport:
+def quantum_demo(interaction: str) -> WitnessReport:
     """Witnessing with a genuine qubit mediator under the additive law.
 
     ``swap``: M prepared in an X eigenstate, Q in |0>; after the swap gate Q
     is X-sharp with the mediator's eigenvalue.  ``exchange``: the coherence
-    trajectory of Q under the exchange interaction is recorded on a time grid
-    over [0, pi/4], alongside the conservation residual of the generator.
+    trajectory of Q under the exchange interaction is recorded on a 65-point
+    time grid over [0, pi/4], alongside the conservation residual of the
+    generator.
     """
     c_add = ConservedQuantity.additive()
     report = WitnessReport(task=f"qubit mediator, {interaction} interaction")
@@ -582,7 +505,7 @@ def quantum_demo(
             report.coherence_maxima[name] = coherence(rho_q)
         report.add_check(
             "swap-conserves-additive-charge",
-            conservation_residual(swap, c_add, mode="unitary"),
+            conservation_residual(swap, c_add),
             "<",
             1e-12,
             "[SWAP, Z_Q + Z_M] = 0",
@@ -591,7 +514,7 @@ def quantum_demo(
         h = exchange_hamiltonian()
         report.add_check(
             "exchange-conserves-additive-charge",
-            conservation_residual(h, c_add, mode="hamiltonian"),
+            conservation_residual(h, c_add),
             "<",
             1e-12,
             "[S+S- + S-S+, Z_Q + Z_M] = 0",
@@ -600,7 +523,7 @@ def quantum_demo(
         evals, vecs = np.linalg.eigh(h_dense)
         rho_m = 0.5 * (PAULI_MATS["I"] + PAULI_MATS["X"])
         joint0 = np.kron(np.outer(ket0, ket0.conj()), rho_m)
-        times = np.linspace(0.0, math.pi / 4, time_points)
+        times = np.linspace(0.0, math.pi / 4, 65)
         trajectory = []
         for t in times:
             u = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T

@@ -181,9 +181,7 @@ def test_criterion_09_network_hamiltonian_conservation(capsys):
         charge = ConservedQuantity.nonadditive()
         assert commutator(h_net, charge.expr).max_coeff() < 1e-13
         # the sequential circuit's composite residual is reported, not asserted
-        composite = conservation_residual(
-            composite_unitary(witness_circuit()), charge, "unitary"
-        )
+        composite = conservation_residual(composite_unitary(witness_circuit()), charge)
         print(f"composite-circuit residual (reported): {composite:.12f}")
         assert math.isfinite(composite)
 

@@ -159,7 +159,7 @@ def test_composite_circuit_residual_is_reported_not_zero():
     # the sequential product maps the conserved quantity to a different
     # operator; its residual is a finding with a known exact value
     u = composite_unitary(witness_circuit())
-    residual = conservation_residual(u, ConservedQuantity.nonadditive(), "unitary")
+    residual = conservation_residual(u, ConservedQuantity.nonadditive())
     assert residual == pytest.approx(math.sqrt(24), abs=1e-10)
 
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwitness.cli import RunConfig, main, run_experiment
+from qwitness.cli import EXPERIMENTS, RunConfig, main, run_experiment
 from qwitness.errors import StructuralError
 
 
@@ -88,6 +94,81 @@ def test_cli_bad_config_returns_2(tmp_path):
 
 def test_cli_invalid_parameter_values(tmp_path):
     assert main(["oscillator", "--db", "1", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["homogenize", "--eta", "nan"], None, "config error"),
+        (["table1", "--eta", "nan"], None, "config error"),
+        (["witness"], {"budget": "100"}, "config error"),
+        (["homogenize"], {"eta_points": 0}, "config error"),
+        (["table1", "--seed", "-1"], None, "config error"),
+        (["witness"], {"grid_points": 0}, "config error"),
+        (["witness"], {"time_points": 1}, "config error"),
+        (["homogenize"], {"reservoir_steps": -3}, "config error"),
+        (["table1"], b'{"seed": "\xff"}', "config error"),  # not UTF-8
+        (["table1"], None, "output error"),  # --out below a regular file
+    ],
+)
+def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "out"
+    if message == "output error":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    argv = [*argv, "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"{message}: ")
+    assert not (out / "summary.json").exists()
+
+
+_WRONG_TYPE = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2)
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_INT_MINIMUM = {
+    "seed": 0, "n_steps": 1, "d_b": 2, "budget": 0,
+    "grid_points": 1, "time_points": 2, "eta_points": 1, "reservoir_steps": 1,
+}
+# (field, value) with exactly one field of the wrong type or out of range
+_BAD_FIELD = st.one_of(
+    *[
+        st.tuples(st.just(name), st.one_of(
+            _WRONG_TYPE, st.floats(), st.integers(max_value=minimum - 1),
+        ))
+        for name, minimum in _INT_MINIMUM.items()
+    ],
+    st.tuples(st.just("eta"), st.one_of(_WRONG_TYPE, _NON_FINITE)),
+    st.tuples(st.just("param_range"), st.one_of(
+        _WRONG_TYPE, _NON_FINITE, st.floats(max_value=0.0), st.integers(max_value=0),
+    )),
+    st.tuples(st.just("out_dir"), st.one_of(st.booleans(), st.none(), st.integers(), st.floats())),
+    st.tuples(st.just("schema_version"), st.one_of(st.booleans(), st.floats(), st.text(max_size=3))),
+    st.tuples(st.just("experiment"), st.one_of(
+        st.none(), st.integers(), st.text(max_size=8).filter(lambda t: t not in EXPERIMENTS),
+    )),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BAD_FIELD)
+def test_cli_rejects_any_config_with_one_bad_field(bad):
+    name, value = bad
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # a bad out_dir must not reach the working directory either
+        mp.delenv("QWITNESS_OUT", raising=False)
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({"out_dir": str(Path(tmp) / "out"), name: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["table1", "--config", str(path)])
+        assert code == 2
+        assert err.getvalue().startswith("config error: ")
+        assert not list(Path(tmp).rglob("summary.json"))
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

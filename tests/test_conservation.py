@@ -165,15 +165,11 @@ def test_conservation_residual_examples():
     c_non = ConservedQuantity.nonadditive()
     c_add = ConservedQuantity.additive()
     swap = gate_unitary(GateSpec(SWAP))
-    assert conservation_residual(swap, c_non, "unitary") < 1e-12
-    assert conservation_residual(OperatorExpr.from_label("XI"), c_add, "hamiltonian") > 1.0
-    assert conservation_residual(network_hamiltonian(), c_non, "hamiltonian") < 1e-12
+    assert conservation_residual(swap, c_non) < 1e-12
+    assert conservation_residual(OperatorExpr.from_label("XI"), c_add) > 1.0
+    assert conservation_residual(network_hamiltonian(), c_non) < 1e-12
     with pytest.raises(StructuralError):
-        conservation_residual(swap, c_non, "banana")
-    with pytest.raises(StructuralError):
-        conservation_residual(
-            to_dense(OperatorExpr.from_label("X")), c_non, "unitary"
-        )
+        conservation_residual(to_dense(OperatorExpr.from_label("X")), c_non)
 
 
 def test_random_constrained_members_generate_conserving_unitaries():
@@ -184,7 +180,7 @@ def test_random_constrained_members_generate_conserving_unitaries():
         member, vec = family.random_member(rng)
         assert family.constraint_matrix() @ vec == pytest.approx(np.zeros(2), abs=1e-12)
         u = expm_hermitian(to_dense(member), rng.uniform(0, 2 * math.pi))
-        assert conservation_residual(u, c_non, "unitary") < 1e-10
+        assert conservation_residual(u, c_non) < 1e-10
 
 
 def test_constrained_classical_hamiltonian_matches_family_member():

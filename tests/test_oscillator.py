@@ -44,14 +44,14 @@ def test_fock_ops_rejects_tiny_dims():
 
 
 def test_hp_qubit_two_levels_is_half_pauli_triple():
-    q = hp_qubit(0.5, 2)
+    q = hp_qubit(2)
     assert np.allclose(q.q_z, np.diag([0.5, -0.5]))
     assert np.allclose(q.q_x, np.array([[0, 0.5], [0.5, 0]]))
     assert np.allclose(q.q_y, np.array([[0, -0.5j], [0.5j, 0]]))
 
 
 def test_hp_qubit_su2_at_two_levels():
-    q = hp_qubit(0.5, 2)
+    q = hp_qubit(2)
     for a, b, c in ((q.q_x, q.q_y, q.q_z), (q.q_y, q.q_z, q.q_x), (q.q_z, q.q_x, q.q_y)):
         assert np.linalg.norm(a @ b - b @ a - 1j * c) < 1e-12
 
@@ -59,16 +59,11 @@ def test_hp_qubit_su2_at_two_levels():
 def test_hp_qubit_truncation_artifact_reported_at_higher_dims():
     # the clamped square root breaks the algebra away from two levels;
     # the residual is a finding, it just has to be visibly nonzero
-    q = hp_qubit(0.5, 4)
+    q = hp_qubit(4)
     residual = np.linalg.norm(q.q_x @ q.q_y - q.q_y @ q.q_x - 1j * q.q_z)
     assert residual > 0.1
     for m in (q.q_x, q.q_y, q.q_z):
         assert np.linalg.norm(m - m.conj().T) < 1e-14  # clamping keeps Hermiticity
-
-
-def test_hp_qubit_only_spin_half():
-    with pytest.raises(StructuralError):
-        hp_qubit(1.0, 3)
 
 
 def test_hp_hamiltonian_hermitian_at_all_truncations():
@@ -115,7 +110,7 @@ def test_charge_image_commutator_is_a_finding():
 
 
 def test_oscillator_witness_trajectories():
-    trajs = oscillator_witness_run(2, t_grid=np.linspace(0, 2 * math.pi, 48))
+    trajs = oscillator_witness_run(2)
     assert set(trajs) == {0, 1}
     for level, points in trajs.items():
         assert points[0][1] == pytest.approx(0.0, abs=1e-12)  # Z-sharp start

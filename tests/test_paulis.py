@@ -56,6 +56,19 @@ def test_pauli_mul_examples():
     assert prod == PauliString("ZI", 1j)
 
 
+def test_operator_product_equals_pauli_mul_exactly():
+    # exact equality, not a tolerance: all 256 ordered two-site label pairs
+    # with complex weights must give pauli_mul's bits
+    rng = np.random.default_rng(5)
+    labels = [a + b for a in "IXYZ" for b in "IXYZ"]
+    for la in labels:
+        for lb in labels:
+            wa, wb = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+            got = OperatorExpr.from_label(la, wa) @ OperatorExpr.from_label(lb, wb)
+            want = pauli_mul(PauliString(la, wa), PauliString(lb, wb))
+            assert got == OperatorExpr.from_pauli(want)
+
+
 def test_pauli_mul_rejects_mismatched_site_counts():
     with pytest.raises(StructuralError):
         pauli_mul(PauliString("X"), PauliString("XY"))

@@ -11,13 +11,10 @@ from qwitness.errors import ContractViolation, StructuralError
 from qwitness.witness import (
     EXCHANGE_INTERACTION,
     SWAP_INTERACTION,
-    MediatorModel,
-    ProductStateSpec,
     RotationSpec,
     TargetMap,
     _batched_rotations,
     axis_constraint_report,
-    bloch_rotation_matrix,
     classical_impossibility_search,
     coherence,
     conjugation_image,
@@ -263,13 +260,6 @@ def test_impossibility_search_is_deterministic():
     assert a.findings["argmin_joint"] == b.findings["argmin_joint"]
 
 
-def test_impossibility_search_requires_classical_mediator():
-    with pytest.raises(StructuralError):
-        classical_impossibility_search(
-            ConservedQuantity.nonadditive(), mediator=MediatorModel.qubit()
-        )
-
-
 def test_classical_family_members_never_move_the_mediator():
     # [H, Z_M] = 0 exactly in symbolic form for every filtered member
     from qwitness.paulis import OperatorExpr, commutator
@@ -332,14 +322,3 @@ def test_coherence_invariant_under_z_rotations():
         phi = rng.uniform(0, 2 * math.pi)
         u = np.diag([np.exp(-1j * phi / 2), np.exp(1j * phi / 2)])
         assert coherence(u @ rho @ u.conj().T) == pytest.approx(coherence(rho), abs=1e-12)
-
-
-def test_product_state_spec_reconstruction():
-    spec = ProductStateSpec(r=(0.3, 0.1, 0.2), s_z=0.4, t=(0.0, 0.1, -0.2))
-    rho = spec.reconstruct()
-    assert np.linalg.norm(rho - rho.conj().T) < 1e-14
-    assert np.trace(rho).real == pytest.approx(1.0)
-    assert spec.min_eigenvalue() > 0  # this choice happens to be a valid state
-    # positivity is reported, not enforced
-    wild = ProductStateSpec(r=(1.0, 1.0, 1.0), s_z=0.9, t=(0.9, 0.9, 0.9))
-    assert wild.min_eigenvalue() < 0
