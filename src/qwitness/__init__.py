@@ -28,18 +28,17 @@ from .conservation import (
 )
 from .dense import DenseOperator, expm_hermitian, partial_trace, pauli_decompose, to_dense
 from .errors import ContractViolation, StructuralError
-from .homogenizer import HomogenizerConfig, homogenize_step, partial_swap
+from .homogenizer import HomogenizerConfig, homogenize_step
 from .oscillator import FockOperators, HPQubit, fock_ops, hp_hamiltonian, hp_qubit
-from .paulis import OperatorExpr, PauliString, commutator, pauli_mul
+from .paulis import OperatorExpr, commutator
 from .reports import Check, WitnessReport
 from .witness import (
-    RotationSpec,
-    TargetMap,
+    WITNESS_FRAME_MAP,
+    axis_constraint_report,
     classical_impossibility_search,
     coherence,
+    conjugation_image,
     quantum_demo,
-    rotation_image,
-    solve_axis_system,
 )
 
 __version__ = "0.1.0"

@@ -3,10 +3,12 @@
 Every subcommand evaluates a fixed set of named checks, writes its artifacts
 (CSV/JSON) into the output directory and exits 0 only when all checks pass;
 exit 1 flags a failed check (partial artifacts are kept), exit 2 a usage,
-config or output error.  Identical configs produce byte-identical outputs.
+config or output error; a run too large for memory is a config error.
+Identical configs produce byte-identical outputs.
 
 Config files are JSON with a ``schema_version`` field; unknown keys are
-rejected so typos in tolerances cannot pass silently.  Every field is
+rejected so typos in tolerances cannot pass silently, and a file's
+``experiment`` must match the subcommand if it names one.  Every field is
 checked for type and range (:meth:`RunConfig.validate`) before a run starts.
 The output directory resolves as: ``--out`` flag, then the QWITNESS_OUT
 environment variable, then the config value.
@@ -66,7 +68,12 @@ class RunConfig:
     reservoir_steps: int = 8
 
     @classmethod
-    def from_json(cls, path: Path) -> "RunConfig":
+    def from_json(cls, path: Path, experiment: str) -> "RunConfig":
+        """Load a config file for the subcommand ``experiment``.
+
+        Unknown keys are rejected; the file may omit its ``experiment`` field
+        but must not name another.
+        """
         try:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
@@ -84,8 +91,11 @@ class RunConfig:
             raise StructuralError(
                 f"{path}: unsupported schema_version {version} (expected {SCHEMA_VERSION})"
             )
-        if "experiment" in payload and payload["experiment"] not in EXPERIMENTS:
-            raise StructuralError(f"{path}: unknown experiment {payload['experiment']!r}")
+        if payload.setdefault("experiment", experiment) != experiment:
+            raise StructuralError(
+                f"{path}: experiment {payload['experiment']!r} differs from "
+                f"the subcommand {experiment!r}"
+            )
         return cls(**payload)
 
     def validate(self) -> None:
@@ -316,7 +326,6 @@ def experiment_witness(cfg: RunConfig, out: Path) -> list[Check]:
     write_json(out / "axis_systems.json", axis_report.to_json_dict())
 
     search = wit.classical_impossibility_search(
-        cons.ConservedQuantity.nonadditive(),
         budget=cfg.budget,
         seed=cfg.seed,
         grid_points=cfg.grid_points,
@@ -553,8 +562,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-        cfg.experiment = args.experiment
+        if args.config:
+            cfg = RunConfig.from_json(args.config, args.experiment)
+        else:
+            cfg = RunConfig(experiment=args.experiment)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.eta is not None:
@@ -577,6 +588,9 @@ def main(argv: list[str] | None = None) -> int:
         code, checks = run_experiment(cfg)
     except OSError as exc:  # creating or writing the output directory
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a search budget no machine can hold
+        print(f"config error: run does not fit in memory: {exc}", file=sys.stderr)
         return 2
     for check in checks:
         state = "PASS" if check.passed else "FAIL"

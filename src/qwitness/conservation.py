@@ -321,17 +321,16 @@ def box_samples(
     return grid, draws
 
 
-def conservation_residual(target, conserved: ConservedQuantity) -> float:
+def conservation_residual(
+    target: OperatorExpr | DenseOperator, conserved: ConservedQuantity
+) -> float:
     """Frobenius norm of [target, C] in dense form; ~0 means conserved.
 
-    ``target`` may be a generator or an evolution operator (an
-    ``OperatorExpr``, a ``DenseOperator`` or a plain matrix); the residual
+    ``target`` may be a generator or an evolution operator; the residual
     formula is the same for both.
     """
     if isinstance(target, OperatorExpr):
         target = to_dense(target)
-    if not isinstance(target, DenseOperator):
-        target = DenseOperator((2,) * conserved.expr.n_sites, np.asarray(target, dtype=complex))
     c_dense = to_dense(conserved.expr)
     if target.dims != c_dense.dims:
         raise StructuralError(f"dims mismatch: {target.dims} vs {c_dense.dims}")
@@ -362,15 +361,14 @@ def classical_mediator_family() -> HamiltonianFamily:
     )
 
 
-def classical_filtered_family(
-    conserved: ConservedQuantity | None = None,
-) -> HamiltonianFamily:
-    """Classical mediator family constrained by ``conserved``, then filtered.
+def classical_filtered_family() -> HamiltonianFamily:
+    """Classical mediator family constrained by the non-additive law, then filtered.
 
-    The default non-additive law bakes in a = -alpha and b = -beta.
+    The law bakes in a = -alpha and b = -beta.
     """
-    conserved = conserved or ConservedQuantity.nonadditive()
-    return classicality_filter(constrain_family(classical_mediator_family(), conserved))
+    return classicality_filter(
+        constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
+    )
 
 
 def channel_extension_family() -> HamiltonianFamily:
@@ -390,22 +388,6 @@ def channel_extension_family() -> HamiltonianFamily:
             OperatorExpr.from_label("IZZ"),
         ],
         params=("alpha", "beta", "gamma", "a", "b", "c", "a_mm"),
-    )
-
-
-def constrained_classical_hamiltonian(
-    alpha: float, beta: float, gamma: float, c: float
-) -> OperatorExpr:
-    """Member of the constrained classical family (a = -alpha, b = -beta)."""
-    return OperatorExpr(
-        {
-            "XI": alpha,
-            "YI": beta,
-            "ZI": gamma,
-            "XZ": -alpha,
-            "YZ": -beta,
-            "ZZ": c,
-        }
     )
 
 

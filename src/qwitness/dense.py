@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 from .errors import ContractViolation, StructuralError
-from .paulis import PAULI_CHARS, OperatorExpr, PauliString
+from .paulis import PAULI_CHARS, OperatorExpr
 
 PAULI_MATS: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -87,11 +87,8 @@ def pauli_basis_stack(n_sites: int) -> tuple[np.ndarray, tuple[str, ...]]:
     return stack, labels
 
 
-def to_dense(
-    op: OperatorExpr | PauliString, dims: tuple[int, ...] | None = None
-) -> DenseOperator:
+def to_dense(expr: OperatorExpr, dims: tuple[int, ...] | None = None) -> DenseOperator:
     """Exact matrix realisation of a Pauli expression (qubit sites only)."""
-    expr = OperatorExpr.from_pauli(op) if isinstance(op, PauliString) else op
     n = expr.n_sites
     if dims is None:
         dims = (2,) * n

@@ -1,10 +1,10 @@
 """Collision-model homogenisation of one qubit against a fresh-qubit reservoir.
 
 The system qubit meets each reservoir qubit exactly once through the partial
-swap ``P(eta) = cos(eta) I + i sin(eta) S``.  Because used reservoir qubits
-are discarded, each step is an exact 4-dimensional computation; the joint
-state over the full reservoir is never materialised (cross-checked against a
-small joint simulation in the tests).
+swap ``P(eta) = cos(eta) I + i sin(eta) S``, the circuit's ``PARTIAL_SWAP``
+gate.  Because used reservoir qubits are discarded, each step is an exact
+4-dimensional computation; the joint state over the full reservoir is never
+materialised (cross-checked against a small joint simulation in the tests).
 
 The weight of the reservoir state inside the system state after n steps
 follows the closed law ``1 - cos(eta)**(2n)``; the weight is extracted from
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import GateSpec, PARTIAL_SWAP, gate_expr
+from .circuit import GateSpec, PARTIAL_SWAP, gate_unitary
 from .conservation import (
     ConservedQuantity,
     HamiltonianFamily,
@@ -35,16 +35,10 @@ from .dense import (
     assert_density_matrix,
     partial_trace,
     qubit_state,
-    to_dense,
     trace_distance,
 )
 from .errors import StructuralError
 from .reports import WitnessReport
-
-
-def partial_swap(eta: float) -> DenseOperator:
-    """The unitary cos(eta) I + i sin(eta) SWAP on two qubits."""
-    return to_dense(gate_expr(GateSpec(PARTIAL_SWAP, eta)))
 
 
 def homogenize_step(
@@ -53,7 +47,7 @@ def homogenize_step(
     """One collision: reduced states of P (rho x xi) P† on each side."""
     assert_density_matrix(rho)
     assert_density_matrix(xi)
-    p = partial_swap(eta).mat
+    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta)).mat
     joint = p @ np.kron(rho, xi) @ p.conj().T
     dense = DenseOperator((2, 2), joint)
     rho_out = partial_trace(dense, keep=(0,)).mat
@@ -333,4 +327,6 @@ def classical_reservoir_check(
 
 def nonadditive_conservation_residual(eta: float) -> float:
     """|[P(eta), Z_Q + Z_M + Z_Q Z_M]|_F (zero: the coupling is allowed)."""
-    return conservation_residual(partial_swap(eta), ConservedQuantity.nonadditive())
+    return conservation_residual(
+        gate_unitary(GateSpec(PARTIAL_SWAP, eta)), ConservedQuantity.nonadditive()
+    )

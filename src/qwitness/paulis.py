@@ -14,7 +14,6 @@ site 1 the mediator M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import StructuralError
@@ -51,30 +50,6 @@ def _check_label(label: str) -> str:
     return label
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A single Pauli product with a complex weight.
-
-    ``label`` holds one character per site; ``coeff`` may be any finite
-    complex number (a zero coefficient represents the zero element).
-    """
-
-    label: str
-    coeff: complex = 1.0 + 0j
-
-    def __post_init__(self) -> None:
-        _check_label(self.label)
-        if not math.isfinite(abs(self.coeff)):
-            raise StructuralError("non-finite coefficient")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.label)
-
-    def __repr__(self) -> str:
-        return f"PauliString({self.label!r}, {self.coeff!r})"
-
-
 def _label_product(la: str, lb: str) -> tuple[complex, str]:
     """(phase, label) of the unit product P_la P_lb; labels of equal length."""
     phase: complex = 1
@@ -86,21 +61,13 @@ def _label_product(la: str, lb: str) -> tuple[complex, str]:
     return phase, "".join(chars)
 
 
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two Pauli strings, phase included."""
-    if a.n_sites != b.n_sites:
-        raise StructuralError(
-            f"site count mismatch: {a.n_sites} vs {b.n_sites}"
-        )
-    phase, label = _label_product(a.label, b.label)
-    return PauliString(label, a.coeff * b.coeff * phase)
-
-
 class OperatorExpr:
     """Canonical weighted sum of Pauli products on a fixed site count.
 
-    Supports ``+``, ``-``, scalar ``*`` and operator ``@``; all operations
-    return new canonical expressions.  Instances are treated as immutable.
+    Coefficients must be finite; a single Pauli product is a one-term
+    expression.  Supports ``+``, ``-``, scalar ``*`` and operator ``@``; all
+    operations return new canonical expressions.  Instances are treated as
+    immutable.
     """
 
     __slots__ = ("n_sites", "_terms")
@@ -113,7 +80,10 @@ class OperatorExpr:
                 n_sites = len(label)
             elif len(label) != n_sites:
                 raise StructuralError("mixed site counts in one expression")
-            if abs(coeff) >= COEFF_TOL:
+            magnitude = abs(coeff)
+            if not math.isfinite(magnitude):
+                raise StructuralError(f"non-finite coefficient {coeff!r} on {label}")
+            if magnitude >= COEFF_TOL:
                 cleaned[label] = complex(coeff)
         if n_sites is None:
             raise StructuralError("site count unknown for empty expression")
@@ -133,10 +103,6 @@ class OperatorExpr:
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "OperatorExpr":
         return cls({label: coeff})
-
-    @classmethod
-    def from_pauli(cls, p: PauliString) -> "OperatorExpr":
-        return cls({p.label: p.coeff}, p.n_sites)
 
     # -- inspection --------------------------------------------------------
 

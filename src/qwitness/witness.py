@@ -46,52 +46,13 @@ from .reports import WitnessReport
 _AXES = "xyz"
 _E = {c: np.eye(3)[i] for i, c in enumerate(_AXES)}
 
-@dataclass(frozen=True)
-class RotationSpec:
-    """Axis-angle rotation; the axis must be a unit vector."""
+#: The frame map the six-gate network realises on Q at its final slice:
+#: column j holds the (x, y, z) coefficients of the image of generator j,
+#: so q_x -> q_z, q_y -> -q_y and q_z -> q_x.
+WITNESS_FRAME_MAP = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
-    axis: tuple[float, float, float]
-    angle: float
-
-    def __post_init__(self) -> None:
-        norm = math.sqrt(sum(a * a for a in self.axis))
-        if abs(norm - 1.0) > 1e-10:
-            raise StructuralError(f"axis norm {norm:.12g} != 1")
-
-
-@dataclass(frozen=True)
-class TargetMap:
-    """Images of the generator triple under the wanted frame map.
-
-    ``images[g]`` is the coefficient triple of the image of generator ``g``
-    in the (x, y, z) basis.  The induced 3x3 matrix must be orthogonal.
-    """
-
-    images: dict[str, tuple[float, float, float]]
-
-    @classmethod
-    def from_signed(cls, mapping: dict[str, str]) -> "TargetMap":
-        """Build from entries like {'z': '+x', 'y': '-y', 'x': '+z'}."""
-        images = {}
-        for gen, signed in mapping.items():
-            sign = -1.0 if signed.startswith("-") else 1.0
-            images[gen] = tuple(sign * _E[signed.lstrip("+-")])
-        return cls(images)
-
-    def matrix(self) -> np.ndarray:
-        """Columns are the images of e_x, e_y, e_z."""
-        return np.column_stack([np.array(self.images[g]) for g in _AXES])
-
-    def determinant(self) -> float:
-        m = self.matrix()
-        if np.linalg.norm(m.T @ m - np.eye(3)) > 1e-10:
-            raise StructuralError("target map is not orthogonal")
-        return float(np.linalg.det(m))
-
-
-def witness_target_map() -> TargetMap:
-    """The frame map realised by the six-gate network at its final slice."""
-    return TargetMap.from_signed({"z": "+x", "y": "-y", "x": "+z"})
+#: Rotation angle of the single-axis realisation (exact pi/2 in sympy).
+_THETA = math.pi / 2
 
 
 # -- rotation images -------------------------------------------------------
@@ -114,20 +75,6 @@ def conjugation_image(n: np.ndarray, theta: float, generator: str) -> np.ndarray
     )
 
 
-def rotation_image(spec: RotationSpec, generator: str) -> np.ndarray:
-    """Closed-form image of a generator under a unit-axis rotation."""
-    return conjugation_image(np.array(spec.axis), spec.angle, generator)
-
-
-def rotation_unitary(spec: RotationSpec) -> np.ndarray:
-    """Dense 2x2 rotation matrix cos(t/2) I - i sin(t/2) n.sigma."""
-    nx, ny, nz = spec.axis
-    n_sigma = nx * PAULI_MATS["X"] + ny * PAULI_MATS["Y"] + nz * PAULI_MATS["Z"]
-    return math.cos(spec.angle / 2) * PAULI_MATS["I"] - 1j * math.sin(
-        spec.angle / 2
-    ) * n_sigma
-
-
 # -- axis constraint systems ------------------------------------------------
 
 
@@ -143,26 +90,17 @@ class GeneratorSystemResult:
     max_equation_residual: float
 
 
-def _symbolic_angle(theta: float):
-    guess = sympy.nsimplify(theta, [sympy.pi], rational=False)
-    if abs(float(guess) - theta) < 1e-12:
-        return guess
-    return sympy.Float(theta, 17)
-
-
 def solve_generator_system(
-    generator: str,
-    image: tuple[float, float, float],
-    theta: float,
+    generator: str, image: tuple[float, float, float]
 ) -> GeneratorSystemResult:
-    """All real solutions of ``R† q_g R = image``, split by the unit-norm filter.
+    """All real solutions of ``R† q_g R = image`` at angle pi/2.
 
     The three scalar equations come from the general (non-unit-axis)
     conjugation expansion; acceptable roots are the real solutions whose norm
     is 1 within 1e-8.
     """
     nx, ny, nz = sympy.symbols("n_x n_y n_z", real=True)
-    th = _symbolic_angle(theta)
+    th = sympy.pi / 2
     n = [nx, ny, nz]
     e_j = _E[generator]
     c2 = sympy.cos(th / 2) ** 2
@@ -197,7 +135,7 @@ def solve_generator_system(
     ]
     worst = 0.0
     for r in real_roots:
-        got = conjugation_image(np.array(r), theta, generator)
+        got = conjugation_image(np.array(r), _THETA, generator)
         worst = max(worst, float(np.abs(got - np.array(image)).max()))
     return GeneratorSystemResult(
         generator=generator,
@@ -207,19 +145,6 @@ def solve_generator_system(
         acceptable_roots=sorted(acceptable),
         max_equation_residual=worst,
     )
-
-
-def solve_axis_system(
-    target: TargetMap, theta: float
-) -> dict[str, GeneratorSystemResult]:
-    """Solve the per-generator constraint systems of a frame map."""
-    if not math.isfinite(theta):
-        raise StructuralError("theta must be finite")
-    return {
-        g: solve_generator_system(g, target.images[g], theta)
-        for g in _AXES
-        if g in target.images
-    }
 
 
 def roots_intersection(
@@ -240,23 +165,23 @@ def roots_intersection(
     return common
 
 
-def axis_constraint_report(theta: float = math.pi / 2) -> WitnessReport:
+def axis_constraint_report() -> WitnessReport:
     """Root sets of the frame-map constraint systems for a classical mediator.
 
-    Solves the z- and x-generator systems for the witness frame map, and the
-    y-generator system under both signs of its right-hand side (+q_y and
-    -q_y); the two sign readings differ in exactly one scalar equation, so
-    both root sets are reported.  The intersection over all systems decides
+    Solves, at angle pi/2, the z- and x-generator systems for
+    :data:`WITNESS_FRAME_MAP`, and the y-generator system under both signs of
+    its right-hand side (+q_y and -q_y); the two sign readings differ in
+    exactly one scalar equation, so both root sets are reported.  The intersection over all systems decides
     whether a single rotation axis can realise the whole map.
     """
-    target = witness_target_map()
-    results = solve_axis_system(target, theta)
-    flipped = solve_generator_system(
-        "y", tuple(-v for v in np.array(target.images["y"])), theta
-    )
+    results = {
+        g: solve_generator_system(g, tuple(WITNESS_FRAME_MAP[:, j]))
+        for j, g in enumerate(_AXES)
+    }
+    flipped = solve_generator_system("y", tuple(-WITNESS_FRAME_MAP[:, 1]))
     report = WitnessReport(
         task="single-axis realisation of the witness frame map",
-        parameters={"theta": theta},
+        parameters={"theta": _THETA},
     )
     report.root_sets = {
         "z": results["z"].acceptable_roots,
@@ -332,7 +257,6 @@ def _batched_rotations(axes: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def classical_impossibility_search(
-    conserved: ConservedQuantity,
     budget: int = 10_000,
     seed: int = 7,
     grid_points: int = 9,
@@ -342,21 +266,21 @@ def classical_impossibility_search(
     """Bounded search over the constrained classical-bit-mediator family.
 
     The searched Hamiltonians form the classicality-filtered family allowed
-    by ``conserved``; its free coefficients are sampled on a grid plus
+    by the non-additive law; its free coefficients are sampled on a grid plus
     ``budget`` seeded random draws (:func:`box_samples`), with evolution
     times on ``[0, 2 pi]``.  For the witness frame map
-    (:func:`witness_target_map`) it reports the minimal Frobenius residual of
+    (:data:`WITNESS_FRAME_MAP`) it reports the minimal Frobenius residual of
     ``U† q_j U - target_j`` (joint and per mediator sector); for comparison it
     also reports the best state-level coherence transfer over diagonal
     mediator states.  The result is search evidence, never a proof.
     """
-    family = classical_filtered_family(conserved)
+    family = classical_filtered_family()
     free_names = family.free_params()
     report = WitnessReport(
         task="classical mediator, observable-level frame map",
         seed=seed,
         parameters={
-            "conserved": conserved.kind,
+            "conserved": family.conserved.kind,
             "free_params": list(free_names),
             "budget": budget,
             "grid_points": grid_points,
@@ -378,7 +302,6 @@ def classical_impossibility_search(
     rng = np.random.default_rng(seed)
     samples = np.vstack(box_samples(rng, len(free_names), grid_points, param_range, budget))
     times = np.linspace(0.0, 2 * math.pi, time_points)
-    t_mat = witness_target_map().matrix()
 
     best = {
         "joint": (np.inf, None),
@@ -400,7 +323,7 @@ def classical_impossibility_search(
         res_sq = {}
         for key, axes in (("sector_plus", n0), ("sector_minus", n1)):
             rot = _batched_rotations(axes, times)  # (B, T, 3, 3)
-            diff = rot - t_mat
+            diff = rot - WITNESS_FRAME_MAP
             res_sq[key] = 2.0 * np.sum(diff * diff, axis=(-2, -1))  # (B, T)
         joint = res_sq["sector_plus"] + res_sq["sector_minus"]
         for key, grid_vals in (

@@ -26,11 +26,11 @@ from qwitness.circuit import (
 from qwitness.conservation import (
     ConservedQuantity,
     additive_commutant_reference,
+    classical_filtered_family,
     classical_mediator_family,
     commutant_basis,
     conservation_residual,
     constrain_family,
-    constrained_classical_hamiltonian,
     pauli_operator_basis,
     span_projection_residual,
 )
@@ -114,7 +114,7 @@ def test_criterion_03_constraint_derivation():
 
 def test_criterion_04_axis_root_sets():
     with criterion(4, "axis root sets and empty intersection", 1.0):
-        report = axis_constraint_report(theta=math.pi / 2)
+        report = axis_constraint_report()
         assert report.root_sets["z"] == [(0.0, -1.0, 0.0)]
         assert report.root_sets["x"] == [(0.0, 1.0, 0.0)]
         for check in report.checks:
@@ -133,9 +133,12 @@ def test_criterion_05_classical_mediator_never_evolves():
     with criterion(5, "classical family leaves Z_M invariant", 1.0):
         rng = np.random.default_rng(7)
         z_m = to_dense(OperatorExpr.from_label("IZ")).mat
+        family = classical_filtered_family()
         for _ in range(100):
             alpha, beta, gamma, c = rng.uniform(-2, 2, size=4)
-            h = constrained_classical_hamiltonian(alpha, beta, gamma, c)
+            h = family.member(
+                {"alpha": alpha, "beta": beta, "gamma": gamma, "a": -alpha, "b": -beta, "c": c}
+            )
             u = expm_hermitian(to_dense(h), rng.uniform(0, 2 * math.pi)).mat
             assert np.linalg.norm(u.conj().T @ z_m @ u - z_m) < 1e-10
 

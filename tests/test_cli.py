@@ -33,27 +33,27 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1, "seeed": 3}))
     with pytest.raises(StructuralError, match="seeed"):
-        RunConfig.from_json(path)
+        RunConfig.from_json(path, "all")
 
 
 def test_config_rejects_bad_json_with_line_info(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"seed": }')
     with pytest.raises(StructuralError, match="line 1"):
-        RunConfig.from_json(path)
+        RunConfig.from_json(path, "all")
 
 
 def test_config_rejects_wrong_schema_version(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(StructuralError, match="schema_version"):
-        RunConfig.from_json(path)
+        RunConfig.from_json(path, "all")
 
 
 def test_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3, "eta": 0.25, "experiment": "table1"}))
-    cfg = RunConfig.from_json(path)
+    cfg = RunConfig.from_json(path, "table1")
     assert cfg.seed == 3 and cfg.eta == 0.25 and cfg.experiment == "table1"
 
 
@@ -109,6 +109,8 @@ def test_cli_invalid_parameter_values(tmp_path):
         (["homogenize"], {"reservoir_steps": -3}, "config error"),
         (["table1"], b'{"seed": "\xff"}', "config error"),  # not UTF-8
         (["table1"], None, "output error"),  # --out below a regular file
+        (["homogenize", "--budget", str(10**15)], None, "config error"),  # no machine holds it
+        (["table1"], {"experiment": "oscillator"}, "config error"),  # not the subcommand
     ],
 )
 def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, config, message):

@@ -17,7 +17,6 @@ from qwitness.conservation import (
     commutant_basis,
     conservation_residual,
     constrain_family,
-    constrained_classical_hamiltonian,
     family_to_json,
     pauli_operator_basis,
     span_projection_residual,
@@ -26,6 +25,13 @@ from qwitness.conservation import (
 from qwitness.dense import expm_hermitian, to_dense
 from qwitness.errors import StructuralError
 from qwitness.paulis import OperatorExpr
+
+
+def constrained_classical_hamiltonian(alpha, beta, gamma, c):
+    """Constrained classical family member written out by hand (a = -alpha, b = -beta)."""
+    return OperatorExpr(
+        {"XI": alpha, "YI": beta, "ZI": gamma, "XZ": -alpha, "YZ": -beta, "ZZ": c}
+    )
 
 
 def test_conserved_quantity_constructors_are_hermitian():
@@ -130,8 +136,6 @@ def test_classical_filtered_family_defaults_to_nonadditive_law():
     assert family.conserved.kind == "nonadditive"
     assert family.free_params() == ("gamma", "a", "b", "c")
     assert family.constraints == [{"alpha": 1.0, "a": 1.0}, {"beta": 1.0, "b": 1.0}]
-    additive = classical_filtered_family(ConservedQuantity.additive())
-    assert additive.conserved.kind == "additive"
 
 
 def test_zm_sector_maps_reproduce_dense_blocks():
@@ -184,7 +188,7 @@ def test_random_constrained_members_generate_conserving_unitaries():
 
 
 def test_constrained_classical_hamiltonian_matches_family_member():
-    family = constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
+    family = classical_filtered_family()
     values = {"alpha": 0.4, "beta": -1.1, "gamma": 0.2, "a": -0.4, "b": 1.1, "c": 0.9}
     member = family.member(values)
     direct = constrained_classical_hamiltonian(0.4, -1.1, 0.2, 0.9)

@@ -15,7 +15,7 @@ from qwitness.dense import (
     trace_distance,
 )
 from qwitness.errors import ContractViolation, StructuralError
-from qwitness.paulis import OperatorExpr, PauliString
+from qwitness.paulis import OperatorExpr
 
 CNOT_ON_M = np.array(
     # |q m> ordering; flips q when m = 1 (enumerated by hand from the action
@@ -36,7 +36,7 @@ SWAP = np.array(
 
 def test_to_dense_identity_and_z():
     assert np.allclose(to_dense(OperatorExpr.from_label("II")).mat, np.eye(4))
-    assert np.allclose(to_dense(PauliString("Z")).mat, np.diag([1, -1]))
+    assert np.allclose(to_dense(OperatorExpr.from_label("Z")).mat, np.diag([1, -1]))
 
 
 def test_to_dense_projector_form_gives_cnot_controlled_on_m():

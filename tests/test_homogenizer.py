@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qwitness.circuit import PARTIAL_SWAP, GateSpec, gate_unitary
 from qwitness.conservation import classical_filtered_family
 from qwitness.dense import (
     PAULI_MATS,
@@ -23,7 +24,6 @@ from qwitness.homogenizer import (
     classical_reservoir_check,
     homogenize_step,
     nonadditive_conservation_residual,
-    partial_swap,
     run,
     step_recursion,
     xi_coefficient,
@@ -142,13 +142,14 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
 
 
 def test_partial_swap_limits():
-    assert np.allclose(partial_swap(0.0).mat, np.eye(4))
-    assert np.allclose(partial_swap(math.pi / 2).mat, 1j * SWAP, atol=1e-15)
+    assert np.allclose(gate_unitary(GateSpec(PARTIAL_SWAP, 0.0)).mat, np.eye(4))
+    quarter = gate_unitary(GateSpec(PARTIAL_SWAP, math.pi / 2)).mat
+    assert np.allclose(quarter, 1j * SWAP, atol=1e-15)
 
 
 def test_partial_swap_is_unitary_and_exchange_symmetric():
     for eta in np.linspace(0, math.pi, 7):
-        p = partial_swap(eta)
+        p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
         assert p.is_unitary(tol=1e-12)
         assert np.allclose(SWAP @ p.mat @ SWAP, p.mat)  # symmetric under Q<->M
 
@@ -237,7 +238,7 @@ def test_fresh_ancilla_steps_match_full_joint_simulation():
     eta = 0.45
     cfg = HomogenizerConfig(n_steps=2, eta=eta)
     traj = run(cfg)
-    p = partial_swap(eta).mat
+    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta)).mat
     u1 = np.kron(p, np.eye(2))          # acts on (Q, M1), M2 idle
     # P on (Q, M2) with M1 idle: permute the SWAP embedding
     perm = np.zeros((8, 8))

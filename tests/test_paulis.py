@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,8 @@ from qwitness.errors import StructuralError
 from qwitness.paulis import (
     COEFF_TOL,
     OperatorExpr,
-    PauliString,
     anticommutator,
     commutator,
-    pauli_mul,
     signed_single_label,
 )
 
@@ -37,41 +37,54 @@ def expr_dense(expr: OperatorExpr) -> np.ndarray:
     return out
 
 
+def site_product(a: str, b: str) -> tuple[complex, str]:
+    """(phase, c) with MATS[a] @ MATS[b] = phase * MATS[c], read off the 2x2 matrix."""
+    m = MATS[a] @ MATS[b]
+    for c in "IXYZ":
+        phase = complex(np.trace(MATS[c] @ m) / 2)
+        if phase:
+            return phase, c
+    raise AssertionError(f"{a}{b} is not a Pauli product")
+
+
+def unit(label: str, coeff: complex = 1.0) -> OperatorExpr:
+    return OperatorExpr.from_label(label, coeff)
+
+
 def test_single_site_group_table_matches_dense_products():
     # all 16 ordered pairs against literal 2x2 multiplication
     for a in "IXYZ":
         for b in "IXYZ":
-            prod = pauli_mul(PauliString(a), PauliString(b))
+            ((label, coeff),) = unit(a) @ unit(b)
             expected = MATS[a] @ MATS[b]
-            assert np.allclose(dense(prod.label, prod.coeff), expected, atol=1e-15)
+            assert np.allclose(dense(label, coeff), expected, atol=1e-15)
 
 
 def test_pauli_mul_examples():
-    assert pauli_mul(PauliString("X"), PauliString("Y")) == PauliString("Z", 1j)
-    assert pauli_mul(PauliString("ZI"), PauliString("ZI")) == PauliString("II", 1.0)
+    assert unit("X") @ unit("Y") == unit("Z", 1j)
+    assert unit("ZI") @ unit("ZI") == unit("II")
     # two-site product against the 4x4 oracle
-    prod = pauli_mul(PauliString("XZ"), PauliString("YZ"))
-    oracle = dense("XZ") @ dense("YZ")
-    assert np.allclose(dense(prod.label, prod.coeff), oracle)
-    assert prod == PauliString("ZI", 1j)
+    prod = unit("XZ") @ unit("YZ")
+    assert np.allclose(expr_dense(prod), dense("XZ") @ dense("YZ"))
+    assert prod == unit("ZI", 1j)
 
 
 def test_operator_product_equals_pauli_mul_exactly():
     # exact equality, not a tolerance: all 256 ordered two-site label pairs
-    # with complex weights must give pauli_mul's bits
+    # with complex weights must give the weight product times the site
+    # phases read from the dense 2x2 products, bit for bit
     rng = np.random.default_rng(5)
     labels = [a + b for a in "IXYZ" for b in "IXYZ"]
     for la in labels:
         for lb in labels:
             wa, wb = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-            got = OperatorExpr.from_label(la, wa) @ OperatorExpr.from_label(lb, wb)
-            want = pauli_mul(PauliString(la, wa), PauliString(lb, wb))
-            assert got == OperatorExpr.from_pauli(want)
+            (p0, c0), (p1, c1) = site_product(la[0], lb[0]), site_product(la[1], lb[1])
+            assert unit(la, wa) @ unit(lb, wb) == unit(c0 + c1, wa * wb * (p0 * p1))
 
 
 def test_pauli_mul_rejects_mismatched_site_counts():
     with pytest.raises(StructuralError):
-        pauli_mul(PauliString("X"), PauliString("XY"))
+        unit("X") @ unit("XY")
 
 
 def test_unit_strings_have_unit_modulus_products():
@@ -79,8 +92,8 @@ def test_unit_strings_have_unit_modulus_products():
     for _ in range(50):
         a = "".join(rng.choice(list("IXYZ"), size=3))
         b = "".join(rng.choice(list("IXYZ"), size=3))
-        prod = pauli_mul(PauliString(a), PauliString(b))
-        assert abs(abs(prod.coeff) - 1.0) < 1e-15
+        ((_, coeff),) = unit(a) @ unit(b)
+        assert abs(abs(coeff) - 1.0) < 1e-15
 
 
 def test_commutator_examples():
@@ -132,12 +145,23 @@ def test_signed_single_label():
 
 def test_structural_errors():
     with pytest.raises(StructuralError):
-        PauliString("Q")
+        OperatorExpr.from_label("Q")
     with pytest.raises(StructuralError):
         OperatorExpr({"XI": 1.0, "X": 1.0})
     with pytest.raises(StructuralError):
         OperatorExpr({})  # no way to infer the site count
     assert OperatorExpr({}, n_sites=2).is_zero()
+
+
+@pytest.mark.parametrize(
+    "coeff", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(1.0, math.nan)]
+)
+def test_non_finite_coefficients_are_rejected(coeff):
+    # a NaN must not be dropped as "below tolerance", nor an inf kept
+    with pytest.raises(StructuralError, match="non-finite"):
+        OperatorExpr({"XI": 1.0, "ZZ": coeff})
+    with pytest.raises(StructuralError, match="non-finite"):
+        unit("XI") * coeff
 
 
 @st.composite

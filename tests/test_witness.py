@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwitness.conservation import ConservedQuantity
+from qwitness.circuit import evolve_descriptors, witness_circuit
 from qwitness.dense import PAULI_MATS
 from qwitness.errors import ContractViolation, StructuralError
+from qwitness.paulis import signed_single_label
 from qwitness.witness import (
     EXCHANGE_INTERACTION,
     SWAP_INTERACTION,
-    RotationSpec,
-    TargetMap,
+    WITNESS_FRAME_MAP,
     _batched_rotations,
     axis_constraint_report,
     classical_impossibility_search,
@@ -20,46 +20,41 @@ from qwitness.witness import (
     conjugation_image,
     exchange_hamiltonian,
     quantum_demo,
-    rotation_image,
-    rotation_unitary,
     roots_intersection,
-    solve_axis_system,
     solve_generator_system,
-    witness_target_map,
 )
 
 GEN = {"x": PAULI_MATS["X"], "y": PAULI_MATS["Y"], "z": PAULI_MATS["Z"]}
 
 
+def rotation_unitary(axis, theta):
+    """Dense 2x2 rotation matrix cos(t/2) I - i sin(t/2) n.sigma."""
+    n_sigma = sum(a * GEN[c] for a, c in zip(axis, "xyz"))
+    return math.cos(theta / 2) * PAULI_MATS["I"] - 1j * math.sin(theta / 2) * n_sigma
+
+
 def dense_conjugation_image(axis, theta, generator):
     """Independent oracle: expand R† sigma_j R in the Pauli basis."""
-    r = rotation_unitary(RotationSpec(tuple(axis), theta))
+    r = rotation_unitary(axis, theta)
     conj = r.conj().T @ GEN[generator] @ r
     return np.array([np.trace(PAULI_MATS[c] @ conj).real / 2 for c in "XYZ"])
 
 
 def test_rotation_about_own_axis_is_identity():
-    spec = RotationSpec((0.0, 0.0, 1.0), 1.234)
-    assert np.allclose(rotation_image(spec, "z"), [0, 0, 1], atol=1e-14)
+    assert np.allclose(conjugation_image((0.0, 0.0, 1.0), 1.234, "z"), [0, 0, 1], atol=1e-14)
 
 
 def test_rotation_sign_convention_fixed_by_dense_oracle():
     # quarter turn about +y maps z to -x under R = cos - i sin n.sigma
-    spec = RotationSpec((0.0, 1.0, 0.0), math.pi / 2)
-    assert np.allclose(rotation_image(spec, "z"), [-1, 0, 0], atol=1e-12)
+    image = conjugation_image((0.0, 1.0, 0.0), math.pi / 2, "z")
+    assert np.allclose(image, [-1, 0, 0], atol=1e-12)
     assert np.allclose(dense_conjugation_image((0, 1, 0), math.pi / 2, "z"), [-1, 0, 0])
 
 
 def test_rotation_about_minus_y_sends_z_to_plus_x():
-    spec = RotationSpec((0.0, -1.0, 0.0), math.pi / 2)
-    image = rotation_image(spec, "z")
+    image = conjugation_image((0.0, -1.0, 0.0), math.pi / 2, "z")
     assert image[0] == pytest.approx(1.0)
     assert np.allclose(image, [1, 0, 0], atol=1e-12)
-
-
-def test_rotation_spec_requires_unit_axis():
-    with pytest.raises(StructuralError):
-        RotationSpec((0.0, 0.5, 0.0), 1.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,9 +69,8 @@ def test_rotation_spec_requires_unit_axis():
 )
 def test_rotation_image_matches_dense_conjugation(raw_axis, theta, generator):
     axis = np.array(raw_axis) / np.linalg.norm(raw_axis)
-    spec = RotationSpec(tuple(axis), theta)
     assert np.allclose(
-        rotation_image(spec, generator),
+        conjugation_image(axis, theta, generator),
         dense_conjugation_image(axis, theta, generator),
         atol=1e-12,
     )
@@ -89,9 +83,8 @@ def test_rotation_image_matches_dense_on_many_seeded_draws():
         axis /= np.linalg.norm(axis)
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         g = "xyz"[rng.integers(3)]
-        spec = RotationSpec(tuple(axis), theta)
         assert np.abs(
-            rotation_image(spec, g) - dense_conjugation_image(axis, theta, g)
+            conjugation_image(axis, theta, g) - dense_conjugation_image(axis, theta, g)
         ).max() < 1e-12
 
 
@@ -110,45 +103,54 @@ def test_conjugation_image_handles_non_unit_axes():
 
 
 def test_target_map_matrix_and_determinant():
-    target = witness_target_map()
-    m = target.matrix()
-    assert np.allclose(m, [[0, 0, 1], [0, -1, 0], [1, 0, 0]])
-    assert target.determinant() == pytest.approx(1.0)
-    with pytest.raises(StructuralError):
-        TargetMap({"x": (1.0, 1.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}).determinant()
+    # the search's target is the frame map the six-gate network realises:
+    # column j is the final Heisenberg image of q_j, read as a signed label
+    final = evolve_descriptors(witness_circuit())[-1]
+    columns = []
+    for expr in final.triples["Q"]:
+        signed = signed_single_label(expr)
+        assert signed[2] == "I"  # the image stays on Q
+        sign = -1.0 if signed[0] == "-" else 1.0
+        columns.append([sign * (signed[1] == c) for c in "XYZ"])
+    assert np.array_equal(WITNESS_FRAME_MAP, np.array(columns).T)
+    assert np.allclose(WITNESS_FRAME_MAP.T @ WITNESS_FRAME_MAP, np.eye(3), atol=1e-15)
+    assert np.linalg.det(WITNESS_FRAME_MAP) == pytest.approx(1.0)
 
 
 def test_z_system_root_set():
-    res = solve_generator_system("z", (1.0, 0.0, 0.0), math.pi / 2)
+    res = solve_generator_system("z", (1.0, 0.0, 0.0))
     assert res.acceptable_roots == [(0.0, -1.0, 0.0)]
     assert res.max_equation_residual < 1e-10
 
 
 def test_x_system_root_set():
-    res = solve_generator_system("x", (0.0, 0.0, 1.0), math.pi / 2)
+    res = solve_generator_system("x", (0.0, 0.0, 1.0))
     assert res.acceptable_roots == [(0.0, 1.0, 0.0)]
     assert res.max_equation_residual < 1e-10
 
 
 def test_y_system_under_both_right_hand_sides():
     # target reading (image -q_y): no real roots at all
-    target = solve_generator_system("y", (0.0, -1.0, 0.0), math.pi / 2)
+    target = solve_generator_system("y", (0.0, -1.0, 0.0))
     assert target.acceptable_roots == []
     # sign-flipped reading (+q_y): the two unit roots on the y axis
-    flipped = solve_generator_system("y", (0.0, 1.0, 0.0), math.pi / 2)
+    flipped = solve_generator_system("y", (0.0, 1.0, 0.0))
     assert flipped.acceptable_roots == [(0.0, -1.0, 0.0), (0.0, 1.0, 0.0)]
 
 
 def test_roots_satisfy_their_systems_after_substitution():
     for gen, image in (("z", (1.0, 0.0, 0.0)), ("x", (0.0, 0.0, 1.0))):
-        res = solve_generator_system(gen, image, math.pi / 2)
+        res = solve_generator_system(gen, image)
         for root in res.acceptable_roots:
             got = conjugation_image(np.array(root), math.pi / 2, gen)
             assert np.allclose(got, image, atol=1e-10)
 
 
 def test_axis_systems_have_empty_intersection():
-    results = solve_axis_system(witness_target_map(), math.pi / 2)
+    results = {
+        g: solve_generator_system(g, tuple(WITNESS_FRAME_MAP[:, j]))
+        for j, g in enumerate("xyz")
+    }
     assert roots_intersection(results) == []
 
 
@@ -163,11 +165,6 @@ def test_axis_constraint_report_verdict():
         (0.0, 1.0, 0.0),
     ]
     assert report.all_passed()
-
-
-def test_solve_axis_system_rejects_non_finite_angle():
-    with pytest.raises(StructuralError):
-        solve_axis_system(witness_target_map(), math.inf)
 
 
 def test_batched_rotations_match_dense_conjugation():
@@ -229,17 +226,14 @@ def test_batched_rotations_zero_axis_is_identity():
 
 
 def test_impossibility_search_budget_zero_is_unproven():
-    report = classical_impossibility_search(
-        ConservedQuantity.nonadditive(), budget=0
-    )
+    report = classical_impossibility_search(budget=0)
     assert report.verdict == "UNPROVEN"
     assert report.checks == []
 
 
 def test_impossibility_search_reports_positive_gap():
     report = classical_impossibility_search(
-        ConservedQuantity.nonadditive(), budget=500, seed=3, grid_points=5,
-        time_points=32,
+        budget=500, seed=3, grid_points=5, time_points=32
     )
     assert report.verdict == "POSITIVE-GAP"
     # the |0>-sector only reaches z-rotations, so 2*sqrt(2) bounds its
@@ -254,8 +248,8 @@ def test_impossibility_search_reports_positive_gap():
 
 def test_impossibility_search_is_deterministic():
     kwargs = dict(budget=200, seed=11, grid_points=3, time_points=16)
-    a = classical_impossibility_search(ConservedQuantity.nonadditive(), **kwargs)
-    b = classical_impossibility_search(ConservedQuantity.nonadditive(), **kwargs)
+    a = classical_impossibility_search(**kwargs)
+    b = classical_impossibility_search(**kwargs)
     assert a.findings["min_residual_joint"] == b.findings["min_residual_joint"]
     assert a.findings["argmin_joint"] == b.findings["argmin_joint"]
 
