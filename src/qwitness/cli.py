@@ -1,9 +1,10 @@
 """Deterministic experiment runner.
 
-Every subcommand evaluates a fixed set of named checks, writes its artifacts
-(CSV/JSON) into the output directory and exits 0 only when all checks pass;
-exit 1 flags a failed check (partial artifacts are kept), exit 2 a usage,
-config or output error; a run too large for memory is a config error.
+Every subcommand evaluates a fixed set of named checks and exits 0 only when
+all checks pass, 1 when a check fails and 2 on a usage, config or output
+error (a run too large for memory is a config error).  Artifacts (CSV/JSON)
+are written once every experiment has returned: exit 1 writes all of them,
+exit 2 none, though the output directory may already have been created.
 Identical configs produce byte-identical outputs.
 
 Config files are JSON with a ``schema_version`` field; unknown keys are
@@ -128,8 +129,8 @@ def _finite(x: int | float) -> bool:
 # -- individual experiments --------------------------------------------------
 
 
-def experiment_table1(cfg: RunConfig, out: Path) -> list[Check]:
-    """Reproduce the 36-cell descriptor table and write the diff."""
+def experiment_table1(cfg: RunConfig) -> tuple[list[Check], dict]:
+    """Compare all 42 descriptor cells, t0 included, with the reference table."""
     frames = circuit_mod.evolve_descriptors(circuit_mod.witness_circuit())
     rows = []
     diff_rows = []
@@ -155,12 +156,6 @@ def experiment_table1(cfg: RunConfig, out: Path) -> list[Check]:
                 diff_rows.append(
                     (f"t{frame.time_index}", sub, comp, expected, label, deviation)
                 )
-    write_csv(out / "descriptors.csv", ("time", "subsystem", "component", "label"), rows)
-    write_csv(
-        out / "table1_diff.csv",
-        ("time", "subsystem", "component", "expected", "computed", "deviation"),
-        diff_rows,
-    )
     return [
         Check.compare(
             "descriptor-cells-mismatching", float(mismatches), "<=", 0.0,
@@ -170,10 +165,16 @@ def experiment_table1(cfg: RunConfig, out: Path) -> list[Check]:
             "descriptor-worst-deviation", worst, "<", 1e-12,
             "cell coefficients are +/-1 with nothing else above 1e-12",
         ),
-    ]
+    ], {
+        "descriptors.csv": (("time", "subsystem", "component", "label"), rows),
+        "table1_diff.csv": (
+            ("time", "subsystem", "component", "expected", "computed", "deviation"),
+            diff_rows,
+        ),
+    }
 
 
-def experiment_conservation(cfg: RunConfig, out: Path) -> list[Check]:
+def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
     """Commutant bases, constraint derivations and conservation residuals."""
     checks: list[Check] = []
     rng = np.random.default_rng(cfg.seed)
@@ -243,7 +244,6 @@ def experiment_conservation(cfg: RunConfig, out: Path) -> list[Check]:
             ),
         ),
     ]
-    write_csv(out / "conservation_residuals.csv", ("target", "frobenius_residual"), residual_rows)
     checks.append(Check.compare(
         "swap-conserves-nonadditive", residual_rows[0][1], "<", 1e-12,
         "[SWAP, Z_Q + Z_M + Z_QZ_M] = 0",
@@ -271,26 +271,28 @@ def experiment_conservation(cfg: RunConfig, out: Path) -> list[Check]:
         "exp(-iHt) commutes with the conserved quantity for every member",
     ))
 
-    write_json(out / "commutant_additive.json", {
-        "dimension": len(basis_add),
-        "basis": [{l: [c.real, c.imag] for l, c in b} for b in basis_add],
-    })
-    write_json(out / "commutant_nonadditive.json", {
-        "dimension": len(basis_non),
-        "constraint_rank": rank,
-        "basis": [{l: [c.real, c.imag] for l, c in b} for b in basis_non],
-    })
-    write_json(out / "constrained_families.json", {
-        "classical_mediator": cons.family_to_json(family),
-        "channel_extension": cons.family_to_json(channel),
-        "reading_flag": "single-probe gamma term taken on Z_Q (matches the constrained form; "
-                        "the unconstrained listing can also be read with gamma on Y_Q)",
-        "composite_circuit_residual": residual_rows[3][1],
-    })
-    return checks
+    return checks, {
+        "conservation_residuals.csv": (("target", "frobenius_residual"), residual_rows),
+        "commutant_additive.json": {
+            "dimension": len(basis_add),
+            "basis": [{l: [c.real, c.imag] for l, c in b} for b in basis_add],
+        },
+        "commutant_nonadditive.json": {
+            "dimension": len(basis_non),
+            "constraint_rank": rank,
+            "basis": [{l: [c.real, c.imag] for l, c in b} for b in basis_non],
+        },
+        "constrained_families.json": {
+            "classical_mediator": cons.family_to_json(family),
+            "channel_extension": cons.family_to_json(channel),
+            "reading_flag": "single-probe gamma term taken on Z_Q (matches the constrained "
+                            "form; the unconstrained listing can also be read with gamma on Y_Q)",
+            "composite_circuit_residual": residual_rows[3][1],
+        },
+    }
 
 
-def experiment_witness(cfg: RunConfig, out: Path) -> list[Check]:
+def experiment_witness(cfg: RunConfig) -> tuple[list[Check], dict]:
     """Axis-constraint roots, bounded searches and qubit-mediator demos."""
     checks: list[Check] = []
     axis_report = wit.axis_constraint_report()
@@ -322,30 +324,17 @@ def experiment_witness(cfg: RunConfig, out: Path) -> list[Check]:
             continue
         for k, root in enumerate(roots):
             root_rows.append((system, k, root[0], root[1], root[2]))
-    write_csv(out / "axis_roots.csv", ("system", "index", "n_x", "n_y", "n_z"), root_rows)
-    write_json(out / "axis_systems.json", axis_report.to_json_dict())
 
     search = wit.classical_impossibility_search(
-        budget=cfg.budget,
-        seed=cfg.seed,
-        grid_points=cfg.grid_points,
-        param_range=cfg.param_range,
-        time_points=cfg.time_points,
+        budget=cfg.budget, seed=cfg.seed, grid_points=cfg.grid_points,
+        param_range=cfg.param_range, time_points=cfg.time_points,
     )
     checks.extend(search.checks)
-    write_json(out / "impossibility_search.json", search.to_json_dict())
 
     swap_demo = wit.quantum_demo(wit.SWAP_INTERACTION)
     exchange_demo = wit.quantum_demo(wit.EXCHANGE_INTERACTION)
     checks.extend(swap_demo.checks)
     checks.extend(exchange_demo.checks)
-    write_json(out / "quantum_demo_swap.json", swap_demo.to_json_dict())
-    write_json(out / "quantum_demo_exchange.json", exchange_demo.to_json_dict())
-    write_csv(
-        out / "exchange_trajectory.csv",
-        ("time", "bloch_x", "bloch_y", "bloch_z"),
-        exchange_demo.findings["trajectory"],
-    )
 
     # mediator-independence of the six-gate network
     rng = np.random.default_rng(cfg.seed)
@@ -359,10 +348,19 @@ def experiment_witness(cfg: RunConfig, out: Path) -> list[Check]:
         "witness-independent-of-mediator", worst, "<", 1e-10,
         "final Bloch vector of Q is (1, 0, 0) for every mediator state",
     ))
-    return checks
+    return checks, {
+        "axis_roots.csv": (("system", "index", "n_x", "n_y", "n_z"), root_rows),
+        "axis_systems.json": axis_report.to_json_dict(),
+        "impossibility_search.json": search.to_json_dict(),
+        "quantum_demo_swap.json": swap_demo.to_json_dict(),
+        "quantum_demo_exchange.json": exchange_demo.to_json_dict(),
+        "exchange_trajectory.csv": (
+            ("time", "bloch_x", "bloch_y", "bloch_z"), exchange_demo.findings["trajectory"],
+        ),
+    }
 
 
-def experiment_homogenize(cfg: RunConfig, out: Path) -> list[Check]:
+def experiment_homogenize(cfg: RunConfig) -> tuple[list[Check], dict]:
     """Trajectories, the coefficient law and the classical-reservoir gap."""
     checks: list[Check] = []
     rows = []
@@ -395,11 +393,6 @@ def experiment_homogenize(cfg: RunConfig, out: Path) -> list[Check]:
                 float(np.abs(exact[1] - closed[1]).max()),
             )
             rho = exact[0]
-    write_csv(
-        out / "homogenizer_trajectory.csv",
-        ("eta", "step", "trace_distance", "xi_coefficient", "predicted_coefficient"),
-        rows,
-    )
     checks.append(Check.compare(
         "xi-coefficient-law", law_worst, "<", 1e-10,
         "weight of xi after n collisions equals 1 - cos(eta)^(2n)",
@@ -420,23 +413,25 @@ def experiment_homogenize(cfg: RunConfig, out: Path) -> list[Check]:
     ))
 
     reservoir = homog.classical_reservoir_check(
-        eta_grid=eta_grid,
-        n_steps=cfg.reservoir_steps,
-        budget=cfg.budget,
-        seed=cfg.seed,
-        grid_points=cfg.grid_points,
-        param_range=cfg.param_range,
+        eta_grid=eta_grid, n_steps=cfg.reservoir_steps, budget=cfg.budget, seed=cfg.seed,
+        grid_points=cfg.grid_points, param_range=cfg.param_range,
     )
     checks.extend(reservoir.checks)
-    write_json(out / "classical_reservoir.json", reservoir.to_json_dict())
-    return checks
+    return checks, {
+        "homogenizer_trajectory.csv": (
+            ("eta", "step", "trace_distance", "xi_coefficient", "predicted_coefficient"),
+            rows,
+        ),
+        "classical_reservoir.json": reservoir.to_json_dict(),
+    }
 
 
-def experiment_oscillator(cfg: RunConfig, out: Path) -> list[Check]:
+def experiment_oscillator(cfg: RunConfig) -> tuple[list[Check], dict]:
     """Bosonic-image construction checks and coherence trajectories."""
     checks: list[Check] = []
     herm_worst = 0.0
     unitary_worst = 0.0
+    findings = {}
     for d_b in (2, 3, 8):
         h = osc.hp_hamiltonian(d_b)
         herm_worst = max(herm_worst, float(np.linalg.norm(h.mat - h.mat.conj().T)))
@@ -444,6 +439,16 @@ def experiment_oscillator(cfg: RunConfig, out: Path) -> list[Check]:
         unitary_worst = max(
             unitary_worst,
             float(np.linalg.norm(u.mat.conj().T @ u.mat - np.eye(u.side))),
+        )
+        b_num = np.kron(np.eye(2), osc.fock_ops(d_b).number)
+        findings[f"number_commutator_residual_db{d_b}"] = float(
+            np.linalg.norm(h.mat @ b_num - b_num @ h.mat)
+        )
+        charge = osc.hp_substitute(
+            OperatorExpr({"ZI": 1.0, "IZ": 1.0, "ZZ": 1.0}), d_b
+        )
+        findings[f"nonadditive_image_residual_db{d_b}"] = float(
+            np.linalg.norm(h.mat @ charge.mat - charge.mat @ h.mat)
         )
     checks.append(Check.compare(
         "bosonic-hamiltonian-hermitian", herm_worst, "<", 1e-12,
@@ -472,24 +477,7 @@ def experiment_oscillator(cfg: RunConfig, out: Path) -> list[Check]:
         "two-level-reduction-matches-network", reduction_residual, "<", 1e-12,
         "bosonic Hamiltonian equals the substituted network Hamiltonian up to identity",
     ))
-
-    findings = {"two_level_reduction_residual": reduction_residual}
-    for d_b in (2, 3, 8):
-        h = osc.hp_hamiltonian(d_b)
-        b_num = np.kron(np.eye(2), osc.fock_ops(d_b).number)
-        findings[f"number_commutator_residual_db{d_b}"] = float(
-            np.linalg.norm(h.mat @ b_num - b_num @ h.mat)
-        )
-        charge = osc.hp_substitute(
-            OperatorExpr({"ZI": 1.0, "IZ": 1.0, "ZZ": 1.0}), d_b
-        )
-        findings[f"nonadditive_image_residual_db{d_b}"] = float(
-            np.linalg.norm(h.mat @ charge.mat - charge.mat @ h.mat)
-        )
-    write_json(out / "oscillator_checks.json", {
-        "findings": findings,
-        "note": "number-operator and conserved-image commutators are reported, not asserted",
-    })
+    findings["two_level_reduction_residual"] = reduction_residual
 
     trajectories = osc.oscillator_witness_run(cfg.d_b)
     rows = []
@@ -498,7 +486,6 @@ def experiment_oscillator(cfg: RunConfig, out: Path) -> list[Check]:
         maxima[level] = max(c for _, c in points)
         for t, c in points:
             rows.append((t, level, c))
-    write_csv(out / "oscillator_coherence.csv", ("time", "mediator_level", "coherence"), rows)
     checks.append(Check.compare(
         "oscillator-induces-coherence", max(maxima.values()), ">", 0.0,
         "some mediator level rotates Q out of the Z basis",
@@ -507,8 +494,14 @@ def experiment_oscillator(cfg: RunConfig, out: Path) -> list[Check]:
         "coherence-bounded", max(maxima.values()), "<=", 1.0 + 1e-12,
         "Bloch-ball bound on Z-basis coherence",
     ))
-    write_json(out / "oscillator_coherence_maxima.json", {str(k): v for k, v in maxima.items()})
-    return checks
+    return checks, {
+        "oscillator_checks.json": {
+            "findings": findings,
+            "note": "number-operator and conserved-image commutators are reported, not asserted",
+        },
+        "oscillator_coherence.csv": (("time", "mediator_level", "coherence"), rows),
+        "oscillator_coherence_maxima.json": {str(k): v for k, v in maxima.items()},
+    }
 
 
 _RUNNERS = {
@@ -521,23 +514,36 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: RunConfig) -> tuple[int, list[Check]]:
-    """Run one experiment (or all) and write a summary; returns (exit, checks)."""
+    """Run one experiment (or all), then write its artifacts and a summary.
+
+    Each experiment returns ``(checks, files)``; ``files`` maps an artifact
+    name to ``(header, rows)`` for a ``.csv`` or to a ``.json`` payload.
+    Nothing is written until every experiment has returned.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = list(_RUNNERS) if cfg.experiment == "all" else [cfg.experiment]
     checks: list[Check] = []
+    files: dict = {}
     for name in names:
-        checks.extend(_RUNNERS[name](cfg, out))
-    summary = {
+        more_checks, more_files = _RUNNERS[name](cfg)
+        checks.extend(more_checks)
+        files.update(more_files)
+    passed = all(c.passed for c in checks)
+    files["summary.json"] = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
         "checks": [asdict(c) for c in checks],
         "n_passed": sum(c.passed for c in checks),
         "n_failed": sum(not c.passed for c in checks),
-        "verdict": "PASS" if all(c.passed for c in checks) else "FAIL",
+        "verdict": "PASS" if passed else "FAIL",
     }
-    write_json(out / "summary.json", summary)
-    return (0 if all(c.passed for c in checks) else 1), checks
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            write_csv(out / name, *content)
+        else:
+            write_json(out / name, content)
+    return (0 if passed else 1), checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,13 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} checks")
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--eta", type=float, default=None, help="coupling strength")
-        p.add_argument("--n", type=int, default=None, help="reservoir size / steps")
-        p.add_argument("--db", type=int, default=None, help="mediator truncation")
-        p.add_argument("--budget", type=int, default=None, help="random search draws")
+        p.add_argument("--config", type=Path, help="JSON config file")
+        p.add_argument("--seed", type=int, help="RNG seed (u64)")
+        p.add_argument("--out", type=Path, help="output directory")
+        p.add_argument("--eta", type=float, help="coupling strength")
+        p.add_argument("--n", dest="n_steps", metavar="N", type=int, help="reservoir size / steps")
+        p.add_argument("--db", dest="d_b", metavar="DB", type=int, help="mediator truncation")
+        p.add_argument("--budget", type=int, help="random search draws")
     return parser
 
 
@@ -566,16 +572,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig.from_json(args.config, args.experiment)
         else:
             cfg = RunConfig(experiment=args.experiment)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.eta is not None:
-            cfg.eta = args.eta
-        if args.n is not None:
-            cfg.n_steps = args.n
-        if args.db is not None:
-            cfg.d_b = args.db
-        if args.budget is not None:
-            cfg.budget = args.budget
+        for name in ("seed", "eta", "n_steps", "d_b", "budget"):
+            if getattr(args, name) is not None:
+                setattr(cfg, name, getattr(args, name))
         if args.out is not None:
             cfg.out_dir = str(args.out)
         elif os.environ.get("QWITNESS_OUT"):

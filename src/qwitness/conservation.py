@@ -116,12 +116,12 @@ class HamiltonianFamily:
                     expand[free.index(name), self.params.index(pivot)] = -coeff / lead
         return expand
 
-    def member(self, values: dict[str, float], tol: float = 1e-9) -> OperatorExpr:
-        """Expression for a parameter assignment; constraints must hold."""
+    def member(self, values: dict[str, float]) -> OperatorExpr:
+        """Expression for a parameter assignment; constraints must hold to 1e-9."""
         vec = np.array([values[p] for p in self.params], dtype=float)
         if self.constraints:
             resid = np.abs(self.constraint_matrix() @ vec).max()
-            if resid > tol:
+            if resid > 1e-9:
                 raise StructuralError(f"parameters violate constraints (residual {resid:.3g})")
         out = OperatorExpr.zero(self.basis[0].n_sites)
         for c, b in zip(vec, self.basis):

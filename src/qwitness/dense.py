@@ -87,20 +87,15 @@ def pauli_basis_stack(n_sites: int) -> tuple[np.ndarray, tuple[str, ...]]:
     return stack, labels
 
 
-def to_dense(expr: OperatorExpr, dims: tuple[int, ...] | None = None) -> DenseOperator:
-    """Exact matrix realisation of a Pauli expression (qubit sites only)."""
+def to_dense(expr: OperatorExpr) -> DenseOperator:
+    """Exact matrix realisation of a Pauli expression on qubit sites."""
     n = expr.n_sites
-    if dims is None:
-        dims = (2,) * n
-    dims = tuple(dims)
-    if len(dims) != n or any(d != 2 for d in dims):
-        raise StructuralError(f"Pauli input requires all-qubit dims, got {dims}")
     stack, labels = pauli_basis_stack(n)
     index = {label: k for k, label in enumerate(labels)}
     mat = np.zeros((2**n, 2**n), dtype=complex)
     for label, coeff in expr:
         mat += coeff * stack[index[label]]
-    return DenseOperator(dims, mat)
+    return DenseOperator((2,) * n, mat)
 
 
 def pauli_decompose(dense: DenseOperator) -> OperatorExpr:

@@ -211,12 +211,13 @@ def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return a @ b + b @ a
 
 
-def signed_single_label(expr: OperatorExpr, tol: float = 1e-12) -> str:
+def signed_single_label(expr: OperatorExpr) -> str:
     """Render an expression that is a single +/-1 Pauli product, e.g. ``-ZY``.
 
     Raises ``StructuralError`` if the expression is not of that shape; used
     when serialising descriptor tables whose cells must be signed products.
     """
+    tol = 1e-12
     terms = [(l, c) for l, c in expr if abs(c) > tol]
     if len(terms) != 1:
         raise StructuralError(f"not a single Pauli product: {expr!r}")

@@ -119,12 +119,10 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     )

@@ -148,9 +148,9 @@ def solve_generator_system(
 
 
 def roots_intersection(
-    results: dict[str, GeneratorSystemResult], tol: float = 1e-9
+    results: dict[str, GeneratorSystemResult],
 ) -> list[tuple[float, float, float]]:
-    """Acceptable roots common to every system (pointwise within tol)."""
+    """Acceptable roots common to every system (pointwise within 1e-9)."""
     keys = list(results)
     if not keys:
         return []
@@ -160,7 +160,7 @@ def roots_intersection(
         common = [
             r
             for r in common
-            if any(max(abs(a - b) for a, b in zip(r, p)) <= tol for p in pool)
+            if any(max(abs(a - b) for a, b in zip(r, p)) <= 1e-9 for p in pool)
         ]
     return common
 

@@ -111,9 +111,11 @@ def test_cli_invalid_parameter_values(tmp_path):
         (["table1"], None, "output error"),  # --out below a regular file
         (["homogenize", "--budget", str(10**15)], None, "config error"),  # no machine holds it
         (["table1"], {"experiment": "oscillator"}, "config error"),  # not the subcommand
+        (["witness", "--budget", str(10**15)], None, "config error"),  # after the axis solve
     ],
 )
 def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, config, message):
+    """Exit 2 writes no file at all, even when the error comes late in the run."""
     out = tmp_path / "out"
     if message == "output error":
         (tmp_path / "file").write_text("")
@@ -125,7 +127,7 @@ def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, con
         argv += ["--config", str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"{message}: ")
-    assert not (out / "summary.json").exists()
+    assert not list(out.rglob("*"))
 
 
 _WRONG_TYPE = st.one_of(
@@ -220,3 +222,12 @@ def test_full_run_summary_structure(tmp_path):
     assert len(names) == len(set(names))  # every check individually addressable
     for entry in summary["checks"]:
         assert set(entry) == {"name", "value", "threshold", "op", "anchor", "passed"}
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "axis_roots.csv", "axis_systems.json", "classical_reservoir.json",
+        "commutant_additive.json", "commutant_nonadditive.json",
+        "conservation_residuals.csv", "constrained_families.json", "descriptors.csv",
+        "exchange_trajectory.csv", "homogenizer_trajectory.csv",
+        "impossibility_search.json", "oscillator_checks.json", "oscillator_coherence.csv",
+        "oscillator_coherence_maxima.json", "quantum_demo_exchange.json",
+        "quantum_demo_swap.json", "summary.json", "table1_diff.csv",
+    ]

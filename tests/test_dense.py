@@ -47,11 +47,6 @@ def test_to_dense_projector_form_gives_cnot_controlled_on_m():
     assert np.allclose(to_dense(cnot).mat, CNOT_ON_M)
 
 
-def test_to_dense_rejects_non_qubit_dims():
-    with pytest.raises(StructuralError):
-        to_dense(OperatorExpr.from_label("X"), dims=(3,))
-
-
 def test_pauli_decompose_identity():
     expr = pauli_decompose(DenseOperator((2, 2), np.eye(4, dtype=complex)))
     assert expr.labels() == ["II"]
