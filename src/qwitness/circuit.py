@@ -30,6 +30,7 @@ from .dense import (
 )
 from .errors import StructuralError
 from .paulis import OperatorExpr
+from .reports import Check
 
 SUBSYSTEMS = ("Q", "M")
 COMPONENTS = ("x", "y", "z")
@@ -175,27 +176,6 @@ def evolve_descriptors(circuit: Circuit) -> list[DescriptorFrame]:
     return frames
 
 
-def evolve_descriptors_stepwise(circuit: Circuit) -> list[DescriptorFrame]:
-    """Frames computed gate-at-a-time, each gate expressed in the previous frame.
-
-    Independent route to the same result as :func:`evolve_descriptors`: the
-    slice-i gate is built from the descriptors at t_{i-1} and conjugates them
-    symbolically.
-    """
-    frames = [initial_frame()]
-    for step, gate in enumerate(circuit.gates, start=1):
-        prev = frames[-1]
-        v = gate_expr_in_frame(gate, prev)
-        v_dag = v.dagger()
-        triples = {}
-        for sub in SUBSYSTEMS:
-            triples[sub] = tuple(
-                v_dag @ prev.component(sub, comp) @ v for comp in COMPONENTS
-            )
-        frames.append(DescriptorFrame(step, triples))
-    return frames
-
-
 def network_hamiltonian() -> OperatorExpr:
     """Weighted sum of the gate expressions in the t0 basis.
 
@@ -225,6 +205,24 @@ def witness_state_check(mediator_state: np.ndarray) -> np.ndarray:
     final = DenseOperator((2, 2), u @ joint @ u.conj().T)
     rho_q = partial_trace(final, keep=(0,)).mat
     return bloch_vector(rho_q)
+
+
+def mediator_independence_check(seed: int) -> Check:
+    """Check that Q ends X-sharp for 100 seeded Haar-random pure mediator states.
+
+    The value is the worst deviation of :func:`witness_state_check` from (1, 0, 0).
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+        amp /= np.linalg.norm(amp)
+        bloch = witness_state_check(np.outer(amp, amp.conj()))
+        worst = max(worst, float(np.abs(bloch - np.array([1.0, 0.0, 0.0])).max()))
+    return Check.compare(
+        "witness-independent-of-mediator", worst, "<", 1e-10,
+        "final Bloch vector of Q is (1, 0, 0) for every mediator state",
+    )
 
 
 # Reference descriptor table for the six-gate network: 36 signed Pauli

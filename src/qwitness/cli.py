@@ -336,18 +336,7 @@ def experiment_witness(cfg: RunConfig) -> tuple[list[Check], dict]:
     checks.extend(swap_demo.checks)
     checks.extend(exchange_demo.checks)
 
-    # mediator-independence of the six-gate network
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(100):
-        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amp /= np.linalg.norm(amp)
-        bloch = circuit_mod.witness_state_check(np.outer(amp, amp.conj()))
-        worst = max(worst, float(np.abs(bloch - np.array([1.0, 0.0, 0.0])).max()))
-    checks.append(Check.compare(
-        "witness-independent-of-mediator", worst, "<", 1e-10,
-        "final Bloch vector of Q is (1, 0, 0) for every mediator state",
-    ))
+    checks.append(circuit_mod.mediator_independence_check(cfg.seed))
     return checks, {
         "axis_roots.csv": (("system", "index", "n_x", "n_y", "n_z"), root_rows),
         "axis_systems.json": axis_report.to_json_dict(),

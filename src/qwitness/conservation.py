@@ -14,7 +14,6 @@ from itertools import product
 
 import numpy as np
 import sympy
-from scipy.linalg import null_space
 
 from .dense import DenseOperator, to_dense
 from .errors import StructuralError
@@ -70,21 +69,12 @@ class HamiltonianFamily:
         if len(self.basis) != len(self.params):
             raise StructuralError("one parameter name per basis element required")
 
-    def is_empty(self) -> bool:
-        return not self.basis
-
     def constraint_matrix(self) -> np.ndarray:
         rows = np.zeros((len(self.constraints), len(self.params)))
         for i, rel in enumerate(self.constraints):
             for name, coeff in rel.items():
                 rows[i, self.params.index(name)] = coeff
         return rows
-
-    def free_directions(self) -> np.ndarray:
-        """Orthonormal basis (columns) of parameter space allowed by constraints."""
-        if not self.constraints:
-            return np.eye(len(self.params))
-        return null_space(self.constraint_matrix(), rcond=1e-10)
 
     def pivot_params(self) -> tuple[str, ...]:
         """Leading parameter of each reduced constraint row."""
@@ -131,15 +121,27 @@ class HamiltonianFamily:
     def random_member(self, rng: np.random.Generator) -> tuple[OperatorExpr, np.ndarray]:
         """Random constrained member; returns (expression, parameter vector).
 
-        Coordinates along the free directions are uniform on [-2, 2].
+        Coordinates along an orthonormal basis of the parameter directions the
+        constraints allow are uniform on [-2, 2].
         """
-        dirs = self.free_directions()
+        dirs = _null_space(self.constraint_matrix())
         coeffs = rng.uniform(-2.0, 2.0, size=dirs.shape[1])
         vec = dirs @ coeffs
         out = OperatorExpr.zero(self.basis[0].n_sites)
         for c, b in zip(vec, self.basis):
             out = out + float(c) * b
         return out, vec
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of {x : a @ x = 0} for a real matrix a.
+
+    Taken from a full SVD; singular values at most 1e-10 times the largest
+    count as zero, so with no rows, or only zero rows, every direction is free.
+    """
+    _u, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * np.amax(s, initial=0.0)))
+    return vh[rank:].T
 
 
 def pauli_operator_basis(n_sites: int) -> list[OperatorExpr]:
@@ -191,7 +193,7 @@ def commutant_basis(
             stacklevel=2,
         )
         return list(ambient)
-    kernel = null_space(rows, rcond=1e-10)
+    kernel = _null_space(rows)
     out = []
     for col in kernel.T:
         expr = OperatorExpr.zero(ambient[0].n_sites)

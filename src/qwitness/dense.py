@@ -53,25 +53,8 @@ class DenseOperator:
             raise StructuralError(f"dims mismatch: {self.dims} vs {other.dims}")
         return DenseOperator(self.dims, self.mat @ other.mat)
 
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dims != other.dims:
-            raise StructuralError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return DenseOperator(self.dims, self.mat + other.mat)
-
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        return self + (-1) * other
-
-    def __mul__(self, scalar: complex) -> "DenseOperator":
-        return DenseOperator(self.dims, self.mat * scalar)
-
-    __rmul__ = __mul__
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return bool(np.linalg.norm(self.mat - self.mat.conj().T) <= tol)
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        eye = np.eye(self.side)
-        return bool(np.linalg.norm(self.mat.conj().T @ self.mat - eye) <= tol)
 
 
 @lru_cache(maxsize=8)

@@ -115,16 +115,6 @@ class OperatorExpr:
     def __iter__(self) -> Iterator[tuple[str, complex]]:
         return iter(sorted(self._terms.items()))
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_hermitian(self, tol: float = COEFF_TOL) -> bool:
-        # Pauli products are Hermitian, so Hermiticity is realness of coeffs.
-        return all(abs(c.imag) <= tol for c in self._terms.values())
-
     def max_coeff(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
 
@@ -173,19 +163,7 @@ class OperatorExpr:
                 out[key] = out.get(key, 0j) + ca * cb * phase
         return OperatorExpr(out, self.n_sites)
 
-    def dagger(self) -> "OperatorExpr":
-        return OperatorExpr(
-            {l: c.conjugate() for l, c in self._terms.items()}, self.n_sites
-        )
-
     # -- comparison --------------------------------------------------------
-
-    def approx_equal(self, other: "OperatorExpr", tol: float = 1e-12) -> bool:
-        self._require_same_sites(other)
-        labels = set(self._terms) | set(other._terms)
-        return all(
-            abs(self.coeff(l) - other.coeff(l)) <= tol for l in labels
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorExpr):
@@ -205,10 +183,6 @@ class OperatorExpr:
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     """[a, b] = a@b - b@a in canonical form; exact zero when terms cancel."""
     return a @ b - b @ a
-
-
-def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a @ b + b @ a
 
 
 def signed_single_label(expr: OperatorExpr) -> str:

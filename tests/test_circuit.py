@@ -16,7 +16,6 @@ from qwitness.circuit import (
     GateSpec,
     composite_unitary,
     evolve_descriptors,
-    evolve_descriptors_stepwise,
     gate_expr,
     gate_unitary,
     initial_frame,
@@ -28,6 +27,8 @@ from qwitness.conservation import ConservedQuantity, conservation_residual
 from qwitness.dense import qubit_state, to_dense
 from qwitness.errors import ContractViolation, StructuralError
 from qwitness.paulis import OperatorExpr, commutator, signed_single_label
+
+from operator_helpers import approx_equal, evolve_descriptors_stepwise, is_hermitian, is_unitary
 
 
 def test_gate_spec_validation():
@@ -83,7 +84,7 @@ def test_all_gates_are_unitary():
         GateSpec(RY_M, 0.7),
         GateSpec(PARTIAL_SWAP, 0.4),
     ):
-        assert gate_unitary(spec).is_unitary(tol=1e-12)
+        assert is_unitary(gate_unitary(spec), tol=1e-12)
 
 
 def test_descriptor_table_reproduced_cell_by_cell():
@@ -103,17 +104,15 @@ def test_stepwise_and_composite_frames_agree():
     for a, b in zip(direct, stepwise):
         for sub in SUBSYSTEMS:
             for comp in COMPONENTS:
-                assert a.component(sub, comp).approx_equal(
-                    b.component(sub, comp), tol=1e-12
-                )
+                assert approx_equal(a.component(sub, comp), b.component(sub, comp), tol=1e-12)
 
 
 def test_single_swap_circuit_swaps_the_triples():
     frames = evolve_descriptors(Circuit((GateSpec(SWAP),)))
     start = initial_frame()
     for comp in COMPONENTS:
-        assert frames[1].component("Q", comp).approx_equal(start.component("M", comp))
-        assert frames[1].component("M", comp).approx_equal(start.component("Q", comp))
+        assert approx_equal(frames[1].component("Q", comp), start.component("M", comp))
+        assert approx_equal(frames[1].component("M", comp), start.component("Q", comp))
 
 
 def test_frames_satisfy_su2_relations_and_involution():
@@ -123,9 +122,9 @@ def test_frames_satisfy_su2_relations_and_involution():
         for sub in SUBSYSTEMS:
             qx, qy, qz = (frame.component(sub, c) for c in COMPONENTS)
             for a, b, c in ((qx, qy, qz), (qy, qz, qx), (qz, qx, qy)):
-                assert commutator(a, b).approx_equal(2j * c, tol=1e-12)
-                assert (a @ a).approx_equal(OperatorExpr.identity(2), tol=1e-12)
-                assert a.is_hermitian(tol=1e-12)
+                assert approx_equal(commutator(a, b), 2j * c, tol=1e-12)
+                assert approx_equal(a @ a, OperatorExpr.identity(2), tol=1e-12)
+                assert is_hermitian(a, tol=1e-12)
 
 
 def test_partial_swap_gate_expr():
@@ -133,12 +132,12 @@ def test_partial_swap_gate_expr():
     expr = gate_expr(GateSpec(PARTIAL_SWAP, eta))
     swap = gate_expr(GateSpec(SWAP))
     expected = math.cos(eta) * OperatorExpr.identity(2) + (1j * math.sin(eta)) * swap
-    assert expr.approx_equal(expected, tol=1e-14)
+    assert approx_equal(expr, expected, tol=1e-14)
 
 
 def test_network_hamiltonian_coefficients():
     h = network_hamiltonian()
-    assert h.is_hermitian(tol=1e-13)
+    assert is_hermitian(h, tol=1e-13)
     # the swap gate contributes the only X_QX_M weight
     assert h.coeff("XX").real == pytest.approx(0.5)
     assert h.coeff("YY").real == pytest.approx(0.5)
@@ -146,7 +145,7 @@ def test_network_hamiltonian_coefficients():
     assert h.coeff("II").real == pytest.approx(2 + math.sqrt(2))
     # the two opposite-angle rotations sum to sqrt(2) times the identity
     ry_sum = gate_expr(GateSpec(RY_M, math.pi / 2)) + gate_expr(GateSpec(RY_M, -math.pi / 2))
-    assert ry_sum.approx_equal(math.sqrt(2) * OperatorExpr.identity(2), tol=1e-14)
+    assert approx_equal(ry_sum, math.sqrt(2) * OperatorExpr.identity(2), tol=1e-14)
 
 
 def test_network_hamiltonian_conserves_nonadditive_charge_symbolically():

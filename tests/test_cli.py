@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -231,3 +234,14 @@ def test_full_run_summary_structure(tmp_path):
         "oscillator_coherence_maxima.json", "quantum_demo_exchange.json",
         "quantum_demo_swap.json", "summary.json", "table1_diff.csv",
     ]
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this test process may have imported scipy already
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, qwitness.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

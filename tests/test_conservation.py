@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwitness.circuit import GateSpec, SWAP, gate_unitary, network_hamiltonian
 from qwitness.conservation import (
     ConservedQuantity,
     HamiltonianFamily,
     _commutator_constraint_matrix,
+    _null_space,
     additive_commutant_reference,
     channel_extension_family,
     classical_filtered_family,
@@ -26,6 +29,8 @@ from qwitness.dense import expm_hermitian, to_dense
 from qwitness.errors import StructuralError
 from qwitness.paulis import OperatorExpr
 
+from operator_helpers import approx_equal, is_hermitian
+
 
 def constrained_classical_hamiltonian(alpha, beta, gamma, c):
     """Constrained classical family member written out by hand (a = -alpha, b = -beta)."""
@@ -36,7 +41,7 @@ def constrained_classical_hamiltonian(alpha, beta, gamma, c):
 
 def test_conserved_quantity_constructors_are_hermitian():
     for c in (ConservedQuantity.additive(), ConservedQuantity.nonadditive(), ConservedQuantity.channel3()):
-        assert c.expr.is_hermitian()
+        assert is_hermitian(c.expr)
 
 
 def test_additive_commutant_is_six_dimensional_and_matches_reference():
@@ -80,6 +85,28 @@ def test_nonadditive_commutant_dimension_matches_rank():
     assert len(basis) == len(ambient) - dense_rank
 
 
+# small integer matrices, like the commutator rows of unit Pauli expressions
+integer_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=8).map(
+        lambda rows: np.array(rows, dtype=float).reshape(len(rows), n)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices)
+@example(np.zeros((0, 4)))
+@example(np.zeros((3, 4)))
+def test_null_space_is_an_orthonormal_kernel(a):
+    n = a.shape[1]
+    kernel = _null_space(a)
+    assert kernel.shape == (n, n - np.linalg.matrix_rank(a))
+    assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max(initial=0.0) < 1e-12
+    assert np.abs(a @ kernel).max(initial=0.0) < 1e-12
+    if not a.any():  # no constraint at all: every direction is free
+        assert np.array_equal(kernel, np.eye(n))
+
+
 def test_empty_ambient_is_rejected():
     with pytest.raises(StructuralError):
         commutant_basis(ConservedQuantity.additive(), [])
@@ -107,7 +134,7 @@ def test_constrain_family_no_constraints_for_diagonal_terms():
 def test_constrain_family_with_no_surviving_member_is_empty():
     family = HamiltonianFamily(basis=[OperatorExpr.from_label("XI")], params=("w",))
     out = constrain_family(family, ConservedQuantity.nonadditive())
-    assert out.is_empty()
+    assert not out.basis
     assert out.constraints == [{"w": 1.0}]
 
 
@@ -192,7 +219,7 @@ def test_constrained_classical_hamiltonian_matches_family_member():
     values = {"alpha": 0.4, "beta": -1.1, "gamma": 0.2, "a": -0.4, "b": 1.1, "c": 0.9}
     member = family.member(values)
     direct = constrained_classical_hamiltonian(0.4, -1.1, 0.2, 0.9)
-    assert member.approx_equal(direct, tol=1e-12)
+    assert approx_equal(member, direct, tol=1e-12)
     with pytest.raises(StructuralError):
         family.member({**values, "a": 0.4})  # violates a = -alpha
 

@@ -29,6 +29,8 @@ from qwitness.homogenizer import (
     xi_coefficient,
 )
 
+from operator_helpers import is_unitary
+
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 DEFAULT_ETA_GRID = np.linspace(math.pi / 32, math.pi / 2, 16)
 
@@ -150,7 +152,7 @@ def test_partial_swap_limits():
 def test_partial_swap_is_unitary_and_exchange_symmetric():
     for eta in np.linspace(0, math.pi, 7):
         p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
-        assert p.is_unitary(tol=1e-12)
+        assert is_unitary(p, tol=1e-12)
         assert np.allclose(SWAP @ p.mat @ SWAP, p.mat)  # symmetric under Q<->M
 
 

@@ -9,10 +9,11 @@ from qwitness.errors import StructuralError
 from qwitness.paulis import (
     COEFF_TOL,
     OperatorExpr,
-    anticommutator,
     commutator,
     signed_single_label,
 )
+
+from operator_helpers import approx_equal, dagger, is_hermitian, is_zero
 
 # independent 2x2 oracle matrices
 MATS = {
@@ -99,15 +100,15 @@ def test_unit_strings_have_unit_modulus_products():
 def test_commutator_examples():
     x = OperatorExpr.from_label("X")
     y = OperatorExpr.from_label("Y")
-    assert commutator(x, y).approx_equal(OperatorExpr({"Z": 2j}))
+    assert approx_equal(commutator(x, y), OperatorExpr({"Z": 2j}))
 
     zz = OperatorExpr.from_label("ZZ")
     diag = OperatorExpr({"ZI": 1.0, "IZ": 1.0})
-    assert commutator(zz, diag).is_zero()
+    assert is_zero(commutator(zz, diag))
 
     exchange = OperatorExpr({"XX": 1.0, "YY": 1.0})
     comm = commutator(exchange, diag)
-    assert comm.is_zero()
+    assert is_zero(comm)
     # dense 4x4 confirmation
     oracle = expr_dense(exchange) @ expr_dense(diag) - expr_dense(diag) @ expr_dense(exchange)
     assert np.allclose(oracle, 0)
@@ -115,8 +116,8 @@ def test_commutator_examples():
 
 def test_expr_cancellation_is_exact():
     a = OperatorExpr({"XI": 1.0, "YZ": 0.5})
-    assert (a - a).is_zero()
-    assert (a + (-1.0) * a).is_zero()
+    assert is_zero(a - a)
+    assert is_zero(a + (-1.0) * a)
 
 
 def test_terms_below_tolerance_are_dropped():
@@ -125,13 +126,13 @@ def test_terms_below_tolerance_are_dropped():
 
 
 def test_hermiticity_is_realness_of_coefficients():
-    assert OperatorExpr({"XI": 1.0, "ZZ": -2.0}).is_hermitian()
-    assert not OperatorExpr({"XI": 1j}).is_hermitian()
+    assert is_hermitian(OperatorExpr({"XI": 1.0, "ZZ": -2.0}))
+    assert not is_hermitian(OperatorExpr({"XI": 1j}))
 
 
 def test_dagger_conjugates_coefficients():
     e = OperatorExpr({"XY": 1 + 2j})
-    assert e.dagger().coeff("XY") == 1 - 2j
+    assert dagger(e).coeff("XY") == 1 - 2j
 
 
 def test_signed_single_label():
@@ -150,7 +151,7 @@ def test_structural_errors():
         OperatorExpr({"XI": 1.0, "X": 1.0})
     with pytest.raises(StructuralError):
         OperatorExpr({})  # no way to infer the site count
-    assert OperatorExpr({}, n_sites=2).is_zero()
+    assert is_zero(OperatorExpr({}, n_sites=2))
 
 
 @pytest.mark.parametrize(
@@ -198,8 +199,9 @@ def test_symbolic_commutator_matches_dense(pair):
 @given(st.integers(1, 2).flatmap(lambda n: st.tuples(small_exprs(n), small_exprs(n), small_exprs(n))))
 def test_product_is_associative(triple):
     a, b, c = triple
-    assert ((a @ b) @ c).approx_equal(a @ (b @ c), tol=1e-9)
+    assert approx_equal((a @ b) @ c, a @ (b @ c), tol=1e-9)
 
 
 def test_anticommutator_of_anticommuting_paulis_vanishes():
-    assert anticommutator(OperatorExpr.from_label("X"), OperatorExpr.from_label("Z")).is_zero()
+    x, z = OperatorExpr.from_label("X"), OperatorExpr.from_label("Z")
+    assert is_zero(x @ z + z @ x)
