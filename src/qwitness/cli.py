@@ -48,6 +48,8 @@ _INT_MINIMUM = {
     "seed": 0, "n_steps": 1, "d_b": 2, "budget": 0,
     "grid_points": 1, "time_points": 2, "eta_points": 1, "reservoir_steps": 1,
 }
+#: Largest search box half-width; squares of sector axes stay far from overflow.
+_PARAM_RANGE_MAX = 1e50
 
 
 @dataclass
@@ -115,8 +117,10 @@ class RunConfig:
                 raise StructuralError(f"{name} must be >= {minimum}, got {value}")
         if not _finite(self.eta):
             raise StructuralError(f"eta must be finite, got {self.eta!r}")
-        if not (_finite(self.param_range) and self.param_range > 0):
-            raise StructuralError(f"param_range must be finite and > 0, got {self.param_range!r}")
+        if not (_finite(self.param_range) and 0 < self.param_range <= _PARAM_RANGE_MAX):
+            raise StructuralError(
+                f"param_range must be > 0 and <= {_PARAM_RANGE_MAX:g}, got {self.param_range!r}"
+            )
 
 
 def _finite(x: int | float) -> bool:

@@ -282,13 +282,15 @@ def classicality_filter(family: HamiltonianFamily) -> HamiltonianFamily:
 
 
 def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
-    """Z_M-sector blocks of a classical (Q, M) family, linear in its parameters.
+    """Z_M-sector blocks of a classical (Q, M) family, linear in its free parameters.
 
     Because every mediator factor is I or Z, a member H = sum_p x_p B_p is
     block diagonal in Z_M: H = H_+ (x) |0><0| + H_- (x) |1><1| with 2x2 blocks
-    ``H_m = c_m I + n_m . sigma`` on Q.  Returns W of shape (2, n_params, 4)
-    with ``(c_m, n_m) = x @ W[m]`` in (I, X, Y, Z) coordinates; m = 0 is the
-    Z_M = +1 sector.
+    ``H_m = c_m I + n_m . sigma`` on Q.  Returns W of shape (2, n_free, 4)
+    with ``(c_m, n_m) = f @ W[m]`` in (I, X, Y, Z) coordinates, where ``f``
+    holds the values of :meth:`HamiltonianFamily.free_params` (the constraints
+    are solved through :meth:`HamiltonianFamily.expansion_matrix`); m = 0 is
+    the Z_M = +1 sector.
     """
     if not family.basis or family.basis[0].n_sites != 2:
         raise StructuralError("sector reduction needs a two-system (Q, M) family")
@@ -305,7 +307,7 @@ def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
         comp = PAULI_CHARS.index(label[0])
         w[0, p_idx, comp] = coeff.real
         w[1, p_idx, comp] = -coeff.real if label[1] == "Z" else coeff.real
-    return w
+    return family.expansion_matrix() @ w
 
 
 def box_samples(
@@ -317,9 +319,10 @@ def box_samples(
     ``[-param_range, param_range]`` (``grid_points**n_free`` rows) and
     ``budget`` uniform draws from the same box, taken from ``rng``.
     """
-    axis_vals = np.linspace(-param_range, param_range, grid_points)
+    half = float(param_range)  # an int beyond int64 would make object arrays
+    axis_vals = np.linspace(-half, half, grid_points)
     grid = np.array(np.meshgrid(*[axis_vals] * n_free, indexing="ij")).reshape(n_free, -1).T
-    draws = rng.uniform(-param_range, param_range, size=(budget, n_free))
+    draws = rng.uniform(-half, half, size=(budget, n_free))
     return grid, draws
 
 

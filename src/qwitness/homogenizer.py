@@ -220,7 +220,7 @@ def _reservoir_scan(
     surface), the admissible free parameters (B, 4), the final trace
     distances (len(eta_grid), B) and the operator-image gaps (B,).
     """
-    to_sectors = family.expansion_matrix() @ zm_sector_maps(family)  # (2, 4, 4)
+    to_sectors = zm_sector_maps(family)  # (2, 4, 4)
     free_names = family.free_params()
     rng = np.random.default_rng(seed)
     grid, random = box_samples(rng, len(free_names), grid_points, param_range, budget)

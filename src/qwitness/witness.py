@@ -226,34 +226,28 @@ def axis_constraint_report() -> WitnessReport:
 # -- bounded classical-mediator search --------------------------------------
 
 
-def _batched_rotations(axes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rotation matrices of exp(-i t n.sigma) conjugation, batched.
+def _sector_kernel(axes: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame-map residual and state-level coherence of one sector, (B, T) each.
 
-    axes: (B, 3); times: (T,).  Returns (B, T, 3, 3); zero axes give the
-    identity map.
+    Q rotates by theta = 2 r t about the unit axis u = n / r.  W is symmetric
+    with trace -1, so ``2 |R - W|_F^2 = 16 - 8 s (1 + q)`` with
+    ``s = sin^2(r t)`` and ``q = u.W u = 2 u_x u_z - u_y^2``.  For unit u,
+    ``1 + q = (u_x + u_z)^2`` and ``1 - q = (u_x - u_z)^2 + 2 u_y^2``, so the
+    residual is evaluated as the sum of squares
+    ``8 (cos^2(r t) (u_x + u_z)^2 + (u_x - u_z)^2 + 2 u_y^2)``: no
+    cancellation where it reaches 0.  R |0> has coherence ``2 sqrt(p (1 - p))``
+    with ``p = s (u_x^2 + u_y^2)`` and ``1 - p = cos^2(r t) + s u_z^2``.
     """
     r = np.linalg.norm(axes, axis=-1)
     degenerate = r < 1e-100  # includes exact zeros; avoids denormal blowup
-    safe = np.where(degenerate, 1.0, r)
-    unit = axes / safe[:, None]
-    theta = 2.0 * r[:, None] * times[None, :]  # (B, T)
-    cos = np.cos(theta)[..., None, None]
-    sin = np.sin(theta)[..., None, None]
-    eye = np.eye(3)
-    # cross-product matrix K with K[:, j] = e_j x n  equals -[n]_x
-    kx = np.zeros(axes.shape[:1] + (3, 3))
-    kx[:, 0, 1], kx[:, 0, 2] = unit[:, 2], -unit[:, 1]
-    kx[:, 1, 0], kx[:, 1, 2] = -unit[:, 2], unit[:, 0]
-    kx[:, 2, 0], kx[:, 2, 1] = unit[:, 1], -unit[:, 0]
-    outer = unit[:, :, None] * unit[:, None, :]
-    rot = (
-        cos * eye
-        + sin * kx[:, None, :, :]
-        + (1 - cos) * outer[:, None, :, :]
-    )
-    # length-zero axes: no rotation at any time
-    rot[degenerate] = eye
-    return rot
+    unit = axes / np.where(degenerate, 1.0, r)[:, None]
+    unit[degenerate] = _E["z"]  # s < 1e-198 there: the identity for any unit axis
+    ux, uy, uz = unit.T[:, :, None]
+    phase = r[:, None] * times[None, :]
+    cos2, sin2 = np.cos(phase) ** 2, np.sin(phase) ** 2
+    res_sq = 8.0 * (cos2 * (ux + uz) ** 2 + ((ux - uz) ** 2 + 2.0 * uy * uy))
+    coh = 2.0 * np.sqrt((cos2 + sin2 * (uz * uz)) * (sin2 * (ux * ux + uy * uy)))
+    return res_sq, coh
 
 
 def classical_impossibility_search(
@@ -273,6 +267,12 @@ def classical_impossibility_search(
     ``U† q_j U - target_j`` (joint and per mediator sector); for comparison it
     also reports the best state-level coherence transfer over diagonal
     mediator states.  The result is search evidence, never a proof.
+
+    Each Z_M sector m rotates Q about its axis n_m (:func:`zm_sector_maps`)
+    by 2 |n_m| t, and W is symmetric with trace -1, so the squared residual
+    of a sector is the closed form ``16 - 8 sin^2(|n_m| t) (1 + u.W u)`` with
+    u = n_m / |n_m| (see :func:`_sector_kernel`); the joint residual adds the
+    two sectors.
     """
     family = classical_filtered_family()
     free_names = family.free_params()
@@ -295,10 +295,9 @@ def classical_impossibility_search(
         report.verdict = "UNPROVEN"
         return report
 
-    expand = family.expansion_matrix()          # free -> full parameters
-    # rotation axes n_m per mediator sector; the sector constants c_m drop
-    # out of conjugation and coherence
-    w_plus, w_minus = zm_sector_maps(family)[:, :, 1:]
+    # (c_m, n_m) per mediator sector m; the sector constants c_m drop out of
+    # conjugation and coherence
+    maps = zm_sector_maps(family)
     rng = np.random.default_rng(seed)
     samples = np.vstack(box_samples(rng, len(free_names), grid_points, param_range, budget))
     times = np.linspace(0.0, 2 * math.pi, time_points)
@@ -317,19 +316,13 @@ def classical_impossibility_search(
     chunk = 2048
     for start in range(0, len(samples), chunk):
         part = samples[start : start + chunk]
-        full = part @ expand
-        n0 = full @ w_plus
-        n1 = full @ w_minus
-        res_sq = {}
-        for key, axes in (("sector_plus", n0), ("sector_minus", n1)):
-            rot = _batched_rotations(axes, times)  # (B, T, 3, 3)
-            diff = rot - WITNESS_FRAME_MAP
-            res_sq[key] = 2.0 * np.sum(diff * diff, axis=(-2, -1))  # (B, T)
-        joint = res_sq["sector_plus"] + res_sq["sector_minus"]
+        (res_plus, coh_plus), (res_minus, coh_minus) = (
+            _sector_kernel((part @ maps[m])[:, 1:], times) for m in range(2)
+        )
         for key, grid_vals in (
-            ("joint", joint),
-            ("sector_plus", res_sq["sector_plus"]),
-            ("sector_minus", res_sq["sector_minus"]),
+            ("joint", res_plus + res_minus),
+            ("sector_plus", res_plus),
+            ("sector_minus", res_minus),
         ):
             idx = np.unravel_index(np.argmin(grid_vals), grid_vals.shape)
             val = float(np.sqrt(grid_vals[idx]))
@@ -337,14 +330,7 @@ def classical_impossibility_search(
                 best[key] = (val, located(part, idx))
         # state level: coherence of U_m |0><0| U_m† maximised over sectors
         # (diagonal mediator mixtures cannot beat their best pure sector)
-        for axes in (n0, n1):
-            r = np.linalg.norm(axes, axis=-1)
-            safe = np.where(r < 1e-100, 1.0, r)
-            unit = axes / safe[:, None]
-            phase = r[:, None] * times[None, :]
-            a00 = np.cos(phase) ** 2 + np.sin(phase) ** 2 * unit[:, None, 2] ** 2
-            a10 = np.sin(phase) ** 2 * (unit[:, None, 0] ** 2 + unit[:, None, 1] ** 2)
-            coh = 2.0 * np.sqrt(np.clip(a00 * a10, 0.0, None))
+        for coh in (coh_plus, coh_minus):
             idx = np.unravel_index(np.argmax(coh), coh.shape)
             val = float(coh[idx])
             if val > best_coh[0]:

@@ -115,6 +115,7 @@ def test_cli_invalid_parameter_values(tmp_path):
         (["homogenize", "--budget", str(10**15)], None, "config error"),  # no machine holds it
         (["table1"], {"experiment": "oscillator"}, "config error"),  # not the subcommand
         (["witness", "--budget", str(10**15)], None, "config error"),  # after the axis solve
+        (["witness"], {"param_range": 1e200}, "config error"),  # sector axes would overflow
     ],
 )
 def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, config, message):
@@ -152,6 +153,7 @@ _BAD_FIELD = st.one_of(
     st.tuples(st.just("eta"), st.one_of(_WRONG_TYPE, _NON_FINITE)),
     st.tuples(st.just("param_range"), st.one_of(
         _WRONG_TYPE, _NON_FINITE, st.floats(max_value=0.0), st.integers(max_value=0),
+        st.floats(min_value=1e50, exclude_min=True), st.integers(min_value=int(1e50) + 1),
     )),
     st.tuples(st.just("out_dir"), st.one_of(st.booleans(), st.none(), st.integers(), st.floats())),
     st.tuples(st.just("schema_version"), st.one_of(st.booleans(), st.floats(), st.text(max_size=3))),
@@ -176,6 +178,15 @@ def test_cli_rejects_any_config_with_one_bad_field(bad):
         assert code == 2
         assert err.getvalue().startswith("config error: ")
         assert not list(Path(tmp).rglob("summary.json"))
+
+
+def test_cli_integer_param_range_beyond_int64_runs(tmp_path):
+    # a valid int too large for int64 reaches the searches as a float
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"param_range": 10**30, "budget": 100, "grid_points": 2}))
+    assert main(["witness", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["config"]["param_range"] == 10**30
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

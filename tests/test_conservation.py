@@ -185,6 +185,18 @@ def test_zm_sector_maps_reproduce_dense_blocks():
             coords = x @ w[m]
             assert np.abs(block - sum(c * p for c, p in zip(coords, paulis))).max() < 1e-12
         assert np.abs(h[np.ix_([0, 2], [1, 3])]).max() == 0.0
+    # a constrained family's map takes its free parameters only
+    family = classical_filtered_family()
+    w = zm_sector_maps(family)
+    assert w.shape == (2, len(family.free_params()), 4)
+    for _ in range(20):
+        free = rng.uniform(-2, 2, size=len(family.free_params()))
+        full = free @ family.expansion_matrix()
+        h = to_dense(family.member(dict(zip(family.params, full)))).mat
+        for m in range(2):
+            block = h[np.ix_([m, 2 + m], [m, 2 + m])]
+            coords = free @ w[m]
+            assert np.abs(block - sum(c * p for c, p in zip(coords, paulis))).max() < 1e-12
     quantum = HamiltonianFamily(basis=[OperatorExpr.from_label("XX")], params=("p",))
     with pytest.raises(StructuralError):
         zm_sector_maps(quantum)
