@@ -21,12 +21,11 @@ from .circuit import (
 from .conservation import (
     ConservedQuantity,
     HamiltonianFamily,
-    classicality_filter,
     commutant_basis,
     conservation_residual,
     constrain_family,
 )
-from .dense import DenseOperator, expm_hermitian, partial_trace, pauli_decompose, to_dense
+from .dense import expm_hermitian, partial_trace, pauli_decompose, to_dense
 from .errors import ContractViolation, StructuralError
 from .homogenizer import HomogenizerConfig, homogenize_step
 from .oscillator import FockOperators, HPQubit, fock_ops, hp_hamiltonian, hp_qubit

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
-    DenseOperator,
     assert_density_matrix,
     bloch_vector,
     partial_trace,
@@ -143,12 +142,12 @@ def gate_expr(gate: GateSpec) -> OperatorExpr:
     return gate_expr_in_frame(gate, initial_frame())
 
 
-def gate_unitary(gate: GateSpec) -> DenseOperator:
+def gate_unitary(gate: GateSpec) -> np.ndarray:
     """Dense unitary of a gate under the package conventions."""
     return to_dense(gate_expr(gate))
 
 
-def composite_unitary(circuit: Circuit) -> DenseOperator:
+def composite_unitary(circuit: Circuit) -> np.ndarray:
     """Product G_k ... G_1 of the circuit's gates (first gate rightmost)."""
     total = gate_unitary(circuit.gates[0])
     for gate in circuit.gates[1:]:
@@ -162,15 +161,13 @@ def evolve_descriptors(circuit: Circuit) -> list[DescriptorFrame]:
     frames = [frame0]
     acc = np.eye(4, dtype=complex)
     for step, gate in enumerate(circuit.gates, start=1):
-        acc = gate_unitary(gate).mat @ acc
+        acc = gate_unitary(gate) @ acc
         triples = {}
         for sub in SUBSYSTEMS:
             images = []
             for comp in COMPONENTS:
-                p = to_dense(frame0.component(sub, comp)).mat
-                images.append(
-                    pauli_decompose(DenseOperator((2, 2), acc.conj().T @ p @ acc))
-                )
+                p = to_dense(frame0.component(sub, comp))
+                images.append(pauli_decompose(acc.conj().T @ p @ acc))
             triples[sub] = tuple(images)
         frames.append(DescriptorFrame(step, triples))
     return frames
@@ -191,20 +188,22 @@ def network_hamiltonian() -> OperatorExpr:
     )
 
 
-def witness_state_check(mediator_state: np.ndarray) -> np.ndarray:
-    """Final Bloch vector of Q after the witness circuit, Q starting in |0>.
+def witness_state_check(mediator_states: list[np.ndarray]) -> np.ndarray:
+    """Final Bloch vectors of Q after the witness circuit, Q starting in |0>.
 
-    Returns (<X>, <Y>, <Z>) of ``Tr_M[U (|0><0| x rho_M) U†]``; the circuit is
-    built so the answer is (1, 0, 0) for every valid mediator state.
+    Row k holds (<X>, <Y>, <Z>) of ``Tr_M[U (|0><0| x rho_k) U†]`` for the
+    k-th mediator state; the circuit is built so every row is (1, 0, 0).
     """
-    assert_density_matrix(mediator_state)
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
-    joint = np.kron(ket0, np.asarray(mediator_state, dtype=complex))
-    u = composite_unitary(witness_circuit()).mat
-    final = DenseOperator((2, 2), u @ joint @ u.conj().T)
-    rho_q = partial_trace(final, keep=(0,)).mat
-    return bloch_vector(rho_q)
+    u = composite_unitary(witness_circuit())
+    blochs = []
+    for rho_m in mediator_states:
+        assert_density_matrix(rho_m)
+        joint = np.kron(ket0, np.asarray(rho_m, dtype=complex))
+        rho_q = partial_trace(u @ joint @ u.conj().T, (2, 2), keep=(0,))
+        blochs.append(bloch_vector(rho_q))
+    return np.array(blochs)
 
 
 def mediator_independence_check(seed: int) -> Check:
@@ -213,19 +212,20 @@ def mediator_independence_check(seed: int) -> Check:
     The value is the worst deviation of :func:`witness_state_check` from (1, 0, 0).
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    states = []
     for _ in range(100):
         amp = rng.normal(size=2) + 1j * rng.normal(size=2)
         amp /= np.linalg.norm(amp)
-        bloch = witness_state_check(np.outer(amp, amp.conj()))
-        worst = max(worst, float(np.abs(bloch - np.array([1.0, 0.0, 0.0])).max()))
+        states.append(np.outer(amp, amp.conj()))
+    blochs = witness_state_check(states)
+    worst = float(np.abs(blochs - np.array([1.0, 0.0, 0.0])).max())
     return Check.compare(
         "witness-independent-of-mediator", worst, "<", 1e-10,
         "final Bloch vector of Q is (1, 0, 0) for every mediator state",
     )
 
 
-# Reference descriptor table for the six-gate network: 36 signed Pauli
+# Reference descriptor table for the six-gate network: 42 signed Pauli
 # products, row t_k, columns (subsystem, component), all in the t0 basis.
 REFERENCE_DESCRIPTOR_TABLE: dict[int, dict[str, tuple[str, str, str]]] = {
     0: {"Q": ("+XI", "+YI", "+ZI"), "M": ("+IX", "+IY", "+IZ")},

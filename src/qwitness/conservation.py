@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 import sympy
 
-from .dense import DenseOperator, to_dense
+from .dense import to_dense
 from .errors import StructuralError
 from .paulis import PAULI_CHARS, OperatorExpr, commutator
 
@@ -252,35 +252,6 @@ def constrain_family(
     )
 
 
-def classicality_filter(family: HamiltonianFamily) -> HamiltonianFamily:
-    """Keep only basis elements whose mediator factor (site 1) is I or Z.
-
-    This is the operational reading of a single-observable mediator: every
-    term must act on the mediator through functions of Z alone.
-    """
-    kept_idx = [
-        j
-        for j, b in enumerate(family.basis)
-        if all(label[1] in "IZ" for label, _ in b)
-    ]
-    kept_params = tuple(family.params[j] for j in kept_idx)
-    kept_set = set(kept_params)
-    constraints = []
-    for rel in family.constraints:
-        reduced = {k: v for k, v in rel.items() if k in kept_set}
-        # relations tying a removed parameter to kept ones degenerate to
-        # relations among the kept ones only
-        if reduced:
-            constraints.append(reduced)
-    return HamiltonianFamily(
-        basis=[family.basis[j] for j in kept_idx],
-        params=kept_params,
-        constraints=constraints,
-        conserved=family.conserved,
-        notes=family.notes,
-    )
-
-
 def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
     """Z_M-sector blocks of a classical (Q, M) family, linear in its free parameters.
 
@@ -327,7 +298,7 @@ def box_samples(
 
 
 def conservation_residual(
-    target: OperatorExpr | DenseOperator, conserved: ConservedQuantity
+    target: OperatorExpr | np.ndarray, conserved: ConservedQuantity
 ) -> float:
     """Frobenius norm of [target, C] in dense form; ~0 means conserved.
 
@@ -337,9 +308,9 @@ def conservation_residual(
     if isinstance(target, OperatorExpr):
         target = to_dense(target)
     c_dense = to_dense(conserved.expr)
-    if target.dims != c_dense.dims:
-        raise StructuralError(f"dims mismatch: {target.dims} vs {c_dense.dims}")
-    comm = target.mat @ c_dense.mat - c_dense.mat @ target.mat
+    if target.shape != c_dense.shape:
+        raise StructuralError(f"shape mismatch: {target.shape} vs {c_dense.shape}")
+    comm = target @ c_dense - c_dense @ target
     return float(np.linalg.norm(comm))
 
 
@@ -367,13 +338,11 @@ def classical_mediator_family() -> HamiltonianFamily:
 
 
 def classical_filtered_family() -> HamiltonianFamily:
-    """Classical mediator family constrained by the non-additive law, then filtered.
+    """Classical mediator family constrained by the non-additive law.
 
-    The law bakes in a = -alpha and b = -beta.
+    The law bakes in a = -alpha and b = -beta; every mediator factor is I or Z.
     """
-    return classicality_filter(
-        constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
-    )
+    return constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
 
 
 def channel_extension_family() -> HamiltonianFamily:

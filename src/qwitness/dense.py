@@ -12,7 +12,6 @@ Conventions fixed here and inherited by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -30,33 +29,6 @@ PAULI_MATS: dict[str, np.ndarray] = {
 }
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A complex matrix on a listed tensor-product dimension profile."""
-
-    dims: tuple[int, ...]
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        side = prod(self.dims)
-        if self.mat.shape != (side, side):
-            raise StructuralError(
-                f"matrix shape {self.mat.shape} does not match dims {self.dims}"
-            )
-
-    @property
-    def side(self) -> int:
-        return self.mat.shape[0]
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dims != other.dims:
-            raise StructuralError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return DenseOperator(self.dims, self.mat @ other.mat)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.linalg.norm(self.mat - self.mat.conj().T) <= tol)
-
-
 @lru_cache(maxsize=8)
 def pauli_basis_stack(n_sites: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """All 4**n Pauli product matrices, stacked, with their labels."""
@@ -70,7 +42,7 @@ def pauli_basis_stack(n_sites: int) -> tuple[np.ndarray, tuple[str, ...]]:
     return stack, labels
 
 
-def to_dense(expr: OperatorExpr) -> DenseOperator:
+def to_dense(expr: OperatorExpr) -> np.ndarray:
     """Exact matrix realisation of a Pauli expression on qubit sites."""
     n = expr.n_sites
     stack, labels = pauli_basis_stack(n)
@@ -78,50 +50,60 @@ def to_dense(expr: OperatorExpr) -> DenseOperator:
     mat = np.zeros((2**n, 2**n), dtype=complex)
     for label, coeff in expr:
         mat += coeff * stack[index[label]]
-    return DenseOperator((2,) * n, mat)
+    return mat
 
 
-def pauli_decompose(dense: DenseOperator) -> OperatorExpr:
-    """Expand a matrix in the Pauli basis: c_P = tr(P D) / 2**n."""
-    if any(d != 2 for d in dense.dims):
-        raise StructuralError(f"Pauli decomposition requires qubit dims, got {dense.dims}")
-    n = len(dense.dims)
+def pauli_decompose(mat: np.ndarray) -> OperatorExpr:
+    """Expand a 2**n x 2**n matrix in the Pauli basis: c_P = tr(P D) / 2**n."""
+    side = len(mat)
+    if mat.shape != (side, side) or side < 2 or side & (side - 1):
+        raise StructuralError(
+            f"Pauli decomposition requires a 2**n x 2**n matrix, got shape {mat.shape}"
+        )
+    n = side.bit_length() - 1
     stack, labels = pauli_basis_stack(n)
     # tr(P D) with P Hermitian; einsum contracts tr(P @ D) per basis element
-    coeffs = np.einsum("aij,ji->a", stack, dense.mat) / (2**n)
+    coeffs = np.einsum("aij,ji->a", stack, mat) / side
     return OperatorExpr(
         {label: c for label, c in zip(labels, coeffs)}, n_sites=n
     )
 
 
-def partial_trace(dense: DenseOperator, keep: tuple[int, ...]) -> DenseOperator:
-    """Trace out every subsystem not in ``keep`` (original order preserved)."""
+def partial_trace(
+    mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]
+) -> np.ndarray:
+    """Trace out every subsystem not in ``keep`` (original order preserved).
+
+    ``dims`` lists the tensor factors of ``mat`` in kron order.
+    """
+    dims = tuple(dims)
+    side = prod(dims)
+    if mat.shape != (side, side):
+        raise StructuralError(f"matrix shape {mat.shape} does not match dims {dims}")
     keep = tuple(sorted(set(keep)))
-    n = len(dense.dims)
+    n = len(dims)
     if not keep:
         raise StructuralError("keep set must be nonempty")
     if any(k < 0 or k >= n for k in keep):
         raise StructuralError(f"keep indices {keep} out of range for {n} subsystems")
-    tensor = dense.mat.reshape(dense.dims + dense.dims)
+    tensor = mat.reshape(dims + dims)
     # contract row/col indices of each traced subsystem pairwise
     traced = [i for i in range(n) if i not in keep]
     for offset, idx in enumerate(traced):
         ax = idx - offset  # axes shift left after each trace
         tensor = np.trace(tensor, axis1=ax, axis2=ax + (n - offset))
-    new_dims = tuple(dense.dims[k] for k in keep)
-    side = prod(new_dims)
-    return DenseOperator(new_dims, tensor.reshape(side, side))
+    kept = prod(dims[k] for k in keep)
+    return tensor.reshape(kept, kept)
 
 
-def expm_hermitian(h: DenseOperator, t: float = 1.0) -> DenseOperator:
+def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Unitary exp(-i t H) of a Hermitian H via eigendecomposition."""
-    if not h.is_hermitian(tol=1e-10):
+    if not np.linalg.norm(h - h.conj().T) <= 1e-10:
         raise ContractViolation("expm_hermitian requires a Hermitian matrix")
     # force exact Hermiticity so eigh phases are clean
-    sym = (h.mat + h.mat.conj().T) / 2
+    sym = (h + h.conj().T) / 2
     evals, vecs = np.linalg.eigh(sym)
-    u = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
-    return DenseOperator(h.dims, u)
+    return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
 
 
 # -- qubit-state helpers -------------------------------------------------

@@ -31,7 +31,6 @@ from .conservation import (
     zm_sector_maps,
 )
 from .dense import (
-    DenseOperator,
     assert_density_matrix,
     partial_trace,
     qubit_state,
@@ -47,12 +46,12 @@ def homogenize_step(
     """One collision: reduced states of P (rho x xi) P† on each side."""
     assert_density_matrix(rho)
     assert_density_matrix(xi)
-    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta)).mat
+    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
     joint = p @ np.kron(rho, xi) @ p.conj().T
-    dense = DenseOperator((2, 2), joint)
-    rho_out = partial_trace(dense, keep=(0,)).mat
-    xi_out = partial_trace(dense, keep=(1,)).mat
-    return rho_out, xi_out
+    return (
+        partial_trace(joint, (2, 2), keep=(0,)),
+        partial_trace(joint, (2, 2), keep=(1,)),
+    )
 
 
 def step_recursion(
@@ -216,20 +215,21 @@ def _reservoir_scan(
 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample data of the reservoir search over the default classical family.
 
-    Returns the admissibility mask of each sample source (grid, random,
-    surface), the admissible free parameters (B, 4), the final trace
-    distances (len(eta_grid), B) and the operator-image gaps (B,).
+    Returns the admissibility mask of each sample source (grid, surface),
+    the admissible free parameters (B, 4), the final trace distances
+    (len(eta_grid), B) and the operator-image gaps (B,).
     """
     to_sectors = zm_sector_maps(family)  # (2, 4, 4)
     free_names = family.free_params()
     rng = np.random.default_rng(seed)
-    grid, random = box_samples(rng, len(free_names), grid_points, param_range, budget)
+    # no uniform box draws: H^2 = I has measure zero in the box
+    grid, _ = box_samples(rng, len(free_names), grid_points, param_range, 0)
     alpha, beta, gamma, c = _admissible_surface_draws(rng, budget).T
     # free coordinates are (gamma, a, b, c) with a = -alpha, b = -beta
     surface = np.column_stack([gamma, -alpha, -beta, c])
 
     masks, kept = {}, []
-    for name, block in (("grid", grid), ("random", random), ("surface", surface)):
+    for name, block in (("grid", grid), ("surface", surface)):
         masks[name] = _sector_involution_residual(block @ to_sectors) <= 1e-7
         kept.append(block[masks[name]])
     free_params = np.vstack(kept)
@@ -252,10 +252,10 @@ def classical_reservoir_check(
 
     The interaction is ``U(eta) = cos(eta) I + i sin(eta) H`` with H drawn
     from the constrained classical family; U is unitary only when H^2 = I, so
-    samples failing that are skipped and counted.  Draws parametrised directly
-    on that surface join the grid and the uniform box, which almost never hit
-    it.  Reports the minimal final trace distance D(rho_N, |0><0|) and the
-    minimal ``|H X_Q H - Z_Q|_F``; verdict POSITIVE-GAP when they stay above
+    samples failing that are skipped and counted.  The samples are the grid
+    and ``budget`` draws parametrised directly on that surface.  Reports the
+    minimal final trace distance D(rho_N, |0><0|) and the minimal
+    ``|H X_Q H - Z_Q|_F``; verdict POSITIVE-GAP when they stay above
     0.5 and 1.0 respectively.  Everything runs on 2x2 Z_M-sector blocks
     (:func:`zm_sector_maps`), exactly: the reservoir qubit enters as the
     diagonal |0><0| and H is block diagonal in Z_M, so N collisions are one

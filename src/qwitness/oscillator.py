@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseOperator, partial_trace
 from .errors import StructuralError
 from .paulis import OperatorExpr
 
@@ -76,7 +75,7 @@ def hp_qubit(dim: int = 2) -> HPQubit:
     )
 
 
-def hp_hamiltonian(d_b: int) -> DenseOperator:
+def hp_hamiltonian(d_b: int) -> np.ndarray:
     """Network Hamiltonian with the mediator promoted to a d_b-level mode.
 
     Probe truncation fixed at two levels.  Terms: the two free evolutions,
@@ -103,10 +102,10 @@ def hp_hamiltonian(d_b: int) -> DenseOperator:
     h += np.kron(q_a.q_x, 0.5 * eye_b + b_ops.number)
     hop = np.kron(lower_a, lower_b.conj().T)  # sqrt(1-n_a) a  x  b† sqrt(1-n_b)
     h += 0.25 * (hop + hop.conj().T)
-    return DenseOperator((d_a, d_b), h)
+    return h
 
 
-def hp_substitute(expr: OperatorExpr, d_b: int) -> DenseOperator:
+def hp_substitute(expr: OperatorExpr, d_b: int) -> np.ndarray:
     """Letter-wise bosonic image of a two-site Pauli expression.
 
     Site 0 keeps a two-level truncation, site 1 is widened to d_b levels;
@@ -125,16 +124,16 @@ def hp_substitute(expr: OperatorExpr, d_b: int) -> DenseOperator:
     out = np.zeros((2 * d_b, 2 * d_b), dtype=complex)
     for label, coeff in expr:
         out += coeff * np.kron(maps[0][label[0]], maps[1][label[1]])
-    return DenseOperator((2, d_b), out)
+    return out
 
 
-def identity_free_difference(a: DenseOperator, b: DenseOperator) -> float:
+def identity_free_difference(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance after removing each operator's identity component."""
-    if a.dims != b.dims:
-        raise StructuralError(f"dims mismatch: {a.dims} vs {b.dims}")
-    dim = a.side
-    a0 = a.mat - np.trace(a.mat) / dim * np.eye(dim)
-    b0 = b.mat - np.trace(b.mat) / dim * np.eye(dim)
+    if a.shape != b.shape:
+        raise StructuralError(f"shape mismatch: {a.shape} vs {b.shape}")
+    dim = len(a)
+    a0 = a - np.trace(a) / dim * np.eye(dim)
+    b0 = b - np.trace(b) / dim * np.eye(dim)
     return float(np.linalg.norm(a0 - b0))
 
 
@@ -143,11 +142,10 @@ def oscillator_witness_run(d_b: int) -> dict[int, list[tuple[float, float]]]:
 
     Q starts Z-sharp (|0> in the two-level truncation); the mediator starts
     in each Fock basis state; times are 64 points on [0, 2 pi].  Returns
-    {level: [(t, coherence), ...]}.
+    {level: [(t, coherence)]}, coherence 2|sum_m psi[0, m] conj(psi[1, m])|.
     """
     t_grid = np.linspace(0.0, 2 * math.pi, 64)
-    h = hp_hamiltonian(d_b)
-    evals, vecs = np.linalg.eigh(h.mat)
+    evals, vecs = np.linalg.eigh(hp_hamiltonian(d_b))
     trajectories: dict[int, list[tuple[float, float]]] = {}
     for level in range(d_b):
         psi0 = np.zeros(2 * d_b, dtype=complex)
@@ -156,8 +154,7 @@ def oscillator_witness_run(d_b: int) -> dict[int, list[tuple[float, float]]]:
         points = []
         for t in t_grid:
             psi = vecs @ (np.exp(-1j * t * evals) * coeff)
-            joint = DenseOperator((2, d_b), np.outer(psi, psi.conj()))
-            rho_q = partial_trace(joint, keep=(0,)).mat
-            points.append((float(t), float(2 * abs(rho_q[0, 1]))))
+            rho_01 = (psi[:d_b] * psi[d_b:].conj()).sum()
+            points.append((float(t), float(2 * abs(rho_01))))
         trajectories[level] = points
     return trajectories

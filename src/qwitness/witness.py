@@ -33,9 +33,9 @@ from .conservation import (
 )
 from .dense import (
     PAULI_MATS,
-    DenseOperator,
     assert_density_matrix,
     bloch_vector,
+    expm_hermitian,
     partial_trace,
     to_dense,
 )
@@ -259,7 +259,7 @@ def classical_impossibility_search(
 ) -> WitnessReport:
     """Bounded search over the constrained classical-bit-mediator family.
 
-    The searched Hamiltonians form the classicality-filtered family allowed
+    The searched Hamiltonians form the classical-mediator family constrained
     by the non-additive law; its free coefficients are sampled on a grid plus
     ``budget`` seeded random draws (:func:`box_samples`), with evolution
     times on ``[0, 2 pi]``.  For the witness frame map
@@ -400,8 +400,7 @@ def quantum_demo(interaction: str) -> WitnessReport:
         for sign, name in ((1.0, "plus"), (-1.0, "minus")):
             rho_m = 0.5 * (PAULI_MATS["I"] + sign * PAULI_MATS["X"])
             joint = np.kron(np.outer(ket0, ket0.conj()), rho_m)
-            evolved = swap.mat @ joint @ swap.mat.conj().T
-            rho_q = partial_trace(DenseOperator((2, 2), evolved), keep=(0,)).mat
+            rho_q = partial_trace(swap @ joint @ swap.conj().T, (2, 2), keep=(0,))
             bloch = bloch_vector(rho_q)
             report.findings[f"bloch_{name}"] = bloch.tolist()
             report.add_check(
@@ -428,17 +427,14 @@ def quantum_demo(interaction: str) -> WitnessReport:
             1e-12,
             "[S+S- + S-S+, Z_Q + Z_M] = 0",
         )
-        h_dense = to_dense(h).mat
-        evals, vecs = np.linalg.eigh(h_dense)
+        h_dense = to_dense(h)
         rho_m = 0.5 * (PAULI_MATS["I"] + PAULI_MATS["X"])
         joint0 = np.kron(np.outer(ket0, ket0.conj()), rho_m)
         times = np.linspace(0.0, math.pi / 4, 65)
         trajectory = []
         for t in times:
-            u = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
-            rho_q = partial_trace(
-                DenseOperator((2, 2), u @ joint0 @ u.conj().T), keep=(0,)
-            ).mat
+            u = expm_hermitian(h_dense, t)
+            rho_q = partial_trace(u @ joint0 @ u.conj().T, (2, 2), keep=(0,))
             bloch = bloch_vector(rho_q)
             trajectory.append(
                 (float(t), float(bloch[0]), float(bloch[1]), float(bloch[2]))

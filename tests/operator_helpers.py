@@ -14,7 +14,6 @@ from qwitness.circuit import (
     gate_expr_in_frame,
     initial_frame,
 )
-from qwitness.dense import DenseOperator
 from qwitness.paulis import COEFF_TOL, OperatorExpr
 
 
@@ -39,8 +38,8 @@ def dagger(expr: OperatorExpr) -> OperatorExpr:
     return OperatorExpr({l: c.conjugate() for l, c in expr}, expr.n_sites)
 
 
-def is_unitary(op: DenseOperator, tol: float = 1e-12) -> bool:
-    return bool(np.linalg.norm(op.mat.conj().T @ op.mat - np.eye(op.side)) <= tol)
+def is_unitary(mat: np.ndarray, tol: float = 1e-12) -> bool:
+    return bool(np.linalg.norm(mat.conj().T @ mat - np.eye(len(mat))) <= tol)
 
 
 def evolve_descriptors_stepwise(circuit: Circuit) -> list[DescriptorFrame]:

@@ -16,7 +16,6 @@ from qwitness.conservation import (
     channel_extension_family,
     classical_filtered_family,
     classical_mediator_family,
-    classicality_filter,
     commutant_basis,
     conservation_residual,
     constrain_family,
@@ -50,9 +49,9 @@ def test_additive_commutant_is_six_dimensional_and_matches_reference():
     reference = additive_commutant_reference()
     assert span_projection_residual(basis, reference) < 1e-12
     assert span_projection_residual(reference, basis) < 1e-12
-    c_dense = to_dense(ConservedQuantity.additive().expr).mat
+    c_dense = to_dense(ConservedQuantity.additive().expr)
     for b in basis:
-        m = to_dense(b).mat
+        m = to_dense(b)
         assert np.linalg.norm(m @ c_dense - c_dense @ m) < 1e-12
 
 
@@ -76,10 +75,10 @@ def test_nonadditive_commutant_dimension_matches_rank():
     # eigenvalue blocks of diag(3,-1,-1,-1) give 1 + 9 commuting directions
     assert len(basis) == 10
     # independent dense route: rank of the vectorised [B_j, C] system
-    c_dense = to_dense(c.expr).mat
+    c_dense = to_dense(c.expr)
     columns = []
     for b in ambient:
-        m = to_dense(b).mat
+        m = to_dense(b)
         columns.append((m @ c_dense - c_dense @ m).reshape(-1))
     dense_rank = np.linalg.matrix_rank(np.array(columns).T, tol=1e-10)
     assert len(basis) == len(ambient) - dense_rank
@@ -145,19 +144,6 @@ def test_channel_extension_keeps_mediator_mediator_coupling_free():
     assert "a_mm" not in named
 
 
-def test_classicality_filter():
-    fam = HamiltonianFamily(
-        basis=[OperatorExpr.from_label("XX"), OperatorExpr.from_label("XZ")],
-        params=("p", "q"),
-    )
-    out = classicality_filter(fam)
-    assert [b.labels() for b in out.basis] == [["XZ"]]
-    # the full constrained family is already Z-only on the mediator side
-    constrained = constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
-    filtered = classicality_filter(constrained)
-    assert len(filtered.basis) == len(constrained.basis)
-
-
 def test_classical_filtered_family_defaults_to_nonadditive_law():
     family = classical_filtered_family()
     assert family.conserved.kind == "nonadditive"
@@ -174,11 +160,11 @@ def test_zm_sector_maps_reproduce_dense_blocks():
     )
     w = zm_sector_maps(family)
     assert w.shape == (2, len(labels), 4)
-    paulis = [to_dense(OperatorExpr.from_label(k)).mat for k in "IXYZ"]
+    paulis = [to_dense(OperatorExpr.from_label(k)) for k in "IXYZ"]
     rng = np.random.default_rng(41)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=len(labels))
-        h = to_dense(family.member(dict(zip(family.params, x)))).mat
+        h = to_dense(family.member(dict(zip(family.params, x))))
         for m in range(2):
             # mediator sector m occupies rows/cols {m, 2+m} in |qm> order
             block = h[np.ix_([m, 2 + m], [m, 2 + m])]
@@ -192,7 +178,7 @@ def test_zm_sector_maps_reproduce_dense_blocks():
     for _ in range(20):
         free = rng.uniform(-2, 2, size=len(family.free_params()))
         full = free @ family.expansion_matrix()
-        h = to_dense(family.member(dict(zip(family.params, full)))).mat
+        h = to_dense(family.member(dict(zip(family.params, full))))
         for m in range(2):
             block = h[np.ix_([m, 2 + m], [m, 2 + m])]
             coords = free @ w[m]

@@ -7,7 +7,6 @@ from qwitness.circuit import PARTIAL_SWAP, GateSpec, gate_unitary
 from qwitness.conservation import classical_filtered_family
 from qwitness.dense import (
     PAULI_MATS,
-    DenseOperator,
     partial_trace,
     qubit_state,
     to_dense,
@@ -106,7 +105,7 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
     family = classical_filtered_family()
     free_names = family.free_params()
     expand = family.expansion_matrix()
-    basis_stack = np.stack([to_dense(b).mat for b in family.basis])
+    basis_stack = np.stack([to_dense(b) for b in family.basis])
 
     def members(free_mat):
         return np.einsum("bp,pij->bij", free_mat @ expand, basis_stack)
@@ -118,10 +117,7 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
         .reshape(len(free_names), -1)
         .T
     )
-    sources = {
-        "grid": grid,
-        "random": rng.uniform(-param_range, param_range, size=(budget, len(free_names))),
-    }
+    sources = {"grid": grid}
     surf = _admissible_surface_draws(rng, budget)
     full = np.column_stack(
         [surf[:, 0], surf[:, 1], surf[:, 2], -surf[:, 0], -surf[:, 1], surf[:, 3]]
@@ -144,8 +140,8 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
 
 
 def test_partial_swap_limits():
-    assert np.allclose(gate_unitary(GateSpec(PARTIAL_SWAP, 0.0)).mat, np.eye(4))
-    quarter = gate_unitary(GateSpec(PARTIAL_SWAP, math.pi / 2)).mat
+    assert np.allclose(gate_unitary(GateSpec(PARTIAL_SWAP, 0.0)), np.eye(4))
+    quarter = gate_unitary(GateSpec(PARTIAL_SWAP, math.pi / 2))
     assert np.allclose(quarter, 1j * SWAP, atol=1e-15)
 
 
@@ -153,7 +149,7 @@ def test_partial_swap_is_unitary_and_exchange_symmetric():
     for eta in np.linspace(0, math.pi, 7):
         p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
         assert is_unitary(p, tol=1e-12)
-        assert np.allclose(SWAP @ p.mat @ SWAP, p.mat)  # symmetric under Q<->M
+        assert np.allclose(SWAP @ p @ SWAP, p)  # symmetric under Q<->M
 
 
 def test_partial_swap_conserves_nonadditive_charge():
@@ -240,7 +236,7 @@ def test_fresh_ancilla_steps_match_full_joint_simulation():
     eta = 0.45
     cfg = HomogenizerConfig(n_steps=2, eta=eta)
     traj = run(cfg)
-    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta)).mat
+    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
     u1 = np.kron(p, np.eye(2))          # acts on (Q, M1), M2 idle
     # P on (Q, M2) with M1 idle: permute the SWAP embedding
     perm = np.zeros((8, 8))
@@ -251,7 +247,7 @@ def test_fresh_ancilla_steps_match_full_joint_simulation():
     u2 = perm @ np.kron(p, np.eye(2)) @ perm
     joint0 = np.kron(np.kron(cfg.rho0, cfg.xi), cfg.xi)
     joint = u2 @ (u1 @ joint0 @ u1.conj().T) @ u2.conj().T
-    rho_final = partial_trace(DenseOperator((2, 2, 2), joint), keep=(0,)).mat
+    rho_final = partial_trace(joint, (2, 2, 2), keep=(0,))
     assert np.abs(rho_final - traj.states[-1]).max() < 1e-12
 
 
@@ -311,15 +307,13 @@ def test_pure_dephasing_family_keeps_probe_in_the_equator():
     xi = qubit_state((0, 0, 1))
     for _ in range(6):
         joint = u @ np.kron(rho, xi) @ u.conj().T
-        rho = partial_trace(DenseOperator((2, 2), joint), keep=(0,)).mat
+        rho = partial_trace(joint, (2, 2), keep=(0,))
         assert trace_distance(rho, xi) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_reservoir_check_reports_positive_gap_and_skip_counts():
     report = classical_reservoir_check(budget=300, seed=5, n_steps=4)
     assert report.verdict == "POSITIVE-GAP"
-    # random box draws essentially never hit the admissibility surface
-    assert report.findings["skipped"]["random"] == 300
     assert report.findings["skipped"]["surface"] == 0
     assert report.findings["min_final_trace_distance"] == pytest.approx(
         1 / math.sqrt(2), abs=1e-9
@@ -374,7 +368,7 @@ def test_default_reservoir_search_sits_on_the_closed_form():
     assert report.findings["min_final_trace_distance"] == pytest.approx(
         1 / math.sqrt(2), abs=1e-12
     )
-    assert report.findings["skipped"] == {"grid": 6549, "random": 10000, "surface": 0}
+    assert report.findings["skipped"] == {"grid": 6549, "surface": 0}
     assert report.findings["admissible_samples"] == 10012
 
 

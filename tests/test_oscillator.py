@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwitness.circuit import network_hamiltonian
-from qwitness.dense import DenseOperator, expm_hermitian, partial_trace
+from qwitness.dense import expm_hermitian, partial_trace
 from qwitness.errors import StructuralError
 from qwitness.oscillator import (
     fock_ops,
@@ -69,14 +69,14 @@ def test_hp_qubit_truncation_artifact_reported_at_higher_dims():
 def test_hp_hamiltonian_hermitian_at_all_truncations():
     for d_b in (2, 3, 8):
         h = hp_hamiltonian(d_b)
-        assert h.dims == (2, d_b)
-        assert np.linalg.norm(h.mat - h.mat.conj().T) < 1e-12
+        assert h.shape == (2 * d_b, 2 * d_b)
+        assert np.linalg.norm(h - h.conj().T) < 1e-12
 
 
 def test_hp_hamiltonian_evolution_unitary():
     for d_b in (2, 3, 8):
         u = expm_hermitian(hp_hamiltonian(d_b), 0.9)
-        assert np.linalg.norm(u.mat.conj().T @ u.mat - np.eye(u.side)) < 1e-10
+        assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) < 1e-10
 
 
 def test_two_level_reduction_matches_substituted_network():
@@ -85,13 +85,13 @@ def test_two_level_reduction_matches_substituted_network():
     assert identity_free_difference(h, mapped) < 1e-12
     # identity parts genuinely differ (constants were dropped), so the raw
     # difference is a multiple of the identity
-    diff = h.mat - mapped.mat
+    diff = h - mapped
     assert np.linalg.norm(diff - np.trace(diff) / 4 * np.eye(4)) < 1e-12
 
 
 def test_hp_substitute_halves_single_letter_weights():
     mapped = hp_substitute(OperatorExpr.from_label("ZI"), 2)
-    assert np.allclose(mapped.mat, np.kron(np.diag([0.5, -0.5]), np.eye(2)))
+    assert np.allclose(mapped, np.kron(np.diag([0.5, -0.5]), np.eye(2)))
 
 
 def test_number_operator_not_conserved():
@@ -99,13 +99,13 @@ def test_number_operator_not_conserved():
     for d_b in (2, 4):
         h = hp_hamiltonian(d_b)
         b_num = np.kron(np.eye(2), fock_ops(d_b).number)
-        assert np.linalg.norm(h.mat @ b_num - b_num @ h.mat) > 0.1
+        assert np.linalg.norm(h @ b_num - b_num @ h) > 0.1
 
 
 def test_charge_image_commutator_is_a_finding():
     h = hp_hamiltonian(2)
     charge = hp_substitute(OperatorExpr({"ZI": 1.0, "IZ": 1.0, "ZZ": 1.0}), 2)
-    residual = np.linalg.norm(h.mat @ charge.mat - charge.mat @ h.mat)
+    residual = np.linalg.norm(h @ charge - charge @ h)
     assert math.isfinite(residual)
 
 
@@ -118,18 +118,49 @@ def test_oscillator_witness_trajectories():
     assert max(c for _, c in trajs[1]) > 0.1  # witnessing occurs
 
 
+def _joint_matrix_coherence(d_b):
+    """Reference for oscillator_witness_run: rho_Q from the full joint state.
+
+    Each point builds |psi><psi| on (Q, M) and traces M out with the general
+    partial_trace, then reads 2|rho_Q[0, 1]|.
+    """
+    t_grid = np.linspace(0.0, 2 * math.pi, 64)
+    evals, vecs = np.linalg.eigh(hp_hamiltonian(d_b))
+    trajectories = {}
+    for level in range(d_b):
+        psi0 = np.zeros(2 * d_b, dtype=complex)
+        psi0[level] = 1.0
+        coeff = vecs.conj().T @ psi0
+        points = []
+        for t in t_grid:
+            psi = vecs @ (np.exp(-1j * t * evals) * coeff)
+            rho_q = partial_trace(np.outer(psi, psi.conj()), (2, d_b), keep=(0,))
+            points.append((float(t), float(2 * abs(rho_q[0, 1]))))
+        trajectories[level] = points
+    return trajectories
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 8, 32])
+def test_oscillator_witness_run_matches_joint_matrix_reference(d_b):
+    got = oscillator_witness_run(d_b)
+    ref = _joint_matrix_coherence(d_b)
+    assert list(got) == list(ref) == list(range(d_b))
+    for level in ref:
+        assert [t for t, _ in got[level]] == [t for t, _ in ref[level]]
+        diffs = [abs(c - r) for (_, c), (_, r) in zip(got[level], ref[level])]
+        assert len(diffs) == 64 and max(diffs) <= 1e-12
+
+
 def test_reduced_states_stay_physical_along_trajectories():
     d_b = 3
     h = hp_hamiltonian(d_b)
-    evals, vecs = np.linalg.eigh(h.mat)
+    evals, vecs = np.linalg.eigh(h)
     psi0 = np.zeros(2 * d_b, dtype=complex)
     psi0[1] = 1.0  # |0>_Q x |1>_M
     coeff = vecs.conj().T @ psi0
     for t in np.linspace(0, 3, 16):
         psi = vecs @ (np.exp(-1j * t * evals) * coeff)
-        rho_q = partial_trace(
-            DenseOperator((2, d_b), np.outer(psi, psi.conj())), keep=(0,)
-        ).mat
+        rho_q = partial_trace(np.outer(psi, psi.conj()), (2, d_b), keep=(0,))
         assert np.trace(rho_q).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho_q).min() >= -1e-12
 

@@ -225,14 +225,14 @@ def test_sector_reduction_matches_joint_evolution():
     maps = zm_sector_maps(family)
     free = family.free_params()
     rng = np.random.default_rng(37)
-    q_ops = {g: to_dense(OperatorExpr.from_label(l)).mat
+    q_ops = {g: to_dense(OperatorExpr.from_label(l))
              for g, l in (("x", "XI"), ("y", "YI"), ("z", "ZI"))}
     for _ in range(10):
         free_vals = rng.uniform(-2, 2, size=len(free))
         t = rng.uniform(0, 2 * math.pi)
         full = free_vals @ expand
         h = family.member(dict(zip(family.params, full)))
-        u = expm_hermitian(to_dense(h), t).mat
+        u = expm_hermitian(to_dense(h), t)
         rots = [
             _batched_rotations((free_vals @ maps[m])[None, 1:], np.array([t]))[0, 0]
             for m in range(2)
