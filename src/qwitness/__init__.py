@@ -10,7 +10,6 @@ check deterministically and writes machine-readable reports.
 
 from .circuit import (
     Circuit,
-    DescriptorFrame,
     GateSpec,
     evolve_descriptors,
     gate_unitary,

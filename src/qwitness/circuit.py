@@ -7,7 +7,7 @@ default six-gate sequence drives Q from a Z-sharp state to an X-sharp state
 for every initial mediator state, while its gate-expression sum commutes with
 the non-additive conserved quantity ``Z_Q + Z_M + Z_Q Z_M``.
 
-Descriptor frames track, for each subsystem, the Heisenberg images of the
+Descriptor rows hold, for each subsystem, the Heisenberg images of the
 generator triple (q_x, q_y, q_z) expressed in the time-zero Pauli basis.
 After k gates the image of a generator P is ``W† P W`` with
 ``W = G_k ... G_1`` (first-applied gate rightmost).
@@ -70,36 +70,6 @@ class Circuit:
             raise StructuralError("circuit must contain at least one gate")
 
 
-@dataclass(frozen=True)
-class DescriptorFrame:
-    """Generator triples of Q and M at one time slice, in the t0 basis."""
-
-    time_index: int
-    triples: dict[str, tuple[OperatorExpr, OperatorExpr, OperatorExpr]]
-
-    def component(self, subsystem: str, component: str) -> OperatorExpr:
-        return self.triples[subsystem][COMPONENTS.index(component)]
-
-
-def initial_frame() -> DescriptorFrame:
-    """The canonical t0 frame: bare Pauli generators on each site."""
-    return DescriptorFrame(
-        0,
-        {
-            "Q": (
-                OperatorExpr.from_label("XI"),
-                OperatorExpr.from_label("YI"),
-                OperatorExpr.from_label("ZI"),
-            ),
-            "M": (
-                OperatorExpr.from_label("IX"),
-                OperatorExpr.from_label("IY"),
-                OperatorExpr.from_label("IZ"),
-            ),
-        },
-    )
-
-
 def witness_circuit() -> Circuit:
     """The six-gate sequence: CNOT, RY(+pi/2) on M, CPHASE, SWAP, RY(-pi/2), CNOT."""
     return Circuit(
@@ -114,15 +84,12 @@ def witness_circuit() -> Circuit:
     )
 
 
-def gate_expr_in_frame(gate: GateSpec, frame: DescriptorFrame) -> OperatorExpr:
-    """Gate expression written in terms of a frame's descriptors.
-
-    Evaluated on the canonical frame this is the gate in the t0 Pauli basis;
-    evaluated on the frame at t_{i-1} it is the gate of slice t_i.
-    """
-    qx, qy, qz = frame.triples["Q"]
-    mx, my, mz = frame.triples["M"]
-    one = OperatorExpr.identity(qx.n_sites)
+def gate_expr(gate: GateSpec) -> OperatorExpr:
+    """Gate expression in the t0 Pauli basis."""
+    one = OperatorExpr.identity(2)
+    qx, qy, qz, mx, my, mz = (
+        OperatorExpr.from_label(l) for l in ("XI", "YI", "ZI", "IX", "IY", "IZ")
+    )
     if gate.kind == CNOT_MQ:
         return 0.5 * (one + mz) + 0.5 * ((one - mz) @ qx)
     if gate.kind == CPHASE_MQ:
@@ -130,16 +97,11 @@ def gate_expr_in_frame(gate: GateSpec, frame: DescriptorFrame) -> OperatorExpr:
     if gate.kind == RY_M:
         half = gate.angle / 2
         return math.cos(half) * one - (1j * math.sin(half)) * my
+    swap = 0.5 * (one + qx @ mx + qy @ my + qz @ mz)
     if gate.kind == SWAP:
-        return 0.5 * (one + qx @ mx + qy @ my + qz @ mz)
-    if gate.kind == PARTIAL_SWAP:
-        swap = gate_expr_in_frame(GateSpec(SWAP), frame)
-        return math.cos(gate.angle) * one + (1j * math.sin(gate.angle)) * swap
-    raise StructuralError(f"unknown gate kind {gate.kind!r}")
-
-
-def gate_expr(gate: GateSpec) -> OperatorExpr:
-    return gate_expr_in_frame(gate, initial_frame())
+        return swap
+    # PARTIAL_SWAP: GateSpec admits no other kind
+    return math.cos(gate.angle) * one + (1j * math.sin(gate.angle)) * swap
 
 
 def gate_unitary(gate: GateSpec) -> np.ndarray:
@@ -155,22 +117,26 @@ def composite_unitary(circuit: Circuit) -> np.ndarray:
     return total
 
 
-def evolve_descriptors(circuit: Circuit) -> list[DescriptorFrame]:
-    """Frames at t_0 .. t_k from conjugation by the accumulated gate product."""
-    frame0 = initial_frame()
-    frames = [frame0]
+def evolve_descriptors(
+    circuit: Circuit,
+) -> list[dict[str, tuple[OperatorExpr, OperatorExpr, OperatorExpr]]]:
+    """Descriptor rows at t_0 .. t_k from conjugation by the accumulated gate product.
+
+    Row t maps each subsystem to its (x, y, z) generator images in the t0
+    Pauli basis, the shape of :data:`REFERENCE_DESCRIPTOR_TABLE`.
+    """
+    rows = [{
+        "Q": tuple(OperatorExpr.from_label(l) for l in ("XI", "YI", "ZI")),
+        "M": tuple(OperatorExpr.from_label(l) for l in ("IX", "IY", "IZ")),
+    }]
     acc = np.eye(4, dtype=complex)
-    for step, gate in enumerate(circuit.gates, start=1):
+    for gate in circuit.gates:
         acc = gate_unitary(gate) @ acc
-        triples = {}
-        for sub in SUBSYSTEMS:
-            images = []
-            for comp in COMPONENTS:
-                p = to_dense(frame0.component(sub, comp))
-                images.append(pauli_decompose(acc.conj().T @ p @ acc))
-            triples[sub] = tuple(images)
-        frames.append(DescriptorFrame(step, triples))
-    return frames
+        rows.append({
+            sub: tuple(pauli_decompose(acc.conj().T @ to_dense(p) @ acc) for p in row)
+            for sub, row in rows[0].items()
+        })
+    return rows
 
 
 def network_hamiltonian() -> OperatorExpr:

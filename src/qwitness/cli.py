@@ -135,18 +135,14 @@ def _finite(x: int | float) -> bool:
 
 def experiment_table1(cfg: RunConfig) -> tuple[list[Check], dict]:
     """Compare all 42 descriptor cells, t0 included, with the reference table."""
-    frames = circuit_mod.evolve_descriptors(circuit_mod.witness_circuit())
     rows = []
     diff_rows = []
     mismatches = 0
     worst = 0.0
-    for frame in frames:
-        for sub in circuit_mod.SUBSYSTEMS:
-            for comp in circuit_mod.COMPONENTS:
-                expr = frame.component(sub, comp)
-                expected = circuit_mod.REFERENCE_DESCRIPTOR_TABLE[frame.time_index][sub][
-                    circuit_mod.COMPONENTS.index(comp)
-                ]
+    for t, row in enumerate(circuit_mod.evolve_descriptors(circuit_mod.witness_circuit())):
+        for sub, triple in row.items():
+            expected_triple = circuit_mod.REFERENCE_DESCRIPTOR_TABLE[t][sub]
+            for comp, expr, expected in zip(circuit_mod.COMPONENTS, triple, expected_triple):
                 sign = 1.0 if expected[0] == "+" else -1.0
                 deviation = max(
                     abs(expr.coeff(l) - (sign if l == expected[1:] else 0.0))
@@ -156,10 +152,8 @@ def experiment_table1(cfg: RunConfig) -> tuple[list[Check], dict]:
                 ok = deviation < 1e-12
                 mismatches += 0 if ok else 1
                 label = signed_single_label(expr) if ok else repr(expr)
-                rows.append((f"t{frame.time_index}", sub, comp, label))
-                diff_rows.append(
-                    (f"t{frame.time_index}", sub, comp, expected, label, deviation)
-                )
+                rows.append((f"t{t}", sub, comp, label))
+                diff_rows.append((f"t{t}", sub, comp, expected, label, deviation))
     return [
         Check.compare(
             "descriptor-cells-mismatching", float(mismatches), "<=", 0.0,
@@ -279,12 +273,12 @@ def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
         "conservation_residuals.csv": (("target", "frobenius_residual"), residual_rows),
         "commutant_additive.json": {
             "dimension": len(basis_add),
-            "basis": [{l: [c.real, c.imag] for l, c in b} for b in basis_add],
+            "basis": [dict(b) for b in basis_add],
         },
         "commutant_nonadditive.json": {
             "dimension": len(basis_non),
             "constraint_rank": rank,
-            "basis": [{l: [c.real, c.imag] for l, c in b} for b in basis_non],
+            "basis": [dict(b) for b in basis_non],
         },
         "constrained_families.json": {
             "classical_mediator": cons.family_to_json(family),
@@ -492,7 +486,7 @@ def experiment_oscillator(cfg: RunConfig) -> tuple[list[Check], dict]:
             "note": "number-operator and conserved-image commutators are reported, not asserted",
         },
         "oscillator_coherence.csv": (("time", "mediator_level", "coherence"), rows),
-        "oscillator_coherence_maxima.json": {str(k): v for k, v in maxima.items()},
+        "oscillator_coherence_maxima.json": maxima,
     }
 
 

@@ -125,12 +125,8 @@ class HamiltonianFamily:
         constraints allow are uniform on [-2, 2].
         """
         dirs = _null_space(self.constraint_matrix())
-        coeffs = rng.uniform(-2.0, 2.0, size=dirs.shape[1])
-        vec = dirs @ coeffs
-        out = OperatorExpr.zero(self.basis[0].n_sites)
-        for c, b in zip(vec, self.basis):
-            out = out + float(c) * b
-        return out, vec
+        vec = dirs @ rng.uniform(-2.0, 2.0, size=dirs.shape[1])
+        return self.member(dict(zip(self.params, vec))), vec
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -281,20 +277,15 @@ def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
     return family.expansion_matrix() @ w
 
 
-def box_samples(
-    rng: np.random.Generator, n_free: int, grid_points: int, param_range: float, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample points of a classical-mediator search over free parameters.
+def box_grid(n_free: int, grid_points: int, param_range: float) -> np.ndarray:
+    """Regular grid of a classical-mediator search over free parameters.
 
-    Returns the regular grid of ``grid_points`` values per coordinate on
-    ``[-param_range, param_range]`` (``grid_points**n_free`` rows) and
-    ``budget`` uniform draws from the same box, taken from ``rng``.
+    ``grid_points`` values per coordinate on ``[-param_range, param_range]``,
+    so ``grid_points**n_free`` rows.
     """
     half = float(param_range)  # an int beyond int64 would make object arrays
     axis_vals = np.linspace(-half, half, grid_points)
-    grid = np.array(np.meshgrid(*[axis_vals] * n_free, indexing="ij")).reshape(n_free, -1).T
-    draws = rng.uniform(-half, half, size=(budget, n_free))
-    return grid, draws
+    return np.array(np.meshgrid(*[axis_vals] * n_free, indexing="ij")).reshape(n_free, -1).T
 
 
 def conservation_residual(
@@ -407,14 +398,8 @@ def family_to_json(family: HamiltonianFamily) -> dict:
     """JSON-ready description of a family (basis labels + constraints)."""
     return {
         "params": list(family.params),
-        "basis": [
-            {label: [coeff.real, coeff.imag] for label, coeff in b}
-            for b in family.basis
-        ],
-        "constraints": [
-            {name: coeff for name, coeff in rel.items()}
-            for rel in family.constraints
-        ],
+        "basis": [dict(b) for b in family.basis],
+        "constraints": family.constraints,
         "conserved": family.conserved.kind if family.conserved else None,
         "notes": family.notes,
     }

@@ -25,7 +25,7 @@ from .circuit import GateSpec, PARTIAL_SWAP, gate_unitary
 from .conservation import (
     ConservedQuantity,
     HamiltonianFamily,
-    box_samples,
+    box_grid,
     classical_filtered_family,
     conservation_residual,
     zm_sector_maps,
@@ -220,11 +220,9 @@ def _reservoir_scan(
     (len(eta_grid), B) and the operator-image gaps (B,).
     """
     to_sectors = zm_sector_maps(family)  # (2, 4, 4)
-    free_names = family.free_params()
-    rng = np.random.default_rng(seed)
     # no uniform box draws: H^2 = I has measure zero in the box
-    grid, _ = box_samples(rng, len(free_names), grid_points, param_range, 0)
-    alpha, beta, gamma, c = _admissible_surface_draws(rng, budget).T
+    grid = box_grid(len(family.free_params()), grid_points, param_range)
+    alpha, beta, gamma, c = _admissible_surface_draws(np.random.default_rng(seed), budget).T
     # free coordinates are (gamma, a, b, c) with a = -alpha, b = -beta
     surface = np.column_stack([gamma, -alpha, -beta, c])
 

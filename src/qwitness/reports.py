@@ -74,20 +74,16 @@ class WitnessReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "verdict": self.verdict,
-            "checks": [asdict(c) for c in self.checks],
-            "findings": _jsonable(self.findings),
-            "root_sets": _jsonable(self.root_sets),
-            "coherence_maxima": _jsonable(self.coherence_maxima),
-            "parameters": _jsonable(self.parameters),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays and tuples to JSON types."""
+    """Recursively convert a payload to JSON types.
+
+    numpy scalars and arrays become numbers and lists, tuples become lists,
+    complex numbers ``[re, im]`` and dict keys ``str``; other values pass
+    through unchanged.
+    """
     import numpy as np
 
     if isinstance(obj, dict):
@@ -123,6 +119,8 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    )
+    """Write ``payload`` as sorted, indented JSON after :func:`_jsonable`.
+
+    A value of any other type raises ``TypeError``, never a silent string.
+    """
+    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")

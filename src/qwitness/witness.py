@@ -26,7 +26,7 @@ import sympy
 from .circuit import SWAP, GateSpec, gate_unitary
 from .conservation import (
     ConservedQuantity,
-    box_samples,
+    box_grid,
     classical_filtered_family,
     conservation_residual,
     zm_sector_maps,
@@ -82,10 +82,7 @@ def conjugation_image(n: np.ndarray, theta: float, generator: str) -> np.ndarray
 class GeneratorSystemResult:
     """Roots of one generator's constraint system."""
 
-    generator: str
-    image: tuple[float, float, float]
     equations: list[str]
-    real_roots: list[tuple[float, float, float]]
     acceptable_roots: list[tuple[float, float, float]]
     max_equation_residual: float
 
@@ -95,33 +92,21 @@ def solve_generator_system(
 ) -> GeneratorSystemResult:
     """All real solutions of ``R† q_g R = image`` at angle pi/2.
 
-    The three scalar equations come from the general (non-unit-axis)
-    conjugation expansion; acceptable roots are the real solutions whose norm
-    is 1 within 1e-8.
+    The three scalar equations are the general (non-unit-axis) conjugation
+    expansion at pi/2, ``(1 - |n|^2)/2 e_g + e_g x n + n_g n - image``, built
+    exactly (the image entries become exact rationals); acceptable roots are
+    the real solutions whose norm is 1 within 1e-8.
     """
-    nx, ny, nz = sympy.symbols("n_x n_y n_z", real=True)
-    th = sympy.pi / 2
-    n = [nx, ny, nz]
-    e_j = _E[generator]
-    c2 = sympy.cos(th / 2) ** 2
-    s2 = sympy.sin(th / 2) ** 2
-    norm2 = nx**2 + ny**2 + nz**2
-    j = _AXES.index(generator)
-    cross = np.cross(e_j, np.array(n, dtype=object))
-    eqs = []
-    for i in range(3):
-        expr = (
-            (c2 - s2 * norm2) * float(e_j[i])
-            + sympy.sin(th) * cross[i]
-            + 2 * s2 * n[j] * n[i]
-            - image[i]
-        )
-        eqs.append(sympy.expand(sympy.nsimplify(expr, rational=False)))
-    solutions = sympy.solve(eqs, [nx, ny, nz], dict=True)
+    n = sympy.Matrix(sympy.symbols("n_x n_y n_z", real=True))
+    e_g = sympy.Matrix([int(c == generator) for c in _AXES])
+    target = sympy.Matrix([sympy.Rational(v) for v in image])
+    lhs = (1 - n.dot(n)) / 2 * e_g + e_g.cross(n) + n[_AXES.index(generator)] * n
+    eqs = [sympy.expand(expr) for expr in lhs - target]
+    solutions = sympy.solve(eqs, list(n), dict=True)
     real_roots: list[tuple[float, float, float]] = []
     seen = set()
     for sol in solutions:
-        vals = [complex(sympy.N(sol.get(v, 0))) for v in (nx, ny, nz)]
+        vals = [complex(sympy.N(sol.get(v, 0))) for v in n]
         if any(abs(v.imag) > 1e-10 for v in vals):
             continue
         root = tuple(round(v.real, 12) + 0.0 for v in vals)
@@ -138,10 +123,7 @@ def solve_generator_system(
         got = conjugation_image(np.array(r), _THETA, generator)
         worst = max(worst, float(np.abs(got - np.array(image)).max()))
     return GeneratorSystemResult(
-        generator=generator,
-        image=tuple(image),
         equations=[str(e) + " = 0" for e in eqs],
-        real_roots=sorted(real_roots),
         acceptable_roots=sorted(acceptable),
         max_equation_residual=worst,
     )
@@ -260,9 +242,9 @@ def classical_impossibility_search(
     """Bounded search over the constrained classical-bit-mediator family.
 
     The searched Hamiltonians form the classical-mediator family constrained
-    by the non-additive law; its free coefficients are sampled on a grid plus
-    ``budget`` seeded random draws (:func:`box_samples`), with evolution
-    times on ``[0, 2 pi]``.  For the witness frame map
+    by the non-additive law; its free coefficients are sampled on a grid
+    (:func:`box_grid`) plus ``budget`` seeded uniform draws from the same box,
+    with evolution times on ``[0, 2 pi]``.  For the witness frame map
     (:data:`WITNESS_FRAME_MAP`) it reports the minimal Frobenius residual of
     ``U† q_j U - target_j`` (joint and per mediator sector); for comparison it
     also reports the best state-level coherence transfer over diagonal
@@ -298,8 +280,9 @@ def classical_impossibility_search(
     # (c_m, n_m) per mediator sector m; the sector constants c_m drop out of
     # conjugation and coherence
     maps = zm_sector_maps(family)
-    rng = np.random.default_rng(seed)
-    samples = np.vstack(box_samples(rng, len(free_names), grid_points, param_range, budget))
+    n_free = len(free_names)
+    draws = np.random.default_rng(seed).uniform(-param_range, param_range, (budget, n_free))
+    samples = np.vstack((box_grid(n_free, grid_points, param_range), draws))
     times = np.linspace(0.0, 2 * math.pi, time_points)
 
     best = {

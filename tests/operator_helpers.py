@@ -6,14 +6,7 @@ use them rather than in ``src/``.
 
 import numpy as np
 
-from qwitness.circuit import (
-    COMPONENTS,
-    SUBSYSTEMS,
-    Circuit,
-    DescriptorFrame,
-    gate_expr_in_frame,
-    initial_frame,
-)
+from qwitness.circuit import SUBSYSTEMS, Circuit, gate_expr
 from qwitness.paulis import COEFF_TOL, OperatorExpr
 
 
@@ -42,22 +35,36 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.linalg.norm(mat.conj().T @ mat - np.eye(len(mat))) <= tol)
 
 
-def evolve_descriptors_stepwise(circuit: Circuit) -> list[DescriptorFrame]:
-    """Frames computed gate-at-a-time, each gate expressed in the previous frame.
+def substitute_descriptors(expr: OperatorExpr, row: dict) -> OperatorExpr:
+    """``expr`` with each site's Pauli letter replaced by that site's descriptor.
+
+    ``row`` maps each subsystem to its (x, y, z) descriptors.  Conjugation
+    preserves products and Q descriptors commute with M descriptors, so a
+    t0-basis expression becomes its conjugate by the row's evolution.
+    """
+    one = OperatorExpr.identity(expr.n_sites)
+    letters = [dict(zip("IXYZ", (one, *row[sub]))) for sub in SUBSYSTEMS]
+    out = OperatorExpr.zero(expr.n_sites)
+    for label, coeff in expr:
+        out = out + coeff * (letters[0][label[0]] @ letters[1][label[1]])
+    return out
+
+
+def evolve_descriptors_stepwise(circuit: Circuit) -> list[dict]:
+    """Descriptor rows computed gate-at-a-time, each gate written in the previous row.
 
     Reference for :func:`qwitness.circuit.evolve_descriptors`, which conjugates
-    by the accumulated dense gate product: here the slice-i gate is built
-    from the descriptors at t_{i-1} and conjugates them symbolically.
+    by the accumulated dense gate product: here the slice-i gate is
+    ``gate_expr`` with the descriptors at t_{i-1} substituted for its Pauli
+    letters, and it conjugates those descriptors symbolically.
     """
-    frames = [initial_frame()]
-    for step, gate in enumerate(circuit.gates, start=1):
-        prev = frames[-1]
-        v = gate_expr_in_frame(gate, prev)
+    rows = [{
+        "Q": tuple(OperatorExpr.from_label(l) for l in ("XI", "YI", "ZI")),
+        "M": tuple(OperatorExpr.from_label(l) for l in ("IX", "IY", "IZ")),
+    }]
+    for gate in circuit.gates:
+        prev = rows[-1]
+        v = substitute_descriptors(gate_expr(gate), prev)
         v_dag = dagger(v)
-        triples = {}
-        for sub in SUBSYSTEMS:
-            triples[sub] = tuple(
-                v_dag @ prev.component(sub, comp) @ v for comp in COMPONENTS
-            )
-        frames.append(DescriptorFrame(step, triples))
-    return frames
+        rows.append({sub: tuple(v_dag @ p @ v for p in triple) for sub, triple in prev.items()})
+    return rows

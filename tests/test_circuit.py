@@ -5,7 +5,6 @@ import pytest
 
 from qwitness.circuit import (
     CNOT_MQ,
-    COMPONENTS,
     CPHASE_MQ,
     PARTIAL_SWAP,
     REFERENCE_DESCRIPTOR_TABLE,
@@ -18,7 +17,6 @@ from qwitness.circuit import (
     evolve_descriptors,
     gate_expr,
     gate_unitary,
-    initial_frame,
     network_hamiltonian,
     witness_circuit,
     witness_state_check,
@@ -88,39 +86,42 @@ def test_all_gates_are_unitary():
 
 
 def test_descriptor_table_reproduced_cell_by_cell():
-    frames = evolve_descriptors(witness_circuit())
-    assert len(frames) == 7
-    for frame in frames:
+    rows = evolve_descriptors(witness_circuit())
+    assert len(rows) == 7
+    for t, row in enumerate(rows):
+        assert list(row) == list(SUBSYSTEMS)
         for sub in SUBSYSTEMS:
-            for comp_idx, comp in enumerate(COMPONENTS):
-                expected = REFERENCE_DESCRIPTOR_TABLE[frame.time_index][sub][comp_idx]
-                assert signed_single_label(frame.component(sub, comp)) == expected
+            labels = tuple(signed_single_label(e) for e in row[sub])
+            assert labels == REFERENCE_DESCRIPTOR_TABLE[t][sub]
 
 
 def test_stepwise_and_composite_frames_agree():
     circuit = witness_circuit()
     direct = evolve_descriptors(circuit)
     stepwise = evolve_descriptors_stepwise(circuit)
+    assert len(direct) == len(stepwise) == 7
     for a, b in zip(direct, stepwise):
         for sub in SUBSYSTEMS:
-            for comp in COMPONENTS:
-                assert approx_equal(a.component(sub, comp), b.component(sub, comp), tol=1e-12)
+            for x, y in zip(a[sub], b[sub], strict=True):
+                assert approx_equal(x, y, tol=1e-12)
 
 
 def test_single_swap_circuit_swaps_the_triples():
-    frames = evolve_descriptors(Circuit((GateSpec(SWAP),)))
-    start = initial_frame()
-    for comp in COMPONENTS:
-        assert approx_equal(frames[1].component("Q", comp), start.component("M", comp))
-        assert approx_equal(frames[1].component("M", comp), start.component("Q", comp))
+    start, swapped = evolve_descriptors(Circuit((GateSpec(SWAP),)))
+    assert [signed_single_label(e) for e in start["Q"]] == ["+XI", "+YI", "+ZI"]
+    assert [signed_single_label(e) for e in start["M"]] == ["+IX", "+IY", "+IZ"]
+    for q, m in zip(swapped["Q"], start["M"], strict=True):
+        assert approx_equal(q, m)
+    for m, q in zip(swapped["M"], start["Q"], strict=True):
+        assert approx_equal(m, q)
 
 
 def test_frames_satisfy_su2_relations_and_involution():
     # [q_x, q_y] = 2i q_z cyclically, and q^2 = I, at every slice
-    frames = evolve_descriptors(witness_circuit())
-    for frame in frames:
+    rows = evolve_descriptors(witness_circuit())
+    for row in rows:
         for sub in SUBSYSTEMS:
-            qx, qy, qz = (frame.component(sub, c) for c in COMPONENTS)
+            qx, qy, qz = row[sub]
             for a, b, c in ((qx, qy, qz), (qy, qz, qx), (qz, qx, qy)):
                 assert approx_equal(commutator(a, b), 2j * c, tol=1e-12)
                 assert approx_equal(a @ a, OperatorExpr.identity(2), tol=1e-12)
@@ -189,8 +190,7 @@ def test_witness_state_check_rejects_invalid_states():
 def test_heisenberg_route_matches_schroedinger_expectation():
     # <q_x(t6)> in the initial state equals <X> of the evolved reduced state
     rng = np.random.default_rng(8)
-    frames = evolve_descriptors(witness_circuit())
-    qx_t6 = to_dense(frames[-1].component("Q", "x"))
+    qx_t6 = to_dense(evolve_descriptors(witness_circuit())[-1]["Q"][0])
     for _ in range(20):
         amp = rng.normal(size=2) + 1j * rng.normal(size=2)
         amp /= np.linalg.norm(amp)

@@ -8,12 +8,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwitness.cli import EXPERIMENTS, RunConfig, main, run_experiment
 from qwitness.errors import StructuralError
+from qwitness.reports import write_json
 
 
 def small_config(tmp_path, **overrides):
@@ -256,3 +258,13 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_write_json_converts_known_types_and_rejects_the_rest(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"c": 1.5 - 2j, "f": np.float64(0.25), "i": np.int64(3), "m": {2: "two"}})
+    assert json.loads(path.read_text()) == {
+        "c": [1.5, -2.0], "f": 0.25, "i": 3, "m": {"2": "two"},
+    }
+    with pytest.raises(TypeError):
+        write_json(path, {"x": object()})

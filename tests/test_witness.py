@@ -138,7 +138,7 @@ def test_target_map_matrix_and_determinant():
     # column j is the final Heisenberg image of q_j, read as a signed label
     final = evolve_descriptors(witness_circuit())[-1]
     columns = []
-    for expr in final.triples["Q"]:
+    for expr in final["Q"]:
         signed = signed_single_label(expr)
         assert signed[2] == "I"  # the image stays on Q
         sign = -1.0 if signed[0] == "-" else 1.0
@@ -183,6 +183,32 @@ def test_axis_systems_have_empty_intersection():
         for j, g in enumerate("xyz")
     }
     assert roots_intersection(results) == []
+
+
+def test_axis_system_equations_are_exact_rationals():
+    # pinned strings: exact halves and integers, never float digits
+    assert axis_constraint_report().findings["equations"] == {
+        "z": [
+            "n_x*n_z - n_y - 1 = 0",
+            "n_x + n_y*n_z = 0",
+            "-n_x**2/2 - n_y**2/2 + n_z**2/2 + 1/2 = 0",
+        ],
+        "x": [
+            "n_x**2/2 - n_y**2/2 - n_z**2/2 + 1/2 = 0",
+            "n_x*n_y - n_z = 0",
+            "n_x*n_z + n_y - 1 = 0",
+        ],
+        "y_target": [
+            "n_x*n_y + n_z = 0",
+            "-n_x**2/2 + n_y**2/2 - n_z**2/2 + 3/2 = 0",
+            "-n_x + n_y*n_z = 0",
+        ],
+        "y_sign_flipped": [
+            "n_x*n_y + n_z = 0",
+            "-n_x**2/2 + n_y**2/2 - n_z**2/2 - 1/2 = 0",
+            "-n_x + n_y*n_z = 0",
+        ],
+    }
 
 
 def test_axis_constraint_report_verdict():
