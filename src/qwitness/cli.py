@@ -205,12 +205,10 @@ def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
     ))
 
     basis_non = cons.commutant_basis(c_non, ambient)
-    rows, _ = cons._commutator_constraint_matrix(ambient, c_non)
-    rank = int(np.linalg.matrix_rank(rows, tol=1e-10))
     checks.append(Check.compare(
         "nonadditive-commutant-rank-consistency",
-        float(abs(len(basis_non) - (len(ambient) - rank))), "<=", 0.0,
-        "commutant dimension equals ambient dimension minus constraint rank",
+        float(abs(len(basis_non) - cons.commutant_dimension(c_non))), "<=", 0.0,
+        "commutant dimension equals the sum of squared eigenvalue multiplicities of the charge",
     ))
 
     family = cons.constrain_family(cons.classical_mediator_family(), c_non)
@@ -277,7 +275,7 @@ def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
         },
         "commutant_nonadditive.json": {
             "dimension": len(basis_non),
-            "constraint_rank": rank,
+            "constraint_rank": len(ambient) - len(basis_non),
             "basis": [dict(b) for b in basis_non],
         },
         "constrained_families.json": {

@@ -200,6 +200,19 @@ def commutant_basis(
     return out
 
 
+def commutant_dimension(conserved: ConservedQuantity) -> int:
+    """Real dimension of the Hermitian operators commuting with C.
+
+    An operator commutes with C exactly when it is block-diagonal in C's
+    eigenspaces, so the dimension is the sum of m_lambda^2 over C's eigenvalue
+    multiplicities m_lambda; read off the dense spectrum, independently of
+    the Pauli structure constants behind :func:`commutant_basis`.
+    """
+    eigenvalues = np.linalg.eigvalsh(to_dense(conserved.expr))
+    _, multiplicities = np.unique(np.round(eigenvalues, 9), return_counts=True)
+    return int(np.sum(multiplicities**2))
+
+
 def constrain_family(
     family: HamiltonianFamily, conserved: ConservedQuantity
 ) -> HamiltonianFamily:

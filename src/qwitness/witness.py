@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import sympy
@@ -87,6 +88,47 @@ class GeneratorSystemResult:
     max_equation_residual: float
 
 
+def real_solutions(eqs: list[sympy.Expr], gens: list[sympy.Symbol]) -> list[tuple]:
+    """Exact real solutions of a zero-dimensional polynomial system.
+
+    Back-substitution through the lex Groebner basis (``gens[0]`` largest):
+    from the last generator to the first, each level's value is a real root
+    of the gcd of the basis elements in that generator and the ones already
+    fixed, so complex branches are never followed.  Rational partial roots
+    go through ``Poly.real_roots`` over QQ; a level over an irrational
+    partial root must be one element linear in its generator, solved exactly
+    as ``-c0/c1``.  A positive-dimensional system, or a nonlinear level over
+    an irrational partial root, raises :class:`StructuralError`.
+    """
+    basis = sympy.groebner(eqs, *gens, order="lex")
+    if basis.exprs == [1]:
+        return []
+    if not basis.is_zero_dimensional:
+        raise StructuralError(f"positive-dimensional system: {basis.exprs}")
+    partials: list[tuple] = [()]
+    for k in range(len(gens) - 1, -1, -1):
+        var, fixed = gens[k], gens[k + 1 :]
+        level = [
+            g for g in basis.polys
+            if g.degree(var) > 0 and not any(g.degree(v) for v in gens[:k])
+        ]
+        extended = []
+        for part in partials:
+            at = dict(zip(fixed, part))
+            if all(v.is_Rational for v in part):
+                polys = [sympy.Poly(g.as_expr().subs(at), var) for g in level]
+                values = reduce(sympy.gcd, polys).sqf_part().real_roots()
+            elif len(level) == 1 and level[0].degree(var) == 1:
+                linear = sympy.Poly(level[0].as_expr(), var)
+                c1, c0 = (c.subs(at) for c in linear.all_coeffs())
+                values = [-c0 / c1]
+            else:
+                raise StructuralError(f"nonlinear level in {var} over an irrational root")
+            extended.extend((value, *part) for value in values)
+        partials = extended
+    return partials
+
+
 def solve_generator_system(
     generator: str, image: tuple[float, float, float]
 ) -> GeneratorSystemResult:
@@ -94,25 +136,20 @@ def solve_generator_system(
 
     The three scalar equations are the general (non-unit-axis) conjugation
     expansion at pi/2, ``(1 - |n|^2)/2 e_g + e_g x n + n_g n - image``, built
-    exactly (the image entries become exact rationals); acceptable roots are
-    the real solutions whose norm is 1 within 1e-8.
+    exactly (the image entries become exact rationals).  Their real roots
+    come from :func:`real_solutions`, so a system with a positive-dimensional
+    solution set (e.g. the y system with a zero image) raises
+    :class:`StructuralError`; acceptable roots are the real solutions whose
+    norm is 1 within 1e-8.
     """
     n = sympy.Matrix(sympy.symbols("n_x n_y n_z", real=True))
     e_g = sympy.Matrix([int(c == generator) for c in _AXES])
     target = sympy.Matrix([sympy.Rational(v) for v in image])
     lhs = (1 - n.dot(n)) / 2 * e_g + e_g.cross(n) + n[_AXES.index(generator)] * n
     eqs = [sympy.expand(expr) for expr in lhs - target]
-    solutions = sympy.solve(eqs, list(n), dict=True)
-    real_roots: list[tuple[float, float, float]] = []
-    seen = set()
-    for sol in solutions:
-        vals = [complex(sympy.N(sol.get(v, 0))) for v in n]
-        if any(abs(v.imag) > 1e-10 for v in vals):
-            continue
-        root = tuple(round(v.real, 12) + 0.0 for v in vals)
-        if root not in seen:
-            seen.add(root)
-            real_roots.append(root)
+    real_roots = [
+        tuple(float(v) for v in root) for root in real_solutions(eqs, list(n))
+    ]
     acceptable = [
         r
         for r in real_roots

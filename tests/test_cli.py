@@ -249,15 +249,32 @@ def test_full_run_summary_structure(tmp_path):
     ]
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter: this test process may have imported scipy already
+def modules_loaded_by(statement, prefix):
+    """Modules under ``prefix`` a fresh interpreter holds after ``statement``.
+
+    A fresh interpreter, because this test process may have loaded them already.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = "import sys, qwitness.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        f"import sys, qwitness.cli; {statement}; "
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert modules_loaded_by("pass", "scipy") == "[]"
+
+
+def test_axis_solve_loads_no_sympy_physics():
+    # substituting a complex root reaches sympy's simplify, whose first
+    # call imports sympy.physics.units
+    statement = "qwitness.witness.axis_constraint_report()"
+    assert modules_loaded_by(statement, "sympy.physics") == "[]"
 
 
 def test_write_json_converts_known_types_and_rejects_the_rest(tmp_path):

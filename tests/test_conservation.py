@@ -17,6 +17,7 @@ from qwitness.conservation import (
     classical_filtered_family,
     classical_mediator_family,
     commutant_basis,
+    commutant_dimension,
     conservation_residual,
     constrain_family,
     family_to_json,
@@ -82,6 +83,19 @@ def test_nonadditive_commutant_dimension_matches_rank():
         columns.append((m @ c_dense - c_dense @ m).reshape(-1))
     dense_rank = np.linalg.matrix_rank(np.array(columns).T, tol=1e-10)
     assert len(basis) == len(ambient) - dense_rank
+
+
+@pytest.mark.parametrize(
+    ("conserved", "n_sites", "dimension"),
+    [
+        (ConservedQuantity.additive(), 2, 6),  # eigenvalues 2, 0, -2 with m = 1, 2, 1
+        (ConservedQuantity.nonadditive(), 2, 10),  # 3, -1 with m = 1, 3
+        (ConservedQuantity.channel3(), 3, 22),  # 5, 1, -1, -3 with m = 1, 2, 4, 1
+    ],
+)
+def test_commutant_dimension_is_sum_of_squared_multiplicities(conserved, n_sites, dimension):
+    basis = commutant_basis(conserved, pauli_operator_basis(n_sites))
+    assert len(basis) == commutant_dimension(conserved) == dimension
 
 
 # small integer matrices, like the commutator rows of unit Pauli expressions

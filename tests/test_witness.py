@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from qwitness.witness import (
     conjugation_image,
     exchange_hamiltonian,
     quantum_demo,
+    real_solutions,
     roots_intersection,
     solve_generator_system,
 )
@@ -175,6 +177,65 @@ def test_roots_satisfy_their_systems_after_substitution():
         for root in res.acceptable_roots:
             got = conjugation_image(np.array(root), math.pi / 2, gen)
             assert np.allclose(got, image, atol=1e-10)
+
+
+AXIS = sympy.symbols("n_x n_y n_z", real=True)
+
+
+def system_equations(generator, image):
+    """The polynomials of one axis system, read back from its equation strings."""
+    names = {str(v): v for v in AXIS}
+    return [
+        sympy.parse_expr(e.removesuffix(" = 0"), local_dict=names)
+        for e in solve_generator_system(generator, image).equations
+    ]
+
+
+def solve_then_drop_complex(eqs):
+    """Oracle: every root from ``sympy.solve``, then the non-real ones dropped."""
+    roots = set()
+    for sol in sympy.solve(eqs, list(AXIS), dict=True):
+        vals = [complex(sympy.N(sol.get(v, 0))) for v in AXIS]
+        if all(abs(v.imag) <= 1e-10 for v in vals):
+            roots.add(tuple(round(v.real, 12) + 0.0 for v in vals))
+    return roots
+
+
+@pytest.mark.parametrize(
+    ("generator", "image", "count"),
+    [
+        ("z", (1.0, 0.0, 0.0), 1),
+        ("x", (0.0, 0.0, 1.0), 1),
+        ("y", (0.0, -1.0, 0.0), 0),
+        ("y", (0.0, 1.0, 0.0), 2),
+        ("z", (-0.5, 0.5, 0.5), 2),  # n_z^2 = (sqrt(3) - 1)/2
+        ("y", (0.36, 0.48, 0.8), 2),  # irrational unit axes
+        ("x", (1.0, 0.0, 0.0), 2),  # n = (+-1, 0, 0)
+    ],
+)
+def test_real_solutions_match_solve_then_filter(generator, image, count):
+    # the full real root set, before the unit-norm filter
+    eqs = system_equations(generator, image)
+    got = [tuple(float(v) for v in root) for root in real_solutions(eqs, list(AXIS))]
+    want = solve_then_drop_complex(eqs)
+    assert len(got) == len(want) == count
+    for root in got:
+        assert any(max(abs(a - b) for a, b in zip(root, w)) <= 1e-9 for w in want)
+    for w in want:
+        assert any(max(abs(a - b) for a, b in zip(root, w)) <= 1e-9 for root in got)
+
+
+def test_positive_dimensional_axis_system_is_rejected():
+    # zero image: n_y = +-i leaves n_x free, a complex curve of solutions
+    with pytest.raises(StructuralError):
+        solve_generator_system("y", (0.0, 0.0, 0.0))
+
+
+def test_nonlinear_level_over_irrational_root_is_rejected():
+    # x = +-sqrt(2) fixed first, then y^2 = 2 over it: not solved by -c0/c1
+    x, y = sympy.symbols("x y", real=True)
+    with pytest.raises(StructuralError):
+        real_solutions([x**2 - 2, y**2 - 2], [y, x])
 
 
 def test_axis_systems_have_empty_intersection():
