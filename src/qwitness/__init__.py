@@ -26,8 +26,8 @@ from .conservation import (
 )
 from .dense import expm_hermitian, partial_trace, pauli_decompose, to_dense
 from .errors import ContractViolation, StructuralError
-from .homogenizer import HomogenizerConfig, homogenize_step
-from .oscillator import FockOperators, HPQubit, fock_ops, hp_hamiltonian, hp_qubit
+from .homogenizer import homogenize_step
+from .oscillator import fock_ops, hp_hamiltonian, hp_qubit
 from .paulis import OperatorExpr, commutator
 from .reports import Check, WitnessReport
 from .witness import (

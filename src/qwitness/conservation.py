@@ -220,44 +220,31 @@ def constrain_family(
 
     Constraints are returned in reduced row-echelon form over the rationals
     (the commutator coefficients of unit Pauli expressions are integers).
-    If only the zero member survives, the returned family is empty.
+    The basis and parameter names are kept; if only the zero member
+    survives, the returned family has no free parameter.
     """
     rows, _ = _commutator_constraint_matrix(family.basis, conserved)
-    if rows.size == 0:
-        return HamiltonianFamily(
-            basis=list(family.basis),
-            params=family.params,
-            constraints=[],
-            conserved=conserved,
-            notes=family.notes,
-        )
     as_int = np.rint(rows)
-    if np.abs(rows - as_int).max() > 1e-9:
+    if np.abs(rows - as_int).max(initial=0.0) > 1e-9:
         raise StructuralError("constraint matrix is not integer-valued")
-    reduced, pivots = sympy.Matrix(as_int.astype(int)).rref()
-    constraints: list[dict[str, float]] = []
-    for i in range(len(pivots)):
-        rel = {
+    reduced, pivots = sympy.Matrix(*rows.shape, as_int.astype(int).ravel().tolist()).rref()
+    constraints = [
+        {
             family.params[j]: float(reduced[i, j])
             for j in range(len(family.params))
             if reduced[i, j] != 0
         }
-        constraints.append(rel)
-    n_free = len(family.params) - len(pivots)
-    if n_free == 0:
-        return HamiltonianFamily(
-            basis=[],
-            params=(),
-            constraints=constraints,
-            conserved=conserved,
-            notes="no nonzero member commutes with the conserved quantity",
-        )
+        for i in range(len(pivots))
+    ]
+    notes = family.notes
+    if len(pivots) == len(family.params):
+        notes = "no nonzero member commutes with the conserved quantity"
     return HamiltonianFamily(
         basis=list(family.basis),
         params=family.params,
         constraints=constraints,
         conserved=conserved,
-        notes=family.notes,
+        notes=notes,
     )
 
 

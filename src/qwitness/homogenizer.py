@@ -17,7 +17,6 @@ block diagonal in Z_M, so the probe only meets the Z_M = +1 block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +29,7 @@ from .conservation import (
     conservation_residual,
     zm_sector_maps,
 )
-from .dense import (
-    assert_density_matrix,
-    partial_trace,
-    qubit_state,
-    trace_distance,
-)
-from .errors import StructuralError
+from .dense import assert_density_matrix, partial_trace, qubit_state
 from .reports import WitnessReport
 
 
@@ -89,57 +82,26 @@ def xi_coefficient(rho: np.ndarray, xi: np.ndarray) -> float:
     return float(np.trace(xi_tl.conj().T @ rho_tl).real / denom)
 
 
-@dataclass(frozen=True)
-class HomogenizerConfig:
-    """Reservoir size, coupling strength and the two single-qubit states."""
-
-    n_steps: int = 20
-    eta: float = 0.5
-    rho0: np.ndarray = field(default_factory=lambda: qubit_state((0.0, 0.0, 1.0)))
-    xi: np.ndarray = field(default_factory=lambda: qubit_state((1.0, 0.0, 0.0)))
-
-    def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise StructuralError("need at least one reservoir qubit")
-        assert_density_matrix(self.rho0)
-        assert_density_matrix(self.xi)
+#: Default initial system state |0><0| and reservoir state |+><+|.
+RHO0 = qubit_state((0.0, 0.0, 1.0))
+XI = qubit_state((1.0, 0.0, 0.0))
 
 
-@dataclass
-class HomogenizerTrajectory:
-    """Per-step record of one homogenisation run."""
+def run(
+    eta: float, n_steps: int, rho0: np.ndarray = RHO0, xi: np.ndarray = XI
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Homogenise against n fresh reservoir qubits, one collision each.
 
-    config: HomogenizerConfig
-    states: list[np.ndarray]            # system state after step n (index 0 = initial)
-    reservoir_out: list[np.ndarray]     # used reservoir qubit after each step
-    trace_distances: list[float]        # D(rho_n, xi)
-    xi_coefficients: list[float]        # extracted weight of xi in rho_n
-    predicted_coefficients: list[float]  # 1 - cos(eta)^(2n)
-
-
-def run(config: HomogenizerConfig) -> HomogenizerTrajectory:
-    """Homogenise against n fresh reservoir qubits, one collision each."""
-    rho = np.array(config.rho0, dtype=complex)
-    states = [rho]
-    reservoir_out: list[np.ndarray] = []
-    distances = [trace_distance(rho, config.xi)]
-    coeffs = [xi_coefficient(rho, config.xi)]
-    predicted = [0.0]
-    for n in range(1, config.n_steps + 1):
-        rho, xi_out = homogenize_step(rho, config.xi, config.eta)
+    Returns ``(states, used)``: the system states rho_0 ... rho_n and the used
+    reservoir qubit after each collision.
+    """
+    states = [np.array(rho0, dtype=complex)]
+    used: list[np.ndarray] = []
+    for _ in range(n_steps):
+        rho, xi_out = homogenize_step(states[-1], xi, eta)
         states.append(rho)
-        reservoir_out.append(xi_out)
-        distances.append(trace_distance(rho, config.xi))
-        coeffs.append(xi_coefficient(rho, config.xi))
-        predicted.append(1.0 - math.cos(config.eta) ** (2 * n))
-    return HomogenizerTrajectory(
-        config=config,
-        states=states,
-        reservoir_out=reservoir_out,
-        trace_distances=distances,
-        xi_coefficients=coeffs,
-        predicted_coefficients=predicted,
-    )
+        used.append(xi_out)
+    return states, used
 
 
 # -- classical-reservoir impossibility check --------------------------------

@@ -8,13 +8,17 @@ clamped to zero, which keeps every operator Hermitian and reproduces the
 two-level case exactly at dimension 2.
 
 The half-Pauli normalisation is deliberate: at dimension 2 the generators
-are X/2, Y/2, Z/2 and satisfy [q_i, q_j] = i eps_ijk q_k.
+are X/2, Y/2, Z/2 and satisfy [q_i, q_j] = i eps_ijk q_k.  The letter map
+P -> 2^-|P| P is linear but not multiplicative, so the image conserves no
+law of the Z family: ``hp_hamiltonian(2)`` commutes with no nonzero
+combination of Z_Q, Z_M and Z_Q Z_M (the smallest singular value of that
+commutator map is 0.594), although the network Hamiltonian conserves
+Z_Q + Z_M + Z_Q Z_M exactly.  The commutators are reported, not asserted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +26,14 @@ from .errors import StructuralError
 from .paulis import OperatorExpr
 
 
-@dataclass(frozen=True)
-class FockOperators:
-    """Truncated ladder operators on d levels."""
-
-    dim: int
-    a: np.ndarray
-    a_dag: np.ndarray
-    number: np.ndarray
-
-
-def fock_ops(dim: int) -> FockOperators:
-    """a|n> = sqrt(n)|n-1> on a d-level truncation; number = diag(0..d-1)."""
+def fock_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, a†a) on a d-level truncation: a|n> = sqrt(n)|n-1>, a†a = diag(0..d-1)."""
     if dim < 2:
         raise StructuralError("Fock truncation needs at least two levels")
     a = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):
         a[n - 1, n] = math.sqrt(n)
-    return FockOperators(dim, a, a.conj().T, a.conj().T @ a)
+    return a, a.conj().T @ a
 
 
 def _clamped_sqrt_one_minus_number(dim: int) -> np.ndarray:
@@ -48,31 +42,17 @@ def _clamped_sqrt_one_minus_number(dim: int) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-@dataclass(frozen=True)
-class HPQubit:
-    """Spin-1/2 generators realised on a d-level truncation (half-Pauli scale).
+def hp_qubit(dim: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin-1/2 generators (q_x, q_y, q_z) on a d-level truncation (half-Pauli scale).
 
-    Only spin 1/2 is built: at d = 2 these are X/2, Y/2, Z/2.
+    q_z = 1/2 - a†a, and q_x, q_y come from the clamped hopping term; at
+    d = 2 these are X/2, Y/2, Z/2.
     """
-
-    dim: int
-    q_x: np.ndarray
-    q_y: np.ndarray
-    q_z: np.ndarray
-
-
-def hp_qubit(dim: int = 2) -> HPQubit:
-    """Spin-1/2 generators q_z = 1/2 - a†a, q_x/q_y from the clamped hopping term."""
-    ops = fock_ops(dim)
+    a, number = fock_ops(dim)
     root = _clamped_sqrt_one_minus_number(dim)
-    lower = root @ ops.a          # sqrt(1 - n) a
-    raise_ = ops.a_dag @ root     # a† sqrt(1 - n)
-    return HPQubit(
-        dim=dim,
-        q_x=(lower + raise_) / 2,
-        q_y=(lower - raise_) / (2j),
-        q_z=np.eye(dim, dtype=complex) / 2 - ops.number,
-    )
+    lower = root @ a              # sqrt(1 - n) a
+    raise_ = a.conj().T @ root    # a† sqrt(1 - n)
+    return (lower + raise_) / 2, (lower - raise_) / (2j), np.eye(dim, dtype=complex) / 2 - number
 
 
 def hp_hamiltonian(d_b: int) -> np.ndarray:
@@ -85,21 +65,21 @@ def hp_hamiltonian(d_b: int) -> np.ndarray:
     if d_b < 2:
         raise StructuralError("mediator truncation needs at least two levels")
     d_a = 2
-    a_ops = fock_ops(d_a)
-    b_ops = fock_ops(d_b)
+    a, n_a = fock_ops(d_a)
+    b, n_b = fock_ops(d_b)
     eye_a = np.eye(d_a, dtype=complex)
     eye_b = np.eye(d_b, dtype=complex)
     eye = np.kron(eye_a, eye_b)
 
-    q_a = hp_qubit(d_a)
+    qx_a, _, _ = hp_qubit(d_a)
     root_a = _clamped_sqrt_one_minus_number(d_a)
     root_b = _clamped_sqrt_one_minus_number(d_b)
-    lower_a = root_a @ a_ops.a
-    lower_b = root_b @ b_ops.a
+    lower_a = root_a @ a
+    lower_b = root_b @ b
 
-    h = 1.5 * (eye - np.kron(eye_a, b_ops.number))
-    h += 0.5 * (eye - np.kron(a_ops.number, eye_b))
-    h += np.kron(q_a.q_x, 0.5 * eye_b + b_ops.number)
+    h = 1.5 * (eye - np.kron(eye_a, n_b))
+    h += 0.5 * (eye - np.kron(n_a, eye_b))
+    h += np.kron(qx_a, 0.5 * eye_b + n_b)
     hop = np.kron(lower_a, lower_b.conj().T)  # sqrt(1-n_a) a  x  b† sqrt(1-n_b)
     h += 0.25 * (hop + hop.conj().T)
     return h
@@ -115,11 +95,8 @@ def hp_substitute(expr: OperatorExpr, d_b: int) -> np.ndarray:
     """
     if expr.n_sites != 2:
         raise StructuralError("substitution is defined for two-site expressions")
-    q_a = hp_qubit(2)
-    q_b = hp_qubit(d_b)
     maps = [
-        {"I": np.eye(2, dtype=complex), "X": q_a.q_x, "Y": q_a.q_y, "Z": q_a.q_z},
-        {"I": np.eye(d_b, dtype=complex), "X": q_b.q_x, "Y": q_b.q_y, "Z": q_b.q_z},
+        dict(zip("IXYZ", (np.eye(d, dtype=complex), *hp_qubit(d)))) for d in (2, d_b)
     ]
     out = np.zeros((2 * d_b, 2 * d_b), dtype=complex)
     for label, coeff in expr:

@@ -24,9 +24,7 @@ from qwitness.conservation import (
     ConservedQuantity, classical_filtered_family, classical_mediator_family, constrain_family,
 )
 from qwitness.dense import expm_hermitian, to_dense
-from qwitness.homogenizer import (
-    HomogenizerConfig, classical_reservoir_check, homogenize_step, step_recursion,
-)
+from qwitness.homogenizer import XI, classical_reservoir_check, run, step_recursion
 from qwitness.oscillator import hp_hamiltonian
 from qwitness.paulis import OperatorExpr
 from qwitness.witness import (
@@ -133,14 +131,11 @@ def test_criterion_07_homogenizer_law():
         )
         # the experiment compares five collisions; the criterion asks for ten
         for eta in (0.2, 0.5, 1.0):
-            config = HomogenizerConfig(n_steps=30, eta=eta)
-            rho = config.rho0
-            for _ in range(10):
-                exact = homogenize_step(rho, config.xi, eta)
-                closed = step_recursion(rho, config.xi, eta)
-                assert np.abs(exact[0] - closed[0]).max() < 1e-12
-                assert np.abs(exact[1] - closed[1]).max() < 1e-12
-                rho = exact[0]
+            states, used = run(eta, 10)
+            for n in range(10):
+                closed = step_recursion(states[n], XI, eta)
+                assert np.abs(states[n + 1] - closed[0]).max() < 1e-12
+                assert np.abs(used[n] - closed[1]).max() < 1e-12
 
 
 def test_criterion_08_partial_swap_conservation():

@@ -1,4 +1,7 @@
+import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -285,3 +288,23 @@ def test_write_json_converts_known_types_and_rejects_the_rest(tmp_path):
     }
     with pytest.raises(TypeError):
         write_json(path, {"x": object()})
+
+
+def test_benchmark_span_names_are_public_functions():
+    # the benchmark's tracer wraps each module's public functions by name and
+    # attributes per-layer time through SPAN_METRIC; a renamed function would
+    # silently drop out of its layer
+    source = (Path(__file__).resolve().parents[1] / "qbench" / "run.py").read_text()
+    assignment = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "SPAN_METRIC" for t in node.targets)
+    )
+    span_metric = ast.literal_eval(assignment.value)
+    assert span_metric
+    for span in span_metric:
+        layer, name = span.split(".")
+        module = importlib.import_module(f"qwitness.{layer}")
+        func = getattr(module, name, None)
+        assert inspect.isfunction(func) and func.__module__ == module.__name__, span
+        assert not name.startswith("_"), span

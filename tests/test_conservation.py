@@ -147,8 +147,10 @@ def test_constrain_family_no_constraints_for_diagonal_terms():
 def test_constrain_family_with_no_surviving_member_is_empty():
     family = HamiltonianFamily(basis=[OperatorExpr.from_label("XI")], params=("w",))
     out = constrain_family(family, ConservedQuantity.nonadditive())
-    assert not out.basis
     assert out.constraints == [{"w": 1.0}]
+    assert out.free_params() == ()
+    assert out.expansion_matrix().shape == (0, 1)
+    assert out.member({"w": 0.0}) == OperatorExpr.zero(2)
 
 
 def test_channel_extension_keeps_mediator_mediator_coupling_free():

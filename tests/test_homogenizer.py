@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qwitness import homogenizer
 from qwitness.circuit import PARTIAL_SWAP, GateSpec, gate_unitary
+from qwitness.cli import RunConfig, experiment_homogenize
 from qwitness.conservation import classical_filtered_family
 from qwitness.dense import (
     PAULI_MATS,
@@ -12,9 +14,10 @@ from qwitness.dense import (
     to_dense,
     trace_distance,
 )
-from qwitness.errors import ContractViolation, StructuralError
+from qwitness.errors import ContractViolation
 from qwitness.homogenizer import (
-    HomogenizerConfig,
+    RHO0,
+    XI,
     _admissible_surface_draws,
     _final_distances,
     _reservoir_scan,
@@ -186,26 +189,23 @@ def test_homogenize_step_validates_states():
 
 
 def test_config_validation():
-    with pytest.raises(StructuralError):
-        HomogenizerConfig(n_steps=0)
     with pytest.raises(ContractViolation):
-        HomogenizerConfig(rho0=np.diag([2.0, -1.0]).astype(complex))
+        run(0.5, 20, rho0=np.diag([2.0, -1.0]).astype(complex))
 
 
 def test_single_full_swap_reaches_reservoir_state():
-    traj = run(HomogenizerConfig(n_steps=1, eta=math.pi / 2))
-    assert np.allclose(traj.states[-1], traj.config.xi, atol=1e-14)
-    assert traj.trace_distances[-1] == pytest.approx(0.0, abs=1e-14)
+    states, _ = run(math.pi / 2, 1)
+    assert np.allclose(states[-1], XI, atol=1e-14)
+    assert trace_distance(states[-1], XI) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_xi_coefficient_law():
     for eta in (0.2, 0.5, 1.0):
-        traj = run(HomogenizerConfig(n_steps=30, eta=eta))
-        for n, (kappa, pred) in enumerate(
-            zip(traj.xi_coefficients, traj.predicted_coefficients)
-        ):
-            assert pred == pytest.approx(1 - math.cos(eta) ** (2 * n), abs=1e-15)
-            assert kappa == pytest.approx(pred, abs=1e-10)
+        states, _ = run(eta, 30)
+        assert len(states) == 31
+        for n, rho in enumerate(states):
+            pred = 1 - math.cos(eta) ** (2 * n)
+            assert xi_coefficient(rho, XI) == pytest.approx(pred, abs=1e-10)
 
 
 def test_trajectory_distances_monotone_and_states_positive():
@@ -214,28 +214,28 @@ def test_trajectory_distances_monotone_and_states_positive():
         # also try a non-default initial state
         vec = rng.normal(size=3)
         vec = 0.8 * vec / np.linalg.norm(vec)
-        traj = run(HomogenizerConfig(n_steps=20, eta=eta, rho0=qubit_state(tuple(vec))))
-        for a, b in zip(traj.trace_distances, traj.trace_distances[1:]):
+        states, used = run(eta, 20, rho0=qubit_state(tuple(vec)))
+        distances = [trace_distance(rho, XI) for rho in states]
+        for a, b in zip(distances, distances[1:]):
             assert b <= a + 1e-12
-        for state in traj.states:
+        for state in states:
             assert np.linalg.eigvalsh(state).min() >= -1e-12
-        for used in traj.reservoir_out:
-            assert np.linalg.eigvalsh(used).min() >= -1e-12
+        for out in used:
+            assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
 def test_used_reservoir_state_matches_closed_form():
-    cfg = HomogenizerConfig(n_steps=3, eta=0.5)
-    traj = run(cfg)
-    for n, used in enumerate(traj.reservoir_out):
-        _, expected = step_recursion(traj.states[n], cfg.xi, cfg.eta)
-        assert np.abs(used - expected).max() < 1e-12
+    states, used = run(0.5, 3)
+    assert len(used) == 3
+    for n, out in enumerate(used):
+        _, expected = step_recursion(states[n], XI, 0.5)
+        assert np.abs(out - expected).max() < 1e-12
 
 
 def test_fresh_ancilla_steps_match_full_joint_simulation():
     # two collisions computed on the full three-qubit joint state
     eta = 0.45
-    cfg = HomogenizerConfig(n_steps=2, eta=eta)
-    traj = run(cfg)
+    states, _ = run(eta, 2)
     p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
     u1 = np.kron(p, np.eye(2))          # acts on (Q, M1), M2 idle
     # P on (Q, M2) with M1 idle: permute the SWAP embedding
@@ -245,10 +245,30 @@ def test_fresh_ancilla_steps_match_full_joint_simulation():
             for m2 in range(2):
                 perm[q * 4 + m2 * 2 + m1, q * 4 + m1 * 2 + m2] = 1
     u2 = perm @ np.kron(p, np.eye(2)) @ perm
-    joint0 = np.kron(np.kron(cfg.rho0, cfg.xi), cfg.xi)
+    joint0 = np.kron(np.kron(RHO0, XI), XI)
     joint = u2 @ (u1 @ joint0 @ u1.conj().T) @ u2.conj().T
     rho_final = partial_trace(joint, (2, 2, 2), keep=(0,))
-    assert np.abs(rho_final - traj.states[-1]).max() < 1e-12
+    assert np.abs(rho_final - states[-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "eta, n_steps, calls", [(0.4, 20, 80), (0.5, 20, 60), (0.4, 3, 12)]
+)
+def test_experiment_steps_each_collision_once(monkeypatch, eta, n_steps, calls):
+    # one run per distinct eta in (0.2, 0.5, 1.0, eta); the recursion check
+    # reuses the run's own collisions instead of stepping again
+    count = 0
+    step = homogenizer.homogenize_step
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return step(*args)
+
+    monkeypatch.setattr(homogenizer, "homogenize_step", counted)
+    checks, _ = experiment_homogenize(RunConfig(eta=eta, n_steps=n_steps, budget=0))
+    assert count == calls
+    assert all(c.passed for c in checks)
 
 
 def test_xi_coefficient_degenerate_reservoir_state():

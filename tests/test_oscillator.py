@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwitness.circuit import network_hamiltonian
-from qwitness.dense import expm_hermitian, partial_trace
+from qwitness.dense import expm_hermitian, partial_trace, to_dense
 from qwitness.errors import StructuralError
 from qwitness.oscillator import (
     fock_ops,
@@ -18,20 +18,20 @@ from qwitness.paulis import OperatorExpr
 
 
 def test_fock_ops_two_levels():
-    ops = fock_ops(2)
-    assert np.allclose(ops.a, [[0, 1], [0, 0]])
-    assert np.allclose(ops.number, np.diag([0, 1]))
+    a, number = fock_ops(2)
+    assert np.allclose(a, [[0, 1], [0, 0]])
+    assert np.allclose(number, np.diag([0, 1]))
 
 
 def test_fock_ops_number_diagonal():
-    assert np.allclose(fock_ops(3).number, np.diag([0, 1, 2]))
-    assert np.allclose(np.diag(fock_ops(6).number).real, np.arange(6))
+    assert np.allclose(fock_ops(3)[1], np.diag([0, 1, 2]))
+    assert np.allclose(np.diag(fock_ops(6)[1]).real, np.arange(6))
 
 
 def test_fock_commutator_defect_sits_on_top_level():
     for d in (2, 3, 5, 8):
-        ops = fock_ops(d)
-        comm = ops.a @ ops.a_dag - ops.a_dag @ ops.a
+        a, _ = fock_ops(d)
+        comm = a @ a.conj().T - a.conj().T @ a
         defect = comm - np.eye(d)
         expected = np.zeros((d, d))
         expected[d - 1, d - 1] = -d  # [a, a†] = I - d |d-1><d-1|
@@ -44,25 +44,25 @@ def test_fock_ops_rejects_tiny_dims():
 
 
 def test_hp_qubit_two_levels_is_half_pauli_triple():
-    q = hp_qubit(2)
-    assert np.allclose(q.q_z, np.diag([0.5, -0.5]))
-    assert np.allclose(q.q_x, np.array([[0, 0.5], [0.5, 0]]))
-    assert np.allclose(q.q_y, np.array([[0, -0.5j], [0.5j, 0]]))
+    q_x, q_y, q_z = hp_qubit(2)
+    assert np.allclose(q_z, np.diag([0.5, -0.5]))
+    assert np.allclose(q_x, np.array([[0, 0.5], [0.5, 0]]))
+    assert np.allclose(q_y, np.array([[0, -0.5j], [0.5j, 0]]))
 
 
 def test_hp_qubit_su2_at_two_levels():
-    q = hp_qubit(2)
-    for a, b, c in ((q.q_x, q.q_y, q.q_z), (q.q_y, q.q_z, q.q_x), (q.q_z, q.q_x, q.q_y)):
+    q_x, q_y, q_z = hp_qubit(2)
+    for a, b, c in ((q_x, q_y, q_z), (q_y, q_z, q_x), (q_z, q_x, q_y)):
         assert np.linalg.norm(a @ b - b @ a - 1j * c) < 1e-12
 
 
 def test_hp_qubit_truncation_artifact_reported_at_higher_dims():
     # the clamped square root breaks the algebra away from two levels;
     # the residual is a finding, it just has to be visibly nonzero
-    q = hp_qubit(4)
-    residual = np.linalg.norm(q.q_x @ q.q_y - q.q_y @ q.q_x - 1j * q.q_z)
+    q_x, q_y, q_z = hp_qubit(4)
+    residual = np.linalg.norm(q_x @ q_y - q_y @ q_x - 1j * q_z)
     assert residual > 0.1
-    for m in (q.q_x, q.q_y, q.q_z):
+    for m in (q_x, q_y, q_z):
         assert np.linalg.norm(m - m.conj().T) < 1e-14  # clamping keeps Hermiticity
 
 
@@ -98,7 +98,7 @@ def test_number_operator_not_conserved():
     # the hopping term moves quanta; the commutator is reported, not asserted
     for d_b in (2, 4):
         h = hp_hamiltonian(d_b)
-        b_num = np.kron(np.eye(2), fock_ops(d_b).number)
+        b_num = np.kron(np.eye(2), fock_ops(d_b)[1])
         assert np.linalg.norm(h @ b_num - b_num @ h) > 0.1
 
 
@@ -107,6 +107,23 @@ def test_charge_image_commutator_is_a_finding():
     charge = hp_substitute(OperatorExpr({"ZI": 1.0, "IZ": 1.0, "ZZ": 1.0}), 2)
     residual = np.linalg.norm(h @ charge - charge @ h)
     assert math.isfinite(residual)
+
+
+def test_two_level_image_conserves_no_z_family_law():
+    # the half-Pauli letter map is not multiplicative, so no nonzero
+    # c1 Z_Q + c2 Z_M + c3 Z_Q Z_M commutes with the d = 2 image (smallest
+    # singular value of the commutator map: 0.594)
+    h = hp_hamiltonian(2)
+    columns = []
+    for label in ("ZI", "IZ", "ZZ"):
+        z = to_dense(OperatorExpr.from_label(label))
+        columns.append((h @ z - z @ h).ravel())
+    singular = np.linalg.svd(np.column_stack(columns), compute_uv=False)
+    assert singular.min() > 0.5
+    # the network Hamiltonian itself conserves Z_Q + Z_M + Z_Q Z_M exactly
+    net = to_dense(network_hamiltonian())
+    charge = to_dense(OperatorExpr({"ZI": 1.0, "IZ": 1.0, "ZZ": 1.0}))
+    assert np.linalg.norm(net @ charge - charge @ net) < 1e-12
 
 
 def test_oscillator_witness_trajectories():
