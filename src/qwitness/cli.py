@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} checks")
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int, help="RNG seed (u64)")
+        p.add_argument("--seed", type=int, help="RNG seed (>= 0)")
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument("--eta", type=float, help="coupling strength")
         p.add_argument("--n", dest="n_steps", metavar="N", type=int, help="reservoir size / steps")

@@ -23,6 +23,11 @@ from functools import reduce
 
 import numpy as np
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.groebnertools import groebner
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, ring
+from sympy.polys.rootisolation import dup_count_real_roots
 
 from .circuit import SWAP, GateSpec, gate_unitary
 from .conservation import (
@@ -52,7 +57,9 @@ _E = {c: np.eye(3)[i] for i, c in enumerate(_AXES)}
 #: so q_x -> q_z, q_y -> -q_y and q_z -> q_x.
 WITNESS_FRAME_MAP = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
-#: Rotation angle of the single-axis realisation (exact pi/2 in sympy).
+#: Rotation angle of the single-axis realisation, as a float for the root
+#: residuals and the report; the axis systems carry its exact values
+#: cos^2(theta/2) = sin^2(theta/2) = 1/2 and sin(theta) = 1.
 _THETA = math.pi / 2
 
 
@@ -88,45 +95,98 @@ class GeneratorSystemResult:
     max_equation_residual: float
 
 
-def real_solutions(eqs: list[sympy.Expr], gens: list[sympy.Symbol]) -> list[tuple]:
-    """Exact real solutions of a zero-dimensional polynomial system.
+def real_solutions(polys: list[PolyElement]) -> list[tuple]:
+    """Exact real solutions of a zero-dimensional system in a lex-ordered ring.
 
-    Back-substitution through the lex Groebner basis (``gens[0]`` largest):
-    from the last generator to the first, each level's value is a real root
-    of the gcd of the basis elements in that generator and the ones already
-    fixed, so complex branches are never followed.  Rational partial roots
-    go through ``Poly.real_roots`` over QQ; a level over an irrational
-    partial root must be one element linear in its generator, solved exactly
-    as ``-c0/c1``.  A positive-dimensional system, or a nonlinear level over
-    an irrational partial root, raises :class:`StructuralError`.
+    The solve runs in the polynomial ring of ``polys`` (its first generator
+    largest): the reduced lex Groebner basis, then back-substitution from the
+    last generator to the first.  Each level's values are the real roots of
+    the gcd of the basis elements in that generator and the ones already
+    fixed, so complex branches are never followed.  Over a rational partial
+    root the gcd is factored over QQ: a linear factor gives an exact ``QQ``
+    root and a nonlinear factor without real roots gives none.  Only a
+    nonlinear factor with real (so irrational) roots builds a sympy
+    expression, through ``Poly.real_roots``; a level over an irrational
+    partial root must be one element linear in its generator, solved as
+    ``-c0/c1``.  A positive-dimensional system, or a nonlinear level over an
+    irrational partial root, raises :class:`StructuralError`.  Each level's
+    values come in ascending order.
     """
-    basis = sympy.groebner(eqs, *gens, order="lex")
-    if basis.exprs == [1]:
+    ring = polys[0].ring
+    if ring.order != lex:
+        raise StructuralError(f"back-substitution needs lex order, not {ring.order}")
+    basis = groebner(polys, ring)
+    if basis == [ring.one]:
         return []
-    if not basis.is_zero_dimensional:
-        raise StructuralError(f"positive-dimensional system: {basis.exprs}")
+    leading = [g.LM for g in basis]
+    if not all(
+        any(m[k] and sum(m) == m[k] for m in leading) for k in range(ring.ngens)
+    ):
+        raise StructuralError(f"positive-dimensional system: {basis}")
     partials: list[tuple] = [()]
-    for k in range(len(gens) - 1, -1, -1):
-        var, fixed = gens[k], gens[k + 1 :]
+    for k in range(ring.ngens - 1, -1, -1):
+        fixed = ring.gens[k + 1 :]
         level = [
-            g for g in basis.polys
-            if g.degree(var) > 0 and not any(g.degree(v) for v in gens[:k])
+            g for g in basis
+            if g.degree(k) > 0 and not any(g.degree(i) for i in range(k))
         ]
         extended = []
         for part in partials:
-            at = dict(zip(fixed, part))
-            if all(v.is_Rational for v in part):
-                polys = [sympy.Poly(g.as_expr().subs(at), var) for g in level]
-                values = reduce(sympy.gcd, polys).sqf_part().real_roots()
-            elif len(level) == 1 and level[0].degree(var) == 1:
-                linear = sympy.Poly(level[0].as_expr(), var)
+            if all(QQ.of_type(v) for v in part):
+                at = list(zip(fixed, part))
+                values = _rational_level_roots(
+                    reduce(PolyElement.gcd, [g.subs(at) for g in level]), k
+                )
+            elif len(level) == 1 and level[0].degree(k) == 1:
+                at = {
+                    s: QQ.to_sympy(v) if QQ.of_type(v) else v
+                    for s, v in zip(ring.symbols[k + 1 :], part)
+                }
+                linear = sympy.Poly(level[0].as_expr(), ring.symbols[k])
                 c1, c0 = (c.subs(at) for c in linear.all_coeffs())
-                values = [-c0 / c1]
+                value = -c0 / c1
+                values = [QQ.from_sympy(value) if value.is_Rational else value]
             else:
-                raise StructuralError(f"nonlinear level in {var} over an irrational root")
+                raise StructuralError(
+                    f"nonlinear level in {ring.symbols[k]} over an irrational root"
+                )
             extended.extend((value, *part) for value in values)
         partials = extended
     return partials
+
+
+def _rational_level_roots(poly: PolyElement, k: int) -> list:
+    """Real roots of ``poly``, a polynomial in generator ``k`` alone, ascending."""
+    values = []
+    for factor, _ in poly.factor_list()[1]:
+        coeffs = {m[k]: c for m, c in factor.terms()}
+        if factor.degree(k) == 1:
+            values.append(-coeffs.get(0, QQ.zero) / coeffs[1])
+        else:
+            dup = [coeffs.get(i, QQ.zero) for i in range(factor.degree(k), -1, -1)]
+            if dup_count_real_roots(dup, QQ):
+                values.extend(
+                    sympy.Poly(factor.as_expr(), factor.ring.symbols[k]).real_roots()
+                )
+    return sorted(values, key=float)
+
+
+def _format_equation(poly: PolyElement) -> str:
+    """``str(poly.as_expr()) + " = 0"``, written from the lex terms of ``poly``.
+
+    sympy prints a polynomial's terms in descending lex order, each as
+    ``p*m/q`` with the ``1*`` and ``/1`` left out and the sign pulled to the
+    front (``n_x**2/2``, ``3*n_x/2``, ``- 1/2``).
+    """
+    text = ""
+    for monom, coeff in poly.terms():
+        num, den = abs(QQ.numer(coeff)), QQ.denom(coeff)
+        factors = [
+            f"{s}" if e == 1 else f"{s}**{e}" for s, e in zip(poly.ring.symbols, monom) if e
+        ]
+        body = "*".join(([str(num)] if num != 1 or not factors else []) + factors)
+        text += f" {'-' if coeff < 0 else '+'} {body}" + (f"/{den}" if den != 1 else "")
+    return ("-" if text[1] == "-" else "") + text[3:] + " = 0"
 
 
 def solve_generator_system(
@@ -136,20 +196,26 @@ def solve_generator_system(
 
     The three scalar equations are the general (non-unit-axis) conjugation
     expansion at pi/2, ``(1 - |n|^2)/2 e_g + e_g x n + n_g n - image``, built
-    exactly (the image entries become exact rationals).  Their real roots
-    come from :func:`real_solutions`, so a system with a positive-dimensional
-    solution set (e.g. the y system with a zero image) raises
-    :class:`StructuralError`; acceptable roots are the real solutions whose
-    norm is 1 within 1e-8.
+    exactly in QQ[n_x, n_y, n_z] (the image entries become exact rationals).
+    Their real roots come from :func:`real_solutions`, so a system with a
+    positive-dimensional solution set (e.g. the y system with a zero image)
+    raises :class:`StructuralError`; acceptable roots are the real solutions
+    whose norm is 1 within 1e-8.
     """
-    n = sympy.Matrix(sympy.symbols("n_x n_y n_z", real=True))
-    e_g = sympy.Matrix([int(c == generator) for c in _AXES])
-    target = sympy.Matrix([sympy.Rational(v) for v in image])
-    lhs = (1 - n.dot(n)) / 2 * e_g + e_g.cross(n) + n[_AXES.index(generator)] * n
-    eqs = [sympy.expand(expr) for expr in lhs - target]
-    real_roots = [
-        tuple(float(v) for v in root) for root in real_solutions(eqs, list(n))
+    _, *n = ring("n_x,n_y,n_z", QQ, lex)
+    e_g = [int(c == generator) for c in _AXES]
+    half = (1 - sum(v**2 for v in n)) * QQ(1, 2)
+    cross = [
+        e_g[1] * n[2] - e_g[2] * n[1],
+        e_g[2] * n[0] - e_g[0] * n[2],
+        e_g[0] * n[1] - e_g[1] * n[0],
     ]
+    n_g = n[_AXES.index(generator)]
+    eqs = [
+        half * e_g[i] + cross[i] + n_g * n[i] - QQ(*float(v).as_integer_ratio())
+        for i, v in enumerate(image)
+    ]
+    real_roots = [tuple(float(v) for v in root) for root in real_solutions(eqs)]
     acceptable = [
         r
         for r in real_roots
@@ -160,7 +226,7 @@ def solve_generator_system(
         got = conjugation_image(np.array(r), _THETA, generator)
         worst = max(worst, float(np.abs(got - np.array(image)).max()))
     return GeneratorSystemResult(
-        equations=[str(e) + " = 0" for e in eqs],
+        equations=[_format_equation(e) for e in eqs],
         acceptable_roots=sorted(acceptable),
         max_equation_residual=worst,
     )

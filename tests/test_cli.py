@@ -280,6 +280,14 @@ def test_axis_solve_loads_no_sympy_physics():
     assert modules_loaded_by(statement, "sympy.physics") == "[]"
 
 
+def test_axis_solve_builds_no_sympy_expression_arithmetic():
+    # the first Add.flatten imports sympy.tensor.tensor and with it
+    # sympy.combinatorics; `import sympy` already holds sympy.tensor.array
+    statement = "qwitness.witness.axis_constraint_report()"
+    assert modules_loaded_by(statement, "sympy.tensor.tensor") == "[]"
+    assert modules_loaded_by(statement, "sympy.combinatorics") == "[]"
+
+
 def test_write_json_converts_known_types_and_rejects_the_rest(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"c": 1.5 - 2j, "f": np.float64(0.25), "i": np.int64(3), "m": {2: "two"}})

@@ -5,6 +5,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from qwitness.circuit import evolve_descriptors, witness_circuit
 from qwitness.dense import PAULI_MATS
@@ -180,15 +183,20 @@ def test_roots_satisfy_their_systems_after_substitution():
 
 
 AXIS = sympy.symbols("n_x n_y n_z", real=True)
+AXIS_RING = ring(AXIS, QQ, lex)[0]
 
 
-def system_equations(generator, image):
-    """The polynomials of one axis system, read back from its equation strings."""
-    names = {str(v): v for v in AXIS}
-    return [
-        sympy.parse_expr(e.removesuffix(" = 0"), local_dict=names)
-        for e in solve_generator_system(generator, image).equations
-    ]
+def oracle_equations(generator, image):
+    """One axis system as expanded sympy expressions, built directly.
+
+    ``(1 - n.n)/2 e_g + e_g x n + n_g n - image``, with the image entries as
+    exact rationals.
+    """
+    n = sympy.Matrix(AXIS)
+    e_g = sympy.Matrix([int(c == generator) for c in "xyz"])
+    target = sympy.Matrix([sympy.Rational(v) for v in image])
+    lhs = (1 - n.dot(n)) / 2 * e_g + e_g.cross(n) + n["xyz".index(generator)] * n
+    return [sympy.expand(expr) for expr in lhs - target]
 
 
 def solve_then_drop_complex(eqs):
@@ -214,9 +222,14 @@ def solve_then_drop_complex(eqs):
     ],
 )
 def test_real_solutions_match_solve_then_filter(generator, image, count):
+    eqs = oracle_equations(generator, image)
+    # the equation strings are sympy's own printing of the expressions
+    assert solve_generator_system(generator, image).equations == [
+        str(e) + " = 0" for e in eqs
+    ]
     # the full real root set, before the unit-norm filter
-    eqs = system_equations(generator, image)
-    got = [tuple(float(v) for v in root) for root in real_solutions(eqs, list(AXIS))]
+    roots = real_solutions([AXIS_RING(e) for e in eqs])
+    got = [tuple(float(v) for v in root) for root in roots]
     want = solve_then_drop_complex(eqs)
     assert len(got) == len(want) == count
     for root in got:
@@ -233,9 +246,22 @@ def test_positive_dimensional_axis_system_is_rejected():
 
 def test_nonlinear_level_over_irrational_root_is_rejected():
     # x = +-sqrt(2) fixed first, then y^2 = 2 over it: not solved by -c0/c1
-    x, y = sympy.symbols("x y", real=True)
+    _, y, x = ring("y x", QQ, lex)
     with pytest.raises(StructuralError):
-        real_solutions([x**2 - 2, y**2 - 2], [y, x])
+        real_solutions([x**2 - 2, y**2 - 2])
+
+
+@pytest.mark.parametrize("system", ["z", "x", "y_target", "y_sign_flipped"])
+def test_real_solutions_are_exact_rationals_on_the_cli_systems(system):
+    generator = system[0]
+    image = WITNESS_FRAME_MAP[:, "xyz".index(generator)]
+    if system == "y_sign_flipped":
+        image = -image
+    roots = real_solutions([AXIS_RING(e) for e in oracle_equations(generator, image)])
+    assert len(roots) == {"z": 1, "x": 1, "y_target": 0, "y_sign_flipped": 2}[system]
+    for root in roots:
+        for v in root:
+            assert QQ.of_type(v) and v in (QQ(-1), QQ(0), QQ(1))
 
 
 def test_axis_systems_have_empty_intersection():
