@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import sympy
 
 from .dense import to_dense
 from .errors import StructuralError
@@ -213,6 +213,28 @@ def commutant_dimension(conserved: ConservedQuantity) -> int:
     return int(np.sum(multiplicities**2))
 
 
+def rref(matrix: np.ndarray) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row-echelon form of an integer matrix over the rationals.
+
+    Gauss-Jordan elimination in ``Fraction``; returns the rows and the pivot
+    columns.  The form is unique, so it is the one any exact rref gives.
+    """
+    rows = [[Fraction(int(x)) for x in row] for row in matrix]
+    pivots: list[int] = []
+    for j in range(matrix.shape[1]):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][j] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                rows[i] = [x - row[j] * y for x, y in zip(row, rows[r])]
+        pivots.append(j)
+    return rows, tuple(pivots)
+
+
 def constrain_family(
     family: HamiltonianFamily, conserved: ConservedQuantity
 ) -> HamiltonianFamily:
@@ -227,13 +249,9 @@ def constrain_family(
     as_int = np.rint(rows)
     if np.abs(rows - as_int).max(initial=0.0) > 1e-9:
         raise StructuralError("constraint matrix is not integer-valued")
-    reduced, pivots = sympy.Matrix(*rows.shape, as_int.astype(int).ravel().tolist()).rref()
+    reduced, pivots = rref(as_int.astype(int))
     constraints = [
-        {
-            family.params[j]: float(reduced[i, j])
-            for j in range(len(family.params))
-            if reduced[i, j] != 0
-        }
+        {family.params[j]: float(c) for j, c in enumerate(reduced[i]) if c != 0}
         for i in range(len(pivots))
     ]
     notes = family.notes

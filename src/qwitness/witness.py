@@ -19,15 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from fractions import Fraction
 
 import numpy as np
-import sympy
-from sympy.polys.domains import QQ
-from sympy.polys.groebnertools import groebner
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement, ring
-from sympy.polys.rootisolation import dup_count_real_roots
 
 from .circuit import SWAP, GateSpec, gate_unitary
 from .conservation import (
@@ -95,95 +89,83 @@ class GeneratorSystemResult:
     max_equation_residual: float
 
 
-def real_solutions(polys: list[PolyElement]) -> list[tuple]:
-    """Exact real solutions of a zero-dimensional system in a lex-ordered ring.
+def _sqrt(x: Fraction | float) -> Fraction | float:
+    """Square root of ``x >= 0``: exact for a rational square, else a float."""
+    if isinstance(x, Fraction):
+        num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        if num * num == x.numerator and den * den == x.denominator:
+            return Fraction(num, den)
+    return math.sqrt(x)
 
-    The solve runs in the polynomial ring of ``polys`` (its first generator
-    largest): the reduced lex Groebner basis, then back-substitution from the
-    last generator to the first.  Each level's values are the real roots of
-    the gcd of the basis elements in that generator and the ones already
-    fixed, so complex branches are never followed.  Over a rational partial
-    root the gcd is factored over QQ: a linear factor gives an exact ``QQ``
-    root and a nonlinear factor without real roots gives none.  Only a
-    nonlinear factor with real (so irrational) roots builds a sympy
-    expression, through ``Poly.real_roots``; a level over an irrational
-    partial root must be one element linear in its generator, solved as
-    ``-c0/c1``.  A positive-dimensional system, or a nonlinear level over an
-    irrational partial root, raises :class:`StructuralError`.  Each level's
-    values come in ascending order.
+
+def _cyclic(generator: str) -> tuple[int, int, int]:
+    """Axis indices (g, a, b) with g the generator and e_g x e_a = e_b."""
+    g = _AXES.index(generator)
+    return g, (g + 1) % 3, (g + 2) % 3
+
+
+def real_axis_roots(generator: str, image) -> list[tuple]:
+    """All real axes n (in x, y, z order) with ``R† q_g R = image`` at pi/2.
+
+    Closed form of the system documented at :func:`solve_generator_system`,
+    in exact rationals (the image entries are converted with ``Fraction``).
+    A coordinate is a ``Fraction`` where the square roots it needs are
+    rational squares and a float otherwise.  A zero image, the only real one
+    whose system is positive-dimensional, raises :class:`StructuralError`.
+    Roots come in ascending order of n_g.
     """
-    ring = polys[0].ring
-    if ring.order != lex:
-        raise StructuralError(f"back-substitution needs lex order, not {ring.order}")
-    basis = groebner(polys, ring)
-    if basis == [ring.one]:
+    g, a, b = _cyclic(generator)
+    v_g, v_a, v_b = (Fraction(image[i]) for i in (g, a, b))
+    if not (v_g or v_a or v_b):
+        raise StructuralError(f"positive-dimensional system: {generator} with a zero image")
+    norm = _sqrt(v_g**2 + v_a**2 + v_b**2)
+    # v_g + |v| - 1 with the sign carried by an exact numerator (1 - v_g + |v| >= 1)
+    radicand = (v_a**2 + v_b**2 + 2 * v_g - 1) / (1 - v_g + norm)
+    if radicand < 0:
         return []
-    leading = [g.LM for g in basis]
-    if not all(
-        any(m[k] and sum(m) == m[k] for m in leading) for k in range(ring.ngens)
-    ):
-        raise StructuralError(f"positive-dimensional system: {basis}")
-    partials: list[tuple] = [()]
-    for k in range(ring.ngens - 1, -1, -1):
-        fixed = ring.gens[k + 1 :]
-        level = [
-            g for g in basis
-            if g.degree(k) > 0 and not any(g.degree(i) for i in range(k))
-        ]
-        extended = []
-        for part in partials:
-            if all(QQ.of_type(v) for v in part):
-                at = list(zip(fixed, part))
-                values = _rational_level_roots(
-                    reduce(PolyElement.gcd, [g.subs(at) for g in level]), k
-                )
-            elif len(level) == 1 and level[0].degree(k) == 1:
-                at = {
-                    s: QQ.to_sympy(v) if QQ.of_type(v) else v
-                    for s, v in zip(ring.symbols[k + 1 :], part)
-                }
-                linear = sympy.Poly(level[0].as_expr(), ring.symbols[k])
-                c1, c0 = (c.subs(at) for c in linear.all_coeffs())
-                value = -c0 / c1
-                values = [QQ.from_sympy(value) if value.is_Rational else value]
-            else:
-                raise StructuralError(
-                    f"nonlinear level in {ring.symbols[k]} over an irrational root"
-                )
-            extended.extend((value, *part) for value in values)
-        partials = extended
-    return partials
+    s = _sqrt(radicand)
+    w = 1 + radicand
+    roots = []
+    for n_g in ((s,) if radicand == 0 else (-s, s)):
+        root = [n_g] * 3
+        root[a], root[b] = (n_g * v_a + v_b) / w, (n_g * v_b - v_a) / w
+        roots.append(tuple(root))
+    return roots
 
 
-def _rational_level_roots(poly: PolyElement, k: int) -> list:
-    """Real roots of ``poly``, a polynomial in generator ``k`` alone, ascending."""
-    values = []
-    for factor, _ in poly.factor_list()[1]:
-        coeffs = {m[k]: c for m, c in factor.terms()}
-        if factor.degree(k) == 1:
-            values.append(-coeffs.get(0, QQ.zero) / coeffs[1])
-        else:
-            dup = [coeffs.get(i, QQ.zero) for i in range(factor.degree(k), -1, -1)]
-            if dup_count_real_roots(dup, QQ):
-                values.extend(
-                    sympy.Poly(factor.as_expr(), factor.ring.symbols[k]).real_roots()
-                )
-    return sorted(values, key=float)
+def _axis_equations(generator: str, image) -> list[dict[tuple[int, int, int], Fraction]]:
+    """The x, y and z equations of the system as ``{exponents: coefficient}``."""
+    g, a, b = _cyclic(generator)
+    v = [Fraction(x) for x in image]
+    half = Fraction(1, 2)
+
+    def monomial(*axes: int) -> tuple[int, int, int]:
+        return tuple(axes.count(i) for i in range(3))
+
+    eqs = {
+        a: {monomial(g, a): 1, monomial(b): -1, monomial(): -v[a]},
+        b: {monomial(g, b): 1, monomial(a): 1, monomial(): -v[b]},
+        g: {
+            monomial(g, g): half,
+            monomial(a, a): -half,
+            monomial(b, b): -half,
+            monomial(): half - v[g],
+        },
+    }
+    return [{m: Fraction(c) for m, c in eqs[i].items() if c} for i in range(3)]
 
 
-def _format_equation(poly: PolyElement) -> str:
-    """``str(poly.as_expr()) + " = 0"``, written from the lex terms of ``poly``.
+def _format_equation(poly: dict[tuple[int, int, int], Fraction]) -> str:
+    """``poly = 0`` as sympy prints the polynomial in n_x, n_y and n_z.
 
-    sympy prints a polynomial's terms in descending lex order, each as
-    ``p*m/q`` with the ``1*`` and ``/1`` left out and the sign pulled to the
-    front (``n_x**2/2``, ``3*n_x/2``, ``- 1/2``).
+    Terms in descending lex order of their exponents, each as ``p*m/q`` with
+    the ``1*`` and ``/1`` left out and the sign pulled to the front
+    (``n_x**2/2``, ``3*n_x/2``, ``- 1/2``).
     """
     text = ""
-    for monom, coeff in poly.terms():
-        num, den = abs(QQ.numer(coeff)), QQ.denom(coeff)
-        factors = [
-            f"{s}" if e == 1 else f"{s}**{e}" for s, e in zip(poly.ring.symbols, monom) if e
-        ]
+    for monom, coeff in sorted(poly.items(), reverse=True):
+        num, den = abs(coeff.numerator), coeff.denominator
+        factors = [f"n_{c}" if e == 1 else f"n_{c}**{e}" for c, e in zip(_AXES, monom) if e]
         body = "*".join(([str(num)] if num != 1 or not factors else []) + factors)
         text += f" {'-' if coeff < 0 else '+'} {body}" + (f"/{den}" if den != 1 else "")
     return ("-" if text[1] == "-" else "") + text[3:] + " = 0"
@@ -195,27 +177,23 @@ def solve_generator_system(
     """All real solutions of ``R† q_g R = image`` at angle pi/2.
 
     The three scalar equations are the general (non-unit-axis) conjugation
-    expansion at pi/2, ``(1 - |n|^2)/2 e_g + e_g x n + n_g n - image``, built
-    exactly in QQ[n_x, n_y, n_z] (the image entries become exact rationals).
-    Their real roots come from :func:`real_solutions`, so a system with a
-    positive-dimensional solution set (e.g. the y system with a zero image)
-    raises :class:`StructuralError`; acceptable roots are the real solutions
-    whose norm is 1 within 1e-8.
+    expansion at pi/2, ``(1 - |n|^2)/2 e_g + e_g x n + n_g n = v``, with the
+    image v in exact rationals.  Take (g, a, b) cyclic, so that
+    e_g x e_a = e_b, and put s = n_g and w = 1 + s^2 > 0.  The system reads
+
+        s n_a - n_b = v_a,   n_a + s n_b = v_b,   (1 + s^2 - n_a^2 - n_b^2)/2 = v_g,
+
+    so ``n_a = (s v_a + v_b)/w`` and ``n_b = (s v_b - v_a)/w``, and then
+    ``n_a^2 + n_b^2 = (v_a^2 + v_b^2)/w`` turns the last equation into
+    ``w^2 - 2 v_g w - (v_a^2 + v_b^2) = 0``, with roots ``w = v_g +- |v|``.
+    Only ``v_g + |v|`` can reach w >= 1, so the real roots are exactly
+    ``s = +-sqrt(v_g + |v| - 1)`` when that radicand is >= 0, one root at 0.
+    Over C the linear part is singular at s = +-i, and there the system
+    keeps a curve of solutions exactly when v = 0: that system raises
+    :class:`StructuralError` (see :func:`real_axis_roots`).  Acceptable roots
+    are the real solutions whose norm is 1 within 1e-8.
     """
-    _, *n = ring("n_x,n_y,n_z", QQ, lex)
-    e_g = [int(c == generator) for c in _AXES]
-    half = (1 - sum(v**2 for v in n)) * QQ(1, 2)
-    cross = [
-        e_g[1] * n[2] - e_g[2] * n[1],
-        e_g[2] * n[0] - e_g[0] * n[2],
-        e_g[0] * n[1] - e_g[1] * n[0],
-    ]
-    n_g = n[_AXES.index(generator)]
-    eqs = [
-        half * e_g[i] + cross[i] + n_g * n[i] - QQ(*float(v).as_integer_ratio())
-        for i, v in enumerate(image)
-    ]
-    real_roots = [tuple(float(v) for v in root) for root in real_solutions(eqs)]
+    real_roots = [tuple(float(x) for x in root) for root in real_axis_roots(generator, image)]
     acceptable = [
         r
         for r in real_roots
@@ -224,9 +202,9 @@ def solve_generator_system(
     worst = 0.0
     for r in real_roots:
         got = conjugation_image(np.array(r), _THETA, generator)
-        worst = max(worst, float(np.abs(got - np.array(image)).max()))
+        worst = max(worst, float(np.abs(got - np.array(image, dtype=float)).max()))
     return GeneratorSystemResult(
-        equations=[_format_equation(e) for e in eqs],
+        equations=[_format_equation(e) for e in _axis_equations(generator, image)],
         acceptable_roots=sorted(acceptable),
         max_equation_residual=worst,
     )

@@ -255,7 +255,8 @@ def test_full_run_summary_structure(tmp_path):
 def modules_loaded_by(statement, prefix):
     """Modules under ``prefix`` a fresh interpreter holds after ``statement``.
 
-    A fresh interpreter, because this test process may have loaded them already.
+    A fresh interpreter, because this test process may have loaded them
+    already.  The list is the last line the interpreter prints.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code = (
@@ -266,11 +267,22 @@ def modules_loaded_by(statement, prefix):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return proc.stdout.splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy():
     assert modules_loaded_by("pass", "scipy") == "[]"
+
+
+@pytest.mark.parametrize("prefix", ["sympy", "mpmath"])
+def test_cli_import_and_run_load_no_sympy(prefix, tmp_path):
+    # sympy, and mpmath with it, is a test-only dependency
+    run = (
+        "assert qwitness.cli.main(['all', '--budget', '0', '--db', '32', "
+        f"'--out', {str(tmp_path)!r}]) == 0"
+    )
+    assert modules_loaded_by("pass", prefix) == "[]"
+    assert modules_loaded_by(run, prefix) == "[]"
 
 
 def test_axis_solve_loads_no_sympy_physics():

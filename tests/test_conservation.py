@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qwitness.conservation import (
     constrain_family,
     family_to_json,
     pauli_operator_basis,
+    rref,
     span_projection_residual,
     zm_sector_maps,
 )
@@ -118,6 +120,38 @@ def test_null_space_is_an_orthonormal_kernel(a):
     assert np.abs(a @ kernel).max(initial=0.0) < 1e-12
     if not a.any():  # no constraint at all: every direction is free
         assert np.array_equal(kernel, np.eye(n))
+
+
+def assert_rref_matches_sympy(matrix):
+    reduced, pivots = rref(matrix)
+    want, want_pivots = sympy.Matrix(*matrix.shape, matrix.ravel().tolist()).rref()
+    assert pivots == want_pivots
+    assert reduced == [
+        [Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    ("basis", "conserved"),
+    [
+        (classical_mediator_family().basis, ConservedQuantity.nonadditive()),
+        (channel_extension_family().basis, ConservedQuantity.channel3()),
+        (pauli_operator_basis(2), ConservedQuantity.additive()),
+        (pauli_operator_basis(2), ConservedQuantity.nonadditive()),
+    ],
+    ids=["classical", "channel3", "additive-ambient", "nonadditive-ambient"],
+)
+def test_rref_matches_sympy_on_the_cli_constraint_matrices(basis, conserved):
+    rows, _ = _commutator_constraint_matrix(basis, conserved)
+    assert_rref_matches_sympy(np.rint(rows).astype(int))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices)
+@example(np.zeros((0, 4)))  # no constraint row at all
+@example(np.zeros((3, 4)))
+def test_rref_matches_sympy_on_small_integer_matrices(a):
+    assert_rref_matches_sympy(a.astype(int))
 
 
 def test_empty_ambient_is_rejected():

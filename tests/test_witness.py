@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import lex
-from sympy.polys.rings import ring
+from sympy.polys.rings import PolyElement, ring
+from sympy.polys.rootisolation import dup_count_real_roots
 
 from qwitness.circuit import evolve_descriptors, witness_circuit
 from qwitness.dense import PAULI_MATS
@@ -24,7 +28,7 @@ from qwitness.witness import (
     conjugation_image,
     exchange_hamiltonian,
     quantum_demo,
-    real_solutions,
+    real_axis_roots,
     roots_intersection,
     solve_generator_system,
 )
@@ -183,7 +187,6 @@ def test_roots_satisfy_their_systems_after_substitution():
 
 
 AXIS = sympy.symbols("n_x n_y n_z", real=True)
-AXIS_RING = ring(AXIS, QQ, lex)[0]
 
 
 def oracle_equations(generator, image):
@@ -209,6 +212,124 @@ def solve_then_drop_complex(eqs):
     return roots
 
 
+def groebner_real_solutions(polys):
+    """Oracle: exact real solutions of a zero-dimensional system in a lex ring.
+
+    The solve runs in the polynomial ring of ``polys`` (its first generator
+    largest): the reduced lex Groebner basis, then back-substitution from the
+    last generator to the first.  Each level's values are the real roots of
+    the gcd of the basis elements in that generator and the ones already
+    fixed, so complex branches are never followed.  Over a rational partial
+    root the gcd is factored over QQ: a linear factor gives an exact ``QQ``
+    root and a nonlinear factor with real (so irrational) roots goes through
+    ``Poly.real_roots``; a level over an irrational partial root must be one
+    element linear in its generator, solved as ``-c0/c1``.  A
+    positive-dimensional system, or a nonlinear level over an irrational
+    partial root, raises :class:`StructuralError`.
+    """
+    ring_ = polys[0].ring
+    if ring_.order != lex:
+        raise StructuralError(f"back-substitution needs lex order, not {ring_.order}")
+    basis = groebner(polys, ring_)
+    if basis == [ring_.one]:
+        return []
+    leading = [g.LM for g in basis]
+    if not all(
+        any(m[k] and sum(m) == m[k] for m in leading) for k in range(ring_.ngens)
+    ):
+        raise StructuralError(f"positive-dimensional system: {basis}")
+    partials = [()]
+    for k in range(ring_.ngens - 1, -1, -1):
+        fixed = ring_.gens[k + 1 :]
+        level = [
+            g for g in basis
+            if g.degree(k) > 0 and not any(g.degree(i) for i in range(k))
+        ]
+        extended = []
+        for part in partials:
+            if all(QQ.of_type(v) for v in part):
+                at = list(zip(fixed, part))
+                values = _rational_level_roots(
+                    reduce(PolyElement.gcd, [g.subs(at) for g in level]), k
+                )
+            elif len(level) == 1 and level[0].degree(k) == 1:
+                at = {
+                    s: QQ.to_sympy(v) if QQ.of_type(v) else v
+                    for s, v in zip(ring_.symbols[k + 1 :], part)
+                }
+                linear = sympy.Poly(level[0].as_expr(), ring_.symbols[k])
+                c1, c0 = (c.subs(at) for c in linear.all_coeffs())
+                value = -c0 / c1
+                values = [QQ.from_sympy(value) if value.is_Rational else value]
+            else:
+                raise StructuralError(
+                    f"nonlinear level in {ring_.symbols[k]} over an irrational root"
+                )
+            extended.extend((value, *part) for value in values)
+        partials = extended
+    return partials
+
+
+def _rational_level_roots(poly, k):
+    """Real roots of ``poly``, a polynomial in generator ``k`` alone, ascending."""
+    values = []
+    for factor, _ in poly.factor_list()[1]:
+        coeffs = {m[k]: c for m, c in factor.terms()}
+        if factor.degree(k) == 1:
+            values.append(-coeffs.get(0, QQ.zero) / coeffs[1])
+        else:
+            dup = [coeffs.get(i, QQ.zero) for i in range(factor.degree(k), -1, -1)]
+            if dup_count_real_roots(dup, QQ):
+                values.extend(
+                    sympy.Poly(factor.as_expr(), factor.ring.symbols[k]).real_roots()
+                )
+    return sorted(values, key=float)
+
+
+def groebner_axis_roots(generator, eqs):
+    """The Groebner oracle on one axis system, roots in (n_x, n_y, n_z) order.
+
+    The ring puts n_g last, so back-substitution fixes n_g first.  Distinct
+    roots of a system with a nonzero image have distinct n_g, so the levels
+    above it are linear and an irrational n_g never meets a nonlinear level.
+    """
+    g = "xyz".index(generator)
+    order = [i for i in range(3) if i != g] + [g]
+    axis_ring = ring([AXIS[i] for i in order], QQ, lex)[0]
+    roots = groebner_real_solutions([axis_ring(e) for e in eqs])
+    return [tuple(root[order.index(i)] for i in range(3)) for root in roots]
+
+
+def assert_same_roots(got, want):
+    """Both root lists hold the same points, pointwise within 1e-9."""
+    for root in got:
+        assert any(max(abs(a - b) for a, b in zip(root, w)) <= 1e-9 for w in want)
+    for w in want:
+        assert any(max(abs(a - b) for a, b in zip(root, w)) <= 1e-9 for root in got)
+
+
+def check_against_oracles(generator, image):
+    """The closed form's equations and full real root set against both oracles.
+
+    Returns the number of real roots.
+    """
+    eqs = oracle_equations(generator, image)
+    # the equation strings are sympy's own printing of the expressions
+    assert solve_generator_system(generator, image).equations == [
+        str(e) + " = 0" for e in eqs
+    ]
+    # the full real root set, before the unit-norm filter
+    got = [tuple(float(v) for v in root) for root in real_axis_roots(generator, image)]
+    back_substituted = [
+        tuple(float(v) for v in root) for root in groebner_axis_roots(generator, eqs)
+    ]
+    want = solve_then_drop_complex(eqs)
+    assert len(got) == len(back_substituted) == len(want)
+    assert_same_roots(got, want)
+    assert_same_roots(got, back_substituted)
+    return len(got)
+
+
 @pytest.mark.parametrize(
     ("generator", "image", "count"),
     [
@@ -222,20 +343,31 @@ def solve_then_drop_complex(eqs):
     ],
 )
 def test_real_solutions_match_solve_then_filter(generator, image, count):
-    eqs = oracle_equations(generator, image)
-    # the equation strings are sympy's own printing of the expressions
-    assert solve_generator_system(generator, image).equations == [
-        str(e) + " = 0" for e in eqs
+    assert check_against_oracles(generator, image) == count
+
+
+RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+NONZERO_IMAGE = st.tuples(RATIONAL, RATIONAL, RATIONAL).filter(any)
+
+
+# sympy.solve takes about a second per system, hence few examples here and
+# many more against the Groebner oracle alone below
+@settings(max_examples=5, deadline=None)
+@given(generator=st.sampled_from("xyz"), image=NONZERO_IMAGE)
+def test_real_solutions_match_solve_then_filter_on_rational_images(generator, image):
+    check_against_oracles(generator, image)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator=st.sampled_from("xyz"), image=NONZERO_IMAGE)
+def test_real_solutions_match_groebner_oracle_on_rational_images(generator, image):
+    got = [tuple(float(v) for v in root) for root in real_axis_roots(generator, image)]
+    want = [
+        tuple(float(v) for v in root)
+        for root in groebner_axis_roots(generator, oracle_equations(generator, image))
     ]
-    # the full real root set, before the unit-norm filter
-    roots = real_solutions([AXIS_RING(e) for e in eqs])
-    got = [tuple(float(v) for v in root) for root in roots]
-    want = solve_then_drop_complex(eqs)
-    assert len(got) == len(want) == count
-    for root in got:
-        assert any(max(abs(a - b) for a, b in zip(root, w)) <= 1e-9 for w in want)
-    for w in want:
-        assert any(max(abs(a - b) for a, b in zip(root, w)) <= 1e-9 for root in got)
+    assert len(got) == len(want)
+    assert_same_roots(got, want)
 
 
 def test_positive_dimensional_axis_system_is_rejected():
@@ -248,7 +380,7 @@ def test_nonlinear_level_over_irrational_root_is_rejected():
     # x = +-sqrt(2) fixed first, then y^2 = 2 over it: not solved by -c0/c1
     _, y, x = ring("y x", QQ, lex)
     with pytest.raises(StructuralError):
-        real_solutions([x**2 - 2, y**2 - 2])
+        groebner_real_solutions([x**2 - 2, y**2 - 2])
 
 
 @pytest.mark.parametrize("system", ["z", "x", "y_target", "y_sign_flipped"])
@@ -257,11 +389,11 @@ def test_real_solutions_are_exact_rationals_on_the_cli_systems(system):
     image = WITNESS_FRAME_MAP[:, "xyz".index(generator)]
     if system == "y_sign_flipped":
         image = -image
-    roots = real_solutions([AXIS_RING(e) for e in oracle_equations(generator, image)])
+    roots = real_axis_roots(generator, image)
     assert len(roots) == {"z": 1, "x": 1, "y_target": 0, "y_sign_flipped": 2}[system]
     for root in roots:
         for v in root:
-            assert QQ.of_type(v) and v in (QQ(-1), QQ(0), QQ(1))
+            assert isinstance(v, Fraction) and v in (-1, 0, 1)
 
 
 def test_axis_systems_have_empty_intersection():
