@@ -17,6 +17,7 @@ block diagonal in Z_M, so the probe only meets the Z_M = +1 block.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +34,21 @@ from .dense import assert_density_matrix, partial_trace, qubit_state
 from .reports import WitnessReport
 
 
+@lru_cache(maxsize=64)
+def _partial_swap(eta: float) -> np.ndarray:
+    """The read-only unitary P(eta), built once per angle."""
+    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
+    p.flags.writeable = False
+    return p
+
+
 def homogenize_step(
     rho: np.ndarray, xi: np.ndarray, eta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One collision: reduced states of P (rho x xi) P† on each side."""
     assert_density_matrix(rho)
     assert_density_matrix(xi)
-    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
+    p = _partial_swap(eta)
     joint = p @ np.kron(rho, xi) @ p.conj().T
     return (
         partial_trace(joint, (2, 2), keep=(0,)),
@@ -287,6 +296,4 @@ def classical_reservoir_check(
 
 def nonadditive_conservation_residual(eta: float) -> float:
     """|[P(eta), Z_Q + Z_M + Z_Q Z_M]|_F (zero: the coupling is allowed)."""
-    return conservation_residual(
-        gate_unitary(GateSpec(PARTIAL_SWAP, eta)), ConservedQuantity.nonadditive()
-    )
+    return conservation_residual(_partial_swap(eta), ConservedQuantity.nonadditive())

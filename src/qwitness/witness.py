@@ -289,17 +289,28 @@ def axis_constraint_report() -> WitnessReport:
 # -- bounded classical-mediator search --------------------------------------
 
 
-def _sector_kernel(axes: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame-map residual and state-level coherence of one sector, (B, T) each.
+#: Cells (samples x time points) the search evaluates at once: a block of
+#: ``_BLOCK_CELLS // time_points`` samples keeps each (block, T) array at
+#: most 128 KiB.
+_BLOCK_CELLS = 2**14
+
+
+def _sector_kernel(
+    axes: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unscaled frame-map residual and coherence of one sector, (B, T) each.
 
     Q rotates by theta = 2 r t about the unit axis u = n / r.  W is symmetric
     with trace -1, so ``2 |R - W|_F^2 = 16 - 8 s (1 + q)`` with
     ``s = sin^2(r t)`` and ``q = u.W u = 2 u_x u_z - u_y^2``.  For unit u,
     ``1 + q = (u_x + u_z)^2`` and ``1 - q = (u_x - u_z)^2 + 2 u_y^2``, so the
-    residual is evaluated as the sum of squares
-    ``8 (cos^2(r t) (u_x + u_z)^2 + (u_x - u_z)^2 + 2 u_y^2)``: no
-    cancellation where it reaches 0.  R |0> has coherence ``2 sqrt(p (1 - p))``
-    with ``p = s (u_x^2 + u_y^2)`` and ``1 - p = cos^2(r t) + s u_z^2``.
+    residual is ``8 res`` with the sum of squares
+    ``res = cos^2(r t) (u_x + u_z)^2 + (u_x - u_z)^2 + 2 u_y^2``: no
+    cancellation where it reaches 0.  R |0> has coherence ``2 sqrt(pop)``
+    with ``pop = p (1 - p)``, ``p = s (u_x^2 + u_y^2)`` and
+    ``1 - p = cos^2(r t) + s u_z^2``.  ``pop`` is None when every row has
+    ``u_x^2 + u_y^2 = 0``, where the coherence is exactly 0.  The callers
+    apply the factor 8 and the ``2 sqrt`` to the entries they keep.
     """
     r = np.linalg.norm(axes, axis=-1)
     degenerate = r < 1e-100  # includes exact zeros; avoids denormal blowup
@@ -307,10 +318,78 @@ def _sector_kernel(axes: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.
     unit[degenerate] = _E["z"]  # s < 1e-198 there: the identity for any unit axis
     ux, uy, uz = unit.T[:, :, None]
     phase = r[:, None] * times[None, :]
-    cos2, sin2 = np.cos(phase) ** 2, np.sin(phase) ** 2
-    res_sq = 8.0 * (cos2 * (ux + uz) ** 2 + ((ux - uz) ** 2 + 2.0 * uy * uy))
-    coh = 2.0 * np.sqrt((cos2 + sin2 * (uz * uz)) * (sin2 * (ux * ux + uy * uy)))
-    return res_sq, coh
+    cos2 = np.cos(phase)
+    cos2 *= cos2
+    res = cos2 * (ux + uz) ** 2
+    res += (ux - uz) ** 2 + 2.0 * uy * uy
+    transverse = ux * ux + uy * uy
+    if not transverse.any():
+        return res, None
+    sin2 = np.sin(phase, out=phase)
+    sin2 *= sin2
+    pop = sin2 * (uz * uz)
+    pop += cos2
+    sin2 *= transverse
+    pop *= sin2
+    return res, pop
+
+
+def _first_max_root(pop: np.ndarray) -> tuple[float, int]:
+    """Maximum of ``sqrt(pop)`` and the flat index of its first occurrence.
+
+    sqrt sends neighbouring doubles to one root, so an entry just below the
+    maximum of ``pop`` may already share its root: the first occurrence is
+    the first entry at or above the smallest double with that root.
+    """
+    flat = pop.ravel()
+    top = int(np.argmax(flat))
+    root = np.sqrt(flat[top])
+    low = flat[top]
+    while low > 0 and np.sqrt(np.nextafter(low, 0.0)) == root:
+        low = np.nextafter(low, 0.0)
+    return float(root), int(np.argmax(flat[: top + 1] >= low))
+
+
+def _search_scan(
+    samples: np.ndarray, times: np.ndarray, maps: np.ndarray
+) -> dict[str, tuple[float, int, int]]:
+    """Best (value, sample index, time index) of each search target.
+
+    ``joint``, ``sector_plus`` and ``sector_minus`` are minimal residuals,
+    ``state_level`` the maximal coherence of U_m |0><0| U_m† over both
+    sectors (diagonal mediator mixtures cannot beat their best pure
+    sector).  Samples are evaluated in blocks of ``_BLOCK_CELLS`` cells; a
+    tie goes to the first occurrence in (sample, time) order.
+    """
+    time_points = len(times)
+    best = {
+        "joint": (np.inf, 0, 0),
+        "sector_plus": (np.inf, 0, 0),
+        "sector_minus": (np.inf, 0, 0),
+        "state_level": (-np.inf, 0, 0),
+    }
+    rows = max(1, _BLOCK_CELLS // time_points)
+    for start in range(0, len(samples), rows):
+        part = samples[start : start + rows]
+        (res_plus, pop_plus), (res_minus, pop_minus) = (
+            _sector_kernel((part @ maps[m])[:, 1:], times) for m in range(2)
+        )
+        # 8 a + 8 b = 8 (a + b) exactly, so the sum is scaled like a sector
+        for key, res in (
+            ("joint", res_plus + res_minus),
+            ("sector_plus", res_plus),
+            ("sector_minus", res_minus),
+        ):
+            flat = int(np.argmin(res))
+            val = float(np.sqrt(8.0 * res.flat[flat]))
+            if val < best[key][0]:
+                best[key] = (val, start + flat // time_points, flat % time_points)
+        for pop in (pop_plus, pop_minus):
+            root, flat = _first_max_root(pop) if pop is not None else (0.0, 0)
+            val = 2.0 * root
+            if val > best["state_level"][0]:
+                best["state_level"] = (val, start + flat // time_points, flat % time_points)
+    return best
 
 
 def classical_impossibility_search(
@@ -335,7 +414,7 @@ def classical_impossibility_search(
     by 2 |n_m| t, and W is symmetric with trace -1, so the squared residual
     of a sector is the closed form ``16 - 8 sin^2(|n_m| t) (1 + u.W u)`` with
     u = n_m / |n_m| (see :func:`_sector_kernel`); the joint residual adds the
-    two sectors.
+    two sectors.  The samples stream through :func:`_search_scan` in blocks.
     """
     family = classical_filtered_family()
     free_names = family.free_params()
@@ -366,48 +445,23 @@ def classical_impossibility_search(
     samples = np.vstack((box_grid(n_free, grid_points, param_range), draws))
     times = np.linspace(0.0, 2 * math.pi, time_points)
 
-    best = {
-        "joint": (np.inf, None),
-        "sector_plus": (np.inf, None),
-        "sector_minus": (np.inf, None),
-    }
-    best_coh = (-np.inf, None)
-    def located(part: np.ndarray, idx: tuple) -> dict:
-        point = {n: float(v) for n, v in zip(free_names, part[idx[0]])}
-        point["time"] = float(times[idx[1]])
+    def located(i: int, j: int) -> dict:
+        point = {n: float(v) for n, v in zip(free_names, samples[i])}
+        point["time"] = float(times[j])
         return point
 
-    chunk = 2048
-    for start in range(0, len(samples), chunk):
-        part = samples[start : start + chunk]
-        (res_plus, coh_plus), (res_minus, coh_minus) = (
-            _sector_kernel((part @ maps[m])[:, 1:], times) for m in range(2)
-        )
-        for key, grid_vals in (
-            ("joint", res_plus + res_minus),
-            ("sector_plus", res_plus),
-            ("sector_minus", res_minus),
-        ):
-            idx = np.unravel_index(np.argmin(grid_vals), grid_vals.shape)
-            val = float(np.sqrt(grid_vals[idx]))
-            if val < best[key][0]:
-                best[key] = (val, located(part, idx))
-        # state level: coherence of U_m |0><0| U_m† maximised over sectors
-        # (diagonal mediator mixtures cannot beat their best pure sector)
-        for coh in (coh_plus, coh_minus):
-            idx = np.unravel_index(np.argmax(coh), coh.shape)
-            val = float(coh[idx])
-            if val > best_coh[0]:
-                best_coh = (val, located(part, idx))
-
+    best = {
+        key: (val, located(i, j))
+        for key, (val, i, j) in _search_scan(samples, times, maps).items()
+    }
     report.findings["min_residual_joint"] = best["joint"][0]
     report.findings["min_residual_mediator_plus"] = best["sector_plus"][0]
     report.findings["min_residual_mediator_minus"] = best["sector_minus"][0]
     report.findings["argmin_joint"] = best["joint"][1]
     report.findings["argmin_mediator_plus"] = best["sector_plus"][1]
     report.findings["argmin_mediator_minus"] = best["sector_minus"][1]
-    report.coherence_maxima["state_level_best"] = best_coh[0]
-    report.findings["argmax_state_level"] = best_coh[1]
+    report.coherence_maxima["state_level_best"] = best["state_level"][0]
+    report.findings["argmax_state_level"] = best["state_level"][1]
     report.add_check(
         "joint-residual-gap",
         best["joint"][0],

@@ -271,6 +271,15 @@ def test_experiment_steps_each_collision_once(monkeypatch, eta, n_steps, calls):
     assert all(c.passed for c in checks)
 
 
+def test_partial_swap_is_built_once_per_angle_and_read_only():
+    p = homogenizer._partial_swap(0.4)
+    assert homogenizer._partial_swap(0.4) is p
+    assert np.array_equal(p, gate_unitary(GateSpec(PARTIAL_SWAP, 0.4)))
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0, 0] = 0.0
+
+
 def test_xi_coefficient_degenerate_reservoir_state():
     assert math.isnan(xi_coefficient(qubit_state((0, 0, 1)), np.eye(2) / 2))
 

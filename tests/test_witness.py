@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -16,11 +17,13 @@ from sympy.polys.rootisolation import dup_count_real_roots
 from qwitness.circuit import evolve_descriptors, witness_circuit
 from qwitness.dense import PAULI_MATS
 from qwitness.errors import ContractViolation, StructuralError
+from qwitness import witness
 from qwitness.paulis import signed_single_label
 from qwitness.witness import (
     EXCHANGE_INTERACTION,
     SWAP_INTERACTION,
     WITNESS_FRAME_MAP,
+    _first_max_root,
     _sector_kernel,
     axis_constraint_report,
     classical_impossibility_search,
@@ -501,6 +504,52 @@ def test_batched_rotations_zero_axis_is_identity():
     assert np.allclose(rots[0, 1], np.eye(3))
 
 
+def chunked_sector_kernel(axes, times):
+    """Scaled residual and coherence of one sector, (B, T) each, in one pass."""
+    r = np.linalg.norm(axes, axis=-1)
+    degenerate = r < 1e-100
+    unit = axes / np.where(degenerate, 1.0, r)[:, None]
+    unit[degenerate] = np.array([0.0, 0.0, 1.0])
+    ux, uy, uz = unit.T[:, :, None]
+    phase = r[:, None] * times[None, :]
+    cos2, sin2 = np.cos(phase) ** 2, np.sin(phase) ** 2
+    res_sq = 8.0 * (cos2 * (ux + uz) ** 2 + ((ux - uz) ** 2 + 2.0 * uy * uy))
+    coh = 2.0 * np.sqrt((cos2 + sin2 * (uz * uz)) * (sin2 * (ux * ux + uy * uy)))
+    return res_sq, coh
+
+
+def chunked_search_scan(samples, times, maps):
+    """Oracle for ``_search_scan``: full (2048, T) residual and coherence
+    arrays per chunk, scaled before the arg-extrema are taken."""
+    best = {
+        "joint": (np.inf, None, None),
+        "sector_plus": (np.inf, None, None),
+        "sector_minus": (np.inf, None, None),
+        "state_level": (-np.inf, None, None),
+    }
+    chunk = 2048
+    for start in range(0, len(samples), chunk):
+        part = samples[start : start + chunk]
+        (res_plus, coh_plus), (res_minus, coh_minus) = (
+            chunked_sector_kernel((part @ maps[m])[:, 1:], times) for m in range(2)
+        )
+        for key, grid_vals in (
+            ("joint", res_plus + res_minus),
+            ("sector_plus", res_plus),
+            ("sector_minus", res_minus),
+        ):
+            idx = np.unravel_index(np.argmin(grid_vals), grid_vals.shape)
+            val = float(np.sqrt(grid_vals[idx]))
+            if val < best[key][0]:
+                best[key] = (val, start + int(idx[0]), int(idx[1]))
+        for coh in (coh_plus, coh_minus):
+            idx = np.unravel_index(np.argmax(coh), coh.shape)
+            val = float(coh[idx])
+            if val > best["state_level"][0]:
+                best["state_level"] = (val, start + int(idx[0]), int(idx[1]))
+    return best
+
+
 def test_sector_kernel_matches_rotation_tensor():
     # the closed form against the Rodrigues tensor and the coherence of
     # R|0> written out from its diagonal entries, on the search's time grid
@@ -516,7 +565,9 @@ def test_sector_kernel_matches_rotation_tensor():
         [0.0, 0.0, 1.3],
         [0.0, 0.0, -0.7],
     ])
-    res_sq, coh = _sector_kernel(axes, times)
+    res, pop = _sector_kernel(axes, times)
+    # the kernel leaves the factor 8 and the 2 sqrt to its callers
+    res_sq, coh = 8.0 * res, 2.0 * np.sqrt(pop)
     diff = _batched_rotations(axes, times) - WITNESS_FRAME_MAP
     assert np.abs(res_sq - 2.0 * np.sum(diff * diff, axis=(-2, -1))).max() <= 1e-12
     r = np.linalg.norm(axes, axis=-1)
@@ -530,15 +581,38 @@ def test_sector_kernel_matches_rotation_tensor():
     assert np.all(res_sq[-6:-4] == 16.0)
 
 
+def test_sector_kernel_skips_coherence_of_z_axes():
+    # z axes (and the degenerate ones, which stand for e_z) keep |0> sharp
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    axes = np.array([[0.0, 0.0, 1.3], [-0.0, 0.0, -0.7], [0.0, 0.0, 0.0]])
+    res, pop = _sector_kernel(axes, times)
+    assert pop is None
+    expected, coh = chunked_sector_kernel(axes, times)
+    assert np.array_equal(8.0 * res, expected)
+    assert np.all(coh == 0.0)
+
+
+def test_first_max_root_takes_the_first_entry_with_the_maximal_root():
+    above = np.nextafter(0.25, 1.0)  # sqrt rounds it to 0.5, the root of 0.25
+    assert np.sqrt(above) == 0.5
+    pop = np.array([[0.1, 0.25], [above, 0.25]])
+    assert _first_max_root(pop) == (0.5, 1)
+    assert int(np.argmax(2.0 * np.sqrt(pop))) == 1
+    assert _first_max_root(np.zeros((2, 3))) == (0.0, 0)
+    assert _first_max_root(np.array([[0.3, 0.2, 0.3]])) == (math.sqrt(0.3), 0)
+
+
 def test_impossibility_search_budget_zero_is_unproven():
     report = classical_impossibility_search(budget=0)
     assert report.verdict == "UNPROVEN"
     assert report.checks == []
 
 
-def test_impossibility_search_reports_positive_gap():
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_impossibility_search_reports_positive_gap(seed):
+    # 625 grid points + 2000 draws at 32 time points span six 512-row blocks
     report = classical_impossibility_search(
-        budget=500, seed=3, grid_points=5, time_points=32
+        budget=2000, seed=seed, grid_points=5, time_points=32
     )
     assert report.verdict == "POSITIVE-GAP"
     # the |0>-sector only reaches z-rotations, so 2*sqrt(2) bounds its
@@ -547,16 +621,65 @@ def test_impossibility_search_reports_positive_gap():
     assert plus >= 2 * math.sqrt(2) - 1e-9
     assert plus == pytest.approx(2 * math.sqrt(2), abs=1e-6)
     assert report.findings["min_residual_joint"] >= 2 * math.sqrt(2) - 1e-9
+    assert report.findings["min_residual_mediator_minus"] >= 0.0
     # state-level transfer is achievable in the |1> sector
-    assert report.coherence_maxima["state_level_best"] > 0.9
+    best = report.coherence_maxima["state_level_best"]
+    assert 0.9 < best <= 1.0 + 1e-12
 
 
 def test_impossibility_search_is_deterministic():
-    # 81 grid points + 5000 draws span three 2048-sample chunks
+    # 81 grid points + 5000 draws at 16 time points span four full
+    # 1024-row blocks and a ragged fifth
     kwargs = dict(budget=5000, seed=11, grid_points=3, time_points=16)
     a = classical_impossibility_search(**kwargs)
     b = classical_impossibility_search(**kwargs)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},  # the CLI's default search
+        dict(budget=1000, seed=5, grid_points=3),  # 1081 rows: a ragged last block
+        dict(budget=100, seed=6, grid_points=2),  # 116 rows: less than one block
+        dict(budget=700, seed=9, grid_points=1),  # a single grid point
+        dict(budget=9000, seed=12, grid_points=3, time_points=2),  # 8192-row blocks
+        # 48 does not divide _BLOCK_CELLS: 341-row blocks of 16,368 cells
+        dict(budget=1500, seed=13, grid_points=3, time_points=48),
+    ],
+)
+def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
+    # exact equality: the blocks and the deferred scaling change no value,
+    # argument or tie-break
+    streamed = classical_impossibility_search(**kwargs).to_json_dict()
+    monkeypatch.setattr(witness, "_search_scan", chunked_search_scan)
+    assert streamed == classical_impossibility_search(**kwargs).to_json_dict()
+
+
+def test_search_scan_ties_go_to_the_first_occurrence():
+    # a repeated sample set ties every extremum across blocks (256 rows at
+    # T = 64); the first copy must win, as in the chunked oracle
+    from qwitness.conservation import classical_filtered_family, zm_sector_maps
+
+    maps = zm_sector_maps(classical_filtered_family())
+    once = np.random.default_rng(31).uniform(-2.0, 2.0, (300, 4))
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    best = witness._search_scan(np.vstack((once, once, once)), times, maps)
+    assert best == chunked_search_scan(np.vstack((once, once, once)), times, maps)
+    assert best == witness._search_scan(once, times, maps)
+
+
+def test_impossibility_search_peak_memory_is_bounded():
+    # blocks of _BLOCK_CELLS cells keep the search's temporaries small; the
+    # (2048, 64) arrays of a one-pass evaluation peak at about 13 MiB
+    classical_impossibility_search()
+    tracemalloc.start()
+    try:
+        classical_impossibility_search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_classical_family_members_never_move_the_mediator():
