@@ -9,10 +9,7 @@ check deterministically and writes machine-readable reports.
 """
 
 from .circuit import (
-    Circuit,
-    GateSpec,
     evolve_descriptors,
-    gate_unitary,
     network_hamiltonian,
     witness_circuit,
     witness_state_check,

@@ -1,8 +1,10 @@
 """Two-qubit gate network and Heisenberg-picture descriptor evolution.
 
-The network acts on the probe Q (site 0) and mediator M (site 1).  Gates are
-defined as exact Pauli expressions; controlled gates use the projector
-convention ``(I - Z_M)/2``, i.e. the control fires on ``|1>`` of M.  The
+The network acts on the probe Q (site 0) and mediator M (site 1).  Each
+gate is an exact Pauli expression (:class:`OperatorExpr`) from one of the
+builders :func:`cnot_mq`, :func:`cphase_mq`, :func:`ry_m`, :func:`swap` and
+:func:`partial_swap`; controlled gates use the projector convention
+``(I - Z_M)/2``, i.e. the control fires on ``|1>`` of M.  The
 default six-gate sequence drives Q from a Z-sharp state to an X-sharp state
 for every initial mediator state, while its gate-expression sum commutes with
 the non-additive conserved quantity ``Z_Q + Z_M + Z_Q Z_M``.
@@ -16,7 +18,7 @@ After k gates the image of a generator P is ``W† P W`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,91 +36,64 @@ from .reports import Check
 SUBSYSTEMS = ("Q", "M")
 COMPONENTS = ("x", "y", "z")
 
-CNOT_MQ = "cnot_mq"
-CPHASE_MQ = "cphase_mq"
-RY_M = "ry_m"
-SWAP = "swap"
-PARTIAL_SWAP = "partial_swap"
 
-_ANGLED_KINDS = {RY_M, PARTIAL_SWAP}
-_KINDS = {CNOT_MQ, CPHASE_MQ, RY_M, SWAP, PARTIAL_SWAP}
+def _finite_angle(angle: float) -> float:
+    """``angle`` itself; a NaN or infinite gate angle is a StructuralError."""
+    if not math.isfinite(angle):
+        raise StructuralError(f"gate angle must be finite, got {angle!r}")
+    return angle
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """One gate of the network; ``angle`` (radians) only for RY_M/PARTIAL_SWAP."""
-
-    kind: str
-    angle: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise StructuralError(f"unknown gate kind {self.kind!r}")
-        if self.kind in _ANGLED_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise StructuralError(f"{self.kind} requires a finite angle")
-        elif self.angle is not None:
-            raise StructuralError(f"{self.kind} takes no angle")
-
-
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple[GateSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.gates:
-            raise StructuralError("circuit must contain at least one gate")
-
-
-def witness_circuit() -> Circuit:
-    """The six-gate sequence: CNOT, RY(+pi/2) on M, CPHASE, SWAP, RY(-pi/2), CNOT."""
-    return Circuit(
-        (
-            GateSpec(CNOT_MQ),
-            GateSpec(RY_M, math.pi / 2),
-            GateSpec(CPHASE_MQ),
-            GateSpec(SWAP),
-            GateSpec(RY_M, -math.pi / 2),
-            GateSpec(CNOT_MQ),
-        )
-    )
-
-
-def gate_expr(gate: GateSpec) -> OperatorExpr:
-    """Gate expression in the t0 Pauli basis."""
+def _controlled(target: str) -> OperatorExpr:
+    """``target`` on Q when M is |1>: ``(I + Z_M)/2 + (I - Z_M)/2 target``."""
     one = OperatorExpr.identity(2)
-    qx, qy, qz, mx, my, mz = (
-        OperatorExpr.from_label(l) for l in ("XI", "YI", "ZI", "IX", "IY", "IZ")
-    )
-    if gate.kind == CNOT_MQ:
-        return 0.5 * (one + mz) + 0.5 * ((one - mz) @ qx)
-    if gate.kind == CPHASE_MQ:
-        return 0.5 * (one + mz) + 0.5 * ((one - mz) @ qz)
-    if gate.kind == RY_M:
-        half = gate.angle / 2
-        return math.cos(half) * one - (1j * math.sin(half)) * my
-    swap = 0.5 * (one + qx @ mx + qy @ my + qz @ mz)
-    if gate.kind == SWAP:
-        return swap
-    # PARTIAL_SWAP: GateSpec admits no other kind
-    return math.cos(gate.angle) * one + (1j * math.sin(gate.angle)) * swap
+    mz = OperatorExpr.from_label("IZ")
+    return 0.5 * (one + mz) + 0.5 * ((one - mz) @ OperatorExpr.from_label(target))
 
 
-def gate_unitary(gate: GateSpec) -> np.ndarray:
-    """Dense unitary of a gate under the package conventions."""
-    return to_dense(gate_expr(gate))
+def cnot_mq() -> OperatorExpr:
+    """CNOT controlled by M, flipping Q."""
+    return _controlled("XI")
 
 
-def composite_unitary(circuit: Circuit) -> np.ndarray:
-    """Product G_k ... G_1 of the circuit's gates (first gate rightmost)."""
-    total = gate_unitary(circuit.gates[0])
-    for gate in circuit.gates[1:]:
-        total = gate_unitary(gate) @ total
+def cphase_mq() -> OperatorExpr:
+    """Controlled-Z, controlled by M."""
+    return _controlled("ZI")
+
+
+def ry_m(angle: float) -> OperatorExpr:
+    """``exp(-i angle Y_M / 2)``, a Y rotation of M by ``angle`` radians."""
+    half = _finite_angle(angle) / 2
+    my = OperatorExpr.from_label("IY")
+    return math.cos(half) * OperatorExpr.identity(2) - (1j * math.sin(half)) * my
+
+
+def swap() -> OperatorExpr:
+    """``(I + XX + YY + ZZ)/2``, exchanging Q and M."""
+    return 0.5 * OperatorExpr({"II": 1.0, "XX": 1.0, "YY": 1.0, "ZZ": 1.0})
+
+
+def partial_swap(eta: float) -> OperatorExpr:
+    """``P(eta) = cos(eta) I + i sin(eta) S`` with S the swap."""
+    eta = _finite_angle(eta)
+    return math.cos(eta) * OperatorExpr.identity(2) + (1j * math.sin(eta)) * swap()
+
+
+def witness_circuit() -> tuple[OperatorExpr, ...]:
+    """The six-gate sequence: CNOT, RY(+pi/2) on M, CPHASE, SWAP, RY(-pi/2), CNOT."""
+    return (cnot_mq(), ry_m(math.pi / 2), cphase_mq(), swap(), ry_m(-math.pi / 2), cnot_mq())
+
+
+def composite_unitary(gates: Sequence[OperatorExpr]) -> np.ndarray:
+    """Product G_k ... G_1 of the gates (first gate rightmost); I for no gates."""
+    total = np.eye(4, dtype=complex)
+    for gate in gates:
+        total = to_dense(gate) @ total
     return total
 
 
 def evolve_descriptors(
-    circuit: Circuit,
+    gates: Sequence[OperatorExpr],
 ) -> list[dict[str, tuple[OperatorExpr, OperatorExpr, OperatorExpr]]]:
     """Descriptor rows at t_0 .. t_k from conjugation by the accumulated gate product.
 
@@ -130,8 +105,8 @@ def evolve_descriptors(
         "M": tuple(OperatorExpr.from_label(l) for l in ("IX", "IY", "IZ")),
     }]
     acc = np.eye(4, dtype=complex)
-    for gate in circuit.gates:
-        acc = gate_unitary(gate) @ acc
+    for gate in gates:
+        acc = to_dense(gate) @ acc
         rows.append({
             sub: tuple(pauli_decompose(acc.conj().T @ to_dense(p) @ acc) for p in row)
             for sub, row in rows[0].items()
@@ -145,13 +120,7 @@ def network_hamiltonian() -> OperatorExpr:
     ``2*cnot + ry(+pi/2) + ry(-pi/2) + cphase + swap``; Hermitian, and it
     commutes exactly with the non-additive conserved quantity.
     """
-    return (
-        2.0 * gate_expr(GateSpec(CNOT_MQ))
-        + gate_expr(GateSpec(RY_M, math.pi / 2))
-        + gate_expr(GateSpec(RY_M, -math.pi / 2))
-        + gate_expr(GateSpec(CPHASE_MQ))
-        + gate_expr(GateSpec(SWAP))
-    )
+    return 2.0 * cnot_mq() + ry_m(math.pi / 2) + ry_m(-math.pi / 2) + cphase_mq() + swap()
 
 
 def witness_state_check(mediator_states: list[np.ndarray]) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Every subcommand evaluates a fixed set of named checks and exits 0 only when
 all checks pass, 1 when a check fails and 2 on a usage, config or output
-error (a run too large for memory is a config error).  Artifacts (CSV/JSON)
-are written once every experiment has returned: exit 1 writes all of them,
-exit 2 none, though the output directory may already have been created.
+error (a run too large for memory or numpy's index range is a config error).
+Artifacts (CSV/JSON) are written once every experiment has returned: exit 1
+writes all of them, exit 2 none, though the output directory may already
+have been created.
 Identical configs produce byte-identical outputs.
 
 Config files are JSON with a ``schema_version`` field; unknown keys are
@@ -46,6 +47,9 @@ _INT_MINIMUM = {
     "seed": 0, "n_steps": 1, "d_b": 2, "budget": 0,
     "grid_points": 1, "time_points": 2, "eta_points": 1, "reservoir_steps": 1,
 }
+#: numpy raises ValueError, not MemoryError, for an array size past its index
+#: range; these fragments tell its messages from other ValueErrors.
+_NUMPY_SIZE_ERRORS = ("Maximum allowed", "array is too big", "dimensions too large")
 #: Largest search box half-width; squares of sector axes stay far from overflow.
 _PARAM_RANGE_MAX = 1e50
 
@@ -225,7 +229,7 @@ def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
     ))
 
     # residual table
-    swap_u = circuit_mod.gate_unitary(circuit_mod.GateSpec(circuit_mod.SWAP))
+    swap_u = to_dense(circuit_mod.swap())
     h_net = circuit_mod.network_hamiltonian()
     residual_rows = [
         ("swap-vs-nonadditive", cons.conservation_residual(swap_u, c_non)),
@@ -564,7 +568,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # creating or writing the output directory
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # e.g. a search budget no machine can hold
+    except (MemoryError, ValueError) as exc:  # e.g. a search budget no machine can hold
+        if isinstance(exc, ValueError) and not any(t in str(exc) for t in _NUMPY_SIZE_ERRORS):
+            raise  # a fault, not a size
         print(f"config error: run does not fit in memory: {exc}", file=sys.stderr)
         return 2
     for check in checks:

@@ -1,8 +1,8 @@
 """Collision-model homogenisation of one qubit against a fresh-qubit reservoir.
 
 The system qubit meets each reservoir qubit exactly once through the partial
-swap ``P(eta) = cos(eta) I + i sin(eta) S``, the circuit's ``PARTIAL_SWAP``
-gate.  Because used reservoir qubits are discarded, each step is an exact
+swap ``P(eta) = cos(eta) I + i sin(eta) S`` of ``circuit.partial_swap``.
+Because used reservoir qubits are discarded, each step is an exact
 4-dimensional computation; the joint state over the full reservoir is never
 materialised (cross-checked against a small joint simulation in the tests).
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import GateSpec, PARTIAL_SWAP, gate_unitary
+from .circuit import partial_swap
 from .conservation import (
     ConservedQuantity,
     HamiltonianFamily,
@@ -30,14 +30,14 @@ from .conservation import (
     conservation_residual,
     zm_sector_maps,
 )
-from .dense import assert_density_matrix, partial_trace, qubit_state
+from .dense import assert_density_matrix, partial_trace, qubit_state, to_dense
 from .reports import WitnessReport
 
 
 @lru_cache(maxsize=64)
 def _partial_swap(eta: float) -> np.ndarray:
     """The read-only unitary P(eta), built once per angle."""
-    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
+    p = to_dense(partial_swap(eta))
     p.flags.writeable = False
     return p
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import SWAP, GateSpec, gate_unitary
+from .circuit import swap
 from .conservation import (
     ConservedQuantity,
     box_grid,
@@ -514,11 +514,11 @@ def quantum_demo(interaction: str) -> WitnessReport:
     report = WitnessReport(task=f"qubit mediator, {interaction} interaction")
     ket0 = np.array([1.0, 0.0], dtype=complex)
     if interaction == SWAP_INTERACTION:
-        swap = gate_unitary(GateSpec(SWAP))
+        swap_u = to_dense(swap())
         for sign, name in ((1.0, "plus"), (-1.0, "minus")):
             rho_m = 0.5 * (PAULI_MATS["I"] + sign * PAULI_MATS["X"])
             joint = np.kron(np.outer(ket0, ket0.conj()), rho_m)
-            rho_q = partial_trace(swap @ joint @ swap.conj().T, (2, 2), keep=(0,))
+            rho_q = partial_trace(swap_u @ joint @ swap_u.conj().T, (2, 2), keep=(0,))
             bloch = bloch_vector(rho_q)
             report.findings[f"bloch_{name}"] = bloch.tolist()
             report.add_check(
@@ -531,7 +531,7 @@ def quantum_demo(interaction: str) -> WitnessReport:
             report.coherence_maxima[name] = coherence(rho_q)
         report.add_check(
             "swap-conserves-additive-charge",
-            conservation_residual(swap, c_add),
+            conservation_residual(swap_u, c_add),
             "<",
             1e-12,
             "[SWAP, Z_Q + Z_M] = 0",

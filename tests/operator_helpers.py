@@ -6,7 +6,9 @@ use them rather than in ``src/``.
 
 import numpy as np
 
-from qwitness.circuit import SUBSYSTEMS, Circuit, gate_expr
+from typing import Sequence
+
+from qwitness.circuit import SUBSYSTEMS
 from qwitness.paulis import COEFF_TOL, OperatorExpr
 
 
@@ -50,21 +52,21 @@ def substitute_descriptors(expr: OperatorExpr, row: dict) -> OperatorExpr:
     return out
 
 
-def evolve_descriptors_stepwise(circuit: Circuit) -> list[dict]:
+def evolve_descriptors_stepwise(gates: Sequence[OperatorExpr]) -> list[dict]:
     """Descriptor rows computed gate-at-a-time, each gate written in the previous row.
 
     Reference for :func:`qwitness.circuit.evolve_descriptors`, which conjugates
-    by the accumulated dense gate product: here the slice-i gate is
-    ``gate_expr`` with the descriptors at t_{i-1} substituted for its Pauli
+    by the accumulated dense gate product: here the slice-i gate is its
+    t0-basis expression with the descriptors at t_{i-1} substituted for its Pauli
     letters, and it conjugates those descriptors symbolically.
     """
     rows = [{
         "Q": tuple(OperatorExpr.from_label(l) for l in ("XI", "YI", "ZI")),
         "M": tuple(OperatorExpr.from_label(l) for l in ("IX", "IY", "IZ")),
     }]
-    for gate in circuit.gates:
+    for gate in gates:
         prev = rows[-1]
-        v = substitute_descriptors(gate_expr(gate), prev)
+        v = substitute_descriptors(gate, prev)
         v_dag = dagger(v)
         rows.append({sub: tuple(v_dag @ p @ v for p in triple) for sub, triple in prev.items()})
     return rows

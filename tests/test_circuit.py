@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from qwitness.circuit import (
-    CNOT_MQ,
-    CPHASE_MQ,
-    PARTIAL_SWAP,
     REFERENCE_DESCRIPTOR_TABLE,
-    RY_M,
     SUBSYSTEMS,
-    SWAP,
-    Circuit,
-    GateSpec,
+    cnot_mq,
     composite_unitary,
+    cphase_mq,
     evolve_descriptors,
-    gate_expr,
-    gate_unitary,
     network_hamiltonian,
+    partial_swap,
+    ry_m,
+    swap,
     witness_circuit,
     witness_state_check,
 )
@@ -29,19 +25,23 @@ from qwitness.paulis import OperatorExpr, commutator, signed_single_label
 from operator_helpers import approx_equal, evolve_descriptors_stepwise, is_hermitian, is_unitary
 
 
-def test_gate_spec_validation():
-    with pytest.raises(StructuralError):
-        GateSpec("hadamard")
-    with pytest.raises(StructuralError):
-        GateSpec(RY_M)  # angle required
-    with pytest.raises(StructuralError):
-        GateSpec(SWAP, 0.3)  # no angle allowed
-    with pytest.raises(StructuralError):
-        Circuit(())
+@pytest.mark.parametrize("builder", [ry_m, partial_swap])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_is_a_structural_error(builder, angle):
+    # checked before math.cos, which would raise a plain ValueError on inf
+    with pytest.raises(StructuralError, match="finite"):
+        builder(angle)
+
+
+def test_empty_gate_sequence_is_the_identity():
+    assert np.array_equal(composite_unitary(()), np.eye(4))
+    (row,) = evolve_descriptors([])
+    assert [signed_single_label(e) for e in row["Q"]] == ["+XI", "+YI", "+ZI"]
+    assert [signed_single_label(e) for e in row["M"]] == ["+IX", "+IY", "+IZ"]
 
 
 def test_swap_unitary_swaps_basis_states():
-    u = gate_unitary(GateSpec(SWAP))
+    u = to_dense(swap())
     ket01 = np.zeros(4)
     ket01[1] = 1  # |q=0, m=1>
     ket10 = np.zeros(4)
@@ -50,7 +50,7 @@ def test_swap_unitary_swaps_basis_states():
 
 
 def test_cnot_flips_q_when_m_is_one():
-    u = gate_unitary(GateSpec(CNOT_MQ))
+    u = to_dense(cnot_mq())
     ket = np.zeros(4)
     ket[1] = 1  # |q=0, m=1>
     expected = np.zeros(4)
@@ -63,26 +63,20 @@ def test_cnot_flips_q_when_m_is_one():
 
 
 def test_ry_half_pi_matrix():
-    u = gate_unitary(GateSpec(RY_M, math.pi / 2))
+    u = to_dense(ry_m(math.pi / 2))
     y_m = to_dense(OperatorExpr.from_label("IY"))
     expected = (math.sqrt(2) / 2) * (np.eye(4) - 1j * y_m)
     assert np.allclose(u, expected, atol=1e-14)
 
 
 def test_cphase_matrix():
-    u = gate_unitary(GateSpec(CPHASE_MQ))
+    u = to_dense(cphase_mq())
     assert np.allclose(u, np.diag([1, 1, 1, -1]))
 
 
 def test_all_gates_are_unitary():
-    for spec in (
-        GateSpec(CNOT_MQ),
-        GateSpec(CPHASE_MQ),
-        GateSpec(SWAP),
-        GateSpec(RY_M, 0.7),
-        GateSpec(PARTIAL_SWAP, 0.4),
-    ):
-        assert is_unitary(gate_unitary(spec), tol=1e-12)
+    for gate in (cnot_mq(), cphase_mq(), swap(), ry_m(0.7), partial_swap(0.4)):
+        assert is_unitary(to_dense(gate), tol=1e-12)
 
 
 def test_descriptor_table_reproduced_cell_by_cell():
@@ -96,9 +90,9 @@ def test_descriptor_table_reproduced_cell_by_cell():
 
 
 def test_stepwise_and_composite_frames_agree():
-    circuit = witness_circuit()
-    direct = evolve_descriptors(circuit)
-    stepwise = evolve_descriptors_stepwise(circuit)
+    gates = witness_circuit()
+    direct = evolve_descriptors(gates)
+    stepwise = evolve_descriptors_stepwise(gates)
     assert len(direct) == len(stepwise) == 7
     for a, b in zip(direct, stepwise):
         for sub in SUBSYSTEMS:
@@ -107,7 +101,7 @@ def test_stepwise_and_composite_frames_agree():
 
 
 def test_single_swap_circuit_swaps_the_triples():
-    start, swapped = evolve_descriptors(Circuit((GateSpec(SWAP),)))
+    start, swapped = evolve_descriptors([swap()])
     assert [signed_single_label(e) for e in start["Q"]] == ["+XI", "+YI", "+ZI"]
     assert [signed_single_label(e) for e in start["M"]] == ["+IX", "+IY", "+IZ"]
     for q, m in zip(swapped["Q"], start["M"], strict=True):
@@ -128,12 +122,10 @@ def test_frames_satisfy_su2_relations_and_involution():
                 assert is_hermitian(a, tol=1e-12)
 
 
-def test_partial_swap_gate_expr():
+def test_partial_swap_expression():
     eta = 0.37
-    expr = gate_expr(GateSpec(PARTIAL_SWAP, eta))
-    swap = gate_expr(GateSpec(SWAP))
-    expected = math.cos(eta) * OperatorExpr.identity(2) + (1j * math.sin(eta)) * swap
-    assert approx_equal(expr, expected, tol=1e-14)
+    expected = math.cos(eta) * OperatorExpr.identity(2) + (1j * math.sin(eta)) * swap()
+    assert approx_equal(partial_swap(eta), expected, tol=1e-14)
 
 
 def test_network_hamiltonian_coefficients():
@@ -145,7 +137,7 @@ def test_network_hamiltonian_coefficients():
     assert h.coeff("ZZ") == 0  # cphase and swap ZZ parts cancel
     assert h.coeff("II").real == pytest.approx(2 + math.sqrt(2))
     # the two opposite-angle rotations sum to sqrt(2) times the identity
-    ry_sum = gate_expr(GateSpec(RY_M, math.pi / 2)) + gate_expr(GateSpec(RY_M, -math.pi / 2))
+    ry_sum = ry_m(math.pi / 2) + ry_m(-math.pi / 2)
     assert approx_equal(ry_sum, math.sqrt(2) * OperatorExpr.identity(2), tol=1e-14)
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwitness import cli
 from qwitness.cli import EXPERIMENTS, RunConfig, main, run_experiment
 from qwitness.errors import StructuralError
 from qwitness.reports import write_json
@@ -121,6 +122,12 @@ def test_cli_invalid_parameter_values(tmp_path):
         (["table1"], {"experiment": "oscillator"}, "config error"),  # not the subcommand
         (["witness", "--budget", str(10**15)], None, "config error"),  # after the axis solve
         (["witness"], {"param_range": 1e200}, "config error"),  # sector axes would overflow
+        # sizes past numpy's index range, refused before anything is allocated
+        (["witness", "--budget", str(10**19)], None, "config error"),
+        (["oscillator", "--db", str(10**10)], None, "config error"),
+        (["witness"], {"time_points": 10**19}, "config error"),
+        (["homogenize"], {"eta_points": 10**19}, "config error"),
+        (["witness"], {"grid_points": 100_000}, "config error"),
     ],
 )
 def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, config, message):
@@ -137,6 +144,16 @@ def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, con
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"{message}: ")
     assert not list(out.rglob("*"))
+
+
+def test_cli_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
+    # only numpy's size errors are config errors; any other ValueError is a fault
+    def broken(cfg):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setitem(cli._RUNNERS, "table1", broken)
+    with pytest.raises(ValueError, match="broadcast together"):
+        main(["table1", "--out", str(tmp_path / "out")])
 
 
 _WRONG_TYPE = st.one_of(

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwitness.circuit import GateSpec, SWAP, gate_unitary, network_hamiltonian
+from qwitness.circuit import network_hamiltonian, swap
 from qwitness.conservation import (
     ConservedQuantity,
     HamiltonianFamily,
@@ -243,8 +243,7 @@ def test_zm_sector_maps_reproduce_dense_blocks():
 def test_conservation_residual_examples():
     c_non = ConservedQuantity.nonadditive()
     c_add = ConservedQuantity.additive()
-    swap = gate_unitary(GateSpec(SWAP))
-    assert conservation_residual(swap, c_non) < 1e-12
+    assert conservation_residual(to_dense(swap()), c_non) < 1e-12
     assert conservation_residual(OperatorExpr.from_label("XI"), c_add) > 1.0
     assert conservation_residual(network_hamiltonian(), c_non) < 1e-12
     with pytest.raises(StructuralError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwitness import homogenizer
-from qwitness.circuit import PARTIAL_SWAP, GateSpec, gate_unitary
+from qwitness.circuit import partial_swap
 from qwitness.cli import RunConfig, experiment_homogenize
 from qwitness.conservation import classical_filtered_family
 from qwitness.dense import (
@@ -143,14 +143,14 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
 
 
 def test_partial_swap_limits():
-    assert np.allclose(gate_unitary(GateSpec(PARTIAL_SWAP, 0.0)), np.eye(4))
-    quarter = gate_unitary(GateSpec(PARTIAL_SWAP, math.pi / 2))
+    assert np.allclose(to_dense(partial_swap(0.0)), np.eye(4))
+    quarter = to_dense(partial_swap(math.pi / 2))
     assert np.allclose(quarter, 1j * SWAP, atol=1e-15)
 
 
 def test_partial_swap_is_unitary_and_exchange_symmetric():
     for eta in np.linspace(0, math.pi, 7):
-        p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
+        p = to_dense(partial_swap(eta))
         assert is_unitary(p, tol=1e-12)
         assert np.allclose(SWAP @ p @ SWAP, p)  # symmetric under Q<->M
 
@@ -236,7 +236,7 @@ def test_fresh_ancilla_steps_match_full_joint_simulation():
     # two collisions computed on the full three-qubit joint state
     eta = 0.45
     states, _ = run(eta, 2)
-    p = gate_unitary(GateSpec(PARTIAL_SWAP, eta))
+    p = to_dense(partial_swap(eta))
     u1 = np.kron(p, np.eye(2))          # acts on (Q, M1), M2 idle
     # P on (Q, M2) with M1 idle: permute the SWAP embedding
     perm = np.zeros((8, 8))
@@ -274,7 +274,7 @@ def test_experiment_steps_each_collision_once(monkeypatch, eta, n_steps, calls):
 def test_partial_swap_is_built_once_per_angle_and_read_only():
     p = homogenizer._partial_swap(0.4)
     assert homogenizer._partial_swap(0.4) is p
-    assert np.array_equal(p, gate_unitary(GateSpec(PARTIAL_SWAP, 0.4)))
+    assert np.array_equal(p, to_dense(partial_swap(0.4)))
     assert not p.flags.writeable
     with pytest.raises(ValueError):
         p[0, 0] = 0.0
