@@ -329,8 +329,7 @@ def experiment_witness(cfg: RunConfig) -> tuple[list[Check], dict]:
     )
     checks.extend(search.checks)
 
-    swap_demo = wit.quantum_demo(wit.SWAP_INTERACTION)
-    exchange_demo = wit.quantum_demo(wit.EXCHANGE_INTERACTION)
+    swap_demo, exchange_demo = wit.quantum_demo()
     checks.extend(swap_demo.checks)
     checks.extend(exchange_demo.checks)
 

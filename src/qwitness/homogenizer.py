@@ -48,6 +48,11 @@ def homogenize_step(
     """One collision: reduced states of P (rho x xi) P† on each side."""
     assert_density_matrix(rho)
     assert_density_matrix(xi)
+    return _collide(rho, xi, eta)
+
+
+def _collide(rho: np.ndarray, xi: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`homogenize_step` on states the caller has already validated."""
     p = _partial_swap(eta)
     joint = p @ np.kron(rho, xi) @ p.conj().T
     return (
@@ -102,12 +107,15 @@ def run(
     """Homogenise against n fresh reservoir qubits, one collision each.
 
     Returns ``(states, used)``: the system states rho_0 ... rho_n and the used
-    reservoir qubit after each collision.
+    reservoir qubit after each collision.  ``rho0`` and ``xi`` are validated
+    once; every later state is a collision output, a state by construction.
     """
+    assert_density_matrix(rho0)
+    assert_density_matrix(xi)
     states = [np.array(rho0, dtype=complex)]
     used: list[np.ndarray] = []
     for _ in range(n_steps):
-        rho, xi_out = homogenize_step(states[-1], xi, eta)
+        rho, xi_out = _collide(states[-1], xi, eta)
         states.append(rho)
         used.append(xi_out)
     return states, used

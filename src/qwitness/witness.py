@@ -18,7 +18,6 @@ labelled as such (a search never proves impossibility).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -80,15 +79,6 @@ def conjugation_image(n: np.ndarray, theta: float, generator: str) -> np.ndarray
 # -- axis constraint systems ------------------------------------------------
 
 
-@dataclass
-class GeneratorSystemResult:
-    """Roots of one generator's constraint system."""
-
-    equations: list[str]
-    acceptable_roots: list[tuple[float, float, float]]
-    max_equation_residual: float
-
-
 def _sqrt(x: Fraction | float) -> Fraction | float:
     """Square root of ``x >= 0``: exact for a rational square, else a float."""
     if isinstance(x, Fraction):
@@ -107,12 +97,27 @@ def _cyclic(generator: str) -> tuple[int, int, int]:
 def real_axis_roots(generator: str, image) -> list[tuple]:
     """All real axes n (in x, y, z order) with ``R† q_g R = image`` at pi/2.
 
-    Closed form of the system documented at :func:`solve_generator_system`,
-    in exact rationals (the image entries are converted with ``Fraction``).
+    The three scalar equations are the general (non-unit-axis) conjugation
+    expansion at pi/2, ``(1 - |n|^2)/2 e_g + e_g x n + n_g n = v``, with the
+    image v in exact rationals (the entries are converted with ``Fraction``).
+    Take (g, a, b) cyclic, so that e_g x e_a = e_b, and put s = n_g and
+    w = 1 + s^2 > 0.  The system reads
+
+        s n_a - n_b = v_a,   n_a + s n_b = v_b,   (1 + s^2 - n_a^2 - n_b^2)/2 = v_g,
+
+    so ``n_a = (s v_a + v_b)/w`` and ``n_b = (s v_b - v_a)/w``, and then
+    ``n_a^2 + n_b^2 = (v_a^2 + v_b^2)/w`` turns the last equation into
+    ``w^2 - 2 v_g w - (v_a^2 + v_b^2) = 0``, with roots ``w = v_g +- |v|``.
+    Only ``v_g + |v|`` can reach w >= 1, so the real roots are exactly
+    ``s = +-sqrt(v_g + |v| - 1)`` when that radicand is >= 0, one root at 0.
+    For a unit image every real root is a unit axis: s^2 = v_g and
+    n_a^2 + n_b^2 = 1 - v_g.  Over C the linear part is singular at s = +-i,
+    and there the system keeps a curve of solutions exactly when v = 0: a
+    zero image raises :class:`StructuralError`.
+
     A coordinate is a ``Fraction`` where the square roots it needs are
-    rational squares and a float otherwise.  A zero image, the only real one
-    whose system is positive-dimensional, raises :class:`StructuralError`.
-    Roots come in ascending order of n_g.
+    rational squares and a float otherwise.  Roots come in ascending order
+    of n_g.
     """
     g, a, b = _cyclic(generator)
     v_g, v_a, v_b = (Fraction(image[i]) for i in (g, a, b))
@@ -171,118 +176,50 @@ def _format_equation(poly: dict[tuple[int, int, int], Fraction]) -> str:
     return ("-" if text[1] == "-" else "") + text[3:] + " = 0"
 
 
-def solve_generator_system(
-    generator: str, image: tuple[float, float, float]
-) -> GeneratorSystemResult:
-    """All real solutions of ``R† q_g R = image`` at angle pi/2.
-
-    The three scalar equations are the general (non-unit-axis) conjugation
-    expansion at pi/2, ``(1 - |n|^2)/2 e_g + e_g x n + n_g n = v``, with the
-    image v in exact rationals.  Take (g, a, b) cyclic, so that
-    e_g x e_a = e_b, and put s = n_g and w = 1 + s^2 > 0.  The system reads
-
-        s n_a - n_b = v_a,   n_a + s n_b = v_b,   (1 + s^2 - n_a^2 - n_b^2)/2 = v_g,
-
-    so ``n_a = (s v_a + v_b)/w`` and ``n_b = (s v_b - v_a)/w``, and then
-    ``n_a^2 + n_b^2 = (v_a^2 + v_b^2)/w`` turns the last equation into
-    ``w^2 - 2 v_g w - (v_a^2 + v_b^2) = 0``, with roots ``w = v_g +- |v|``.
-    Only ``v_g + |v|`` can reach w >= 1, so the real roots are exactly
-    ``s = +-sqrt(v_g + |v| - 1)`` when that radicand is >= 0, one root at 0.
-    Over C the linear part is singular at s = +-i, and there the system
-    keeps a curve of solutions exactly when v = 0: that system raises
-    :class:`StructuralError` (see :func:`real_axis_roots`).  Acceptable roots
-    are the real solutions whose norm is 1 within 1e-8.
-    """
-    real_roots = [tuple(float(x) for x in root) for root in real_axis_roots(generator, image)]
-    acceptable = [
-        r
-        for r in real_roots
-        if abs(math.sqrt(sum(x * x for x in r)) - 1.0) <= 1e-8
-    ]
-    worst = 0.0
-    for r in real_roots:
-        got = conjugation_image(np.array(r), _THETA, generator)
-        worst = max(worst, float(np.abs(got - np.array(image, dtype=float)).max()))
-    return GeneratorSystemResult(
-        equations=[_format_equation(e) for e in _axis_equations(generator, image)],
-        acceptable_roots=sorted(acceptable),
-        max_equation_residual=worst,
-    )
-
-
-def roots_intersection(
-    results: dict[str, GeneratorSystemResult],
-) -> list[tuple[float, float, float]]:
-    """Acceptable roots common to every system (pointwise within 1e-9)."""
-    keys = list(results)
-    if not keys:
-        return []
-    common = list(results[keys[0]].acceptable_roots)
-    for key in keys[1:]:
-        pool = results[key].acceptable_roots
-        common = [
-            r
-            for r in common
-            if any(max(abs(a - b) for a, b in zip(r, p)) <= 1e-9 for p in pool)
-        ]
-    return common
-
-
 def axis_constraint_report() -> WitnessReport:
     """Root sets of the frame-map constraint systems for a classical mediator.
 
     Solves, at angle pi/2, the z- and x-generator systems for
     :data:`WITNESS_FRAME_MAP`, and the y-generator system under both signs of
     its right-hand side (+q_y and -q_y); the two sign readings differ in
-    exactly one scalar equation, so both root sets are reported.  The intersection over all systems decides
-    whether a single rotation axis can realise the whole map.
+    exactly one scalar equation, so both root sets are reported.  The
+    intersection of the z, x and y_target root sets decides whether a single
+    rotation axis can realise the whole map; it compares roots exactly, as
+    the roots of these unit images are exact rationals.
     """
-    results = {
-        g: solve_generator_system(g, tuple(WITNESS_FRAME_MAP[:, j]))
-        for j, g in enumerate(_AXES)
-    }
-    flipped = solve_generator_system("y", tuple(-WITNESS_FRAME_MAP[:, 1]))
     report = WitnessReport(
         task="single-axis realisation of the witness frame map",
         parameters={"theta": _THETA},
     )
-    report.root_sets = {
-        "z": results["z"].acceptable_roots,
-        "x": results["x"].acceptable_roots,
-        "y_target": results["y"].acceptable_roots,
-        "y_sign_flipped": flipped.acceptable_roots,
-        "intersection": roots_intersection(results),
-    }
-    report.findings["equations"] = {
-        "z": results["z"].equations,
-        "x": results["x"].equations,
-        "y_target": results["y"].equations,
-        "y_sign_flipped": flipped.equations,
-    }
-    report.add_check(
-        "z-system-residual",
-        results["z"].max_equation_residual,
-        "<",
-        1e-10,
-        "roots satisfy R† q_z R = q_x",
-    )
-    report.add_check(
-        "x-system-residual",
-        results["x"].max_equation_residual,
-        "<",
-        1e-10,
-        "roots satisfy R† q_x R = q_z",
-    )
+    roots, equations, residual = report.root_sets, {}, {}
+    for system, generator, image in (
+        ("z", "z", WITNESS_FRAME_MAP[:, 2]),
+        ("x", "x", WITNESS_FRAME_MAP[:, 0]),
+        ("y_target", "y", WITNESS_FRAME_MAP[:, 1]),
+        ("y_sign_flipped", "y", -WITNESS_FRAME_MAP[:, 1]),
+    ):
+        roots[system] = sorted(tuple(map(float, r)) for r in real_axis_roots(generator, image))
+        equations[system] = [_format_equation(e) for e in _axis_equations(generator, image)]
+        residual[system] = max(
+            (np.abs(conjugation_image(np.array(r), _THETA, generator) - image).max()
+             for r in roots[system]),
+            default=0.0,
+        )
+    report.findings["equations"] = equations
+    common = [r for r in roots["z"] if r in roots["x"] and r in roots["y_target"]]
+    roots["intersection"] = common
+    for g, target in (("z", "x"), ("x", "z")):
+        report.add_check(
+            f"{g}-system-residual", residual[g], "<", 1e-10, f"roots satisfy R† q_{g} R = q_{target}"
+        )
     report.add_check(
         "no-common-axis",
-        float(len(report.root_sets["intersection"])),
+        float(len(common)),
         "==0",
         0.0,
         "no single rotation axis realises all three generator maps",
     )
-    report.verdict = (
-        "NO-CONSISTENT-AXIS" if not report.root_sets["intersection"] else "AXIS-FOUND"
-    )
+    report.verdict = "NO-CONSISTENT-AXIS" if not common else "AXIS-FOUND"
     return report
 
 
@@ -310,7 +247,7 @@ def _sector_kernel(
     with ``pop = p (1 - p)``, ``p = s (u_x^2 + u_y^2)`` and
     ``1 - p = cos^2(r t) + s u_z^2``.  ``pop`` is None when every row has
     ``u_x^2 + u_y^2 = 0``, where the coherence is exactly 0.  The callers
-    apply the factor 8 and the ``2 sqrt`` to the entries they keep.
+    apply the factor 8 to the entries they keep.
     """
     r = np.linalg.norm(axes, axis=-1)
     degenerate = r < 1e-100  # includes exact zeros; avoids denormal blowup
@@ -332,22 +269,6 @@ def _sector_kernel(
     sin2 *= transverse
     pop *= sin2
     return res, pop
-
-
-def _first_max_root(pop: np.ndarray) -> tuple[float, int]:
-    """Maximum of ``sqrt(pop)`` and the flat index of its first occurrence.
-
-    sqrt sends neighbouring doubles to one root, so an entry just below the
-    maximum of ``pop`` may already share its root: the first occurrence is
-    the first entry at or above the smallest double with that root.
-    """
-    flat = pop.ravel()
-    top = int(np.argmax(flat))
-    root = np.sqrt(flat[top])
-    low = flat[top]
-    while low > 0 and np.sqrt(np.nextafter(low, 0.0)) == root:
-        low = np.nextafter(low, 0.0)
-    return float(root), int(np.argmax(flat[: top + 1] >= low))
 
 
 def _search_scan(
@@ -385,8 +306,14 @@ def _search_scan(
             if val < best[key][0]:
                 best[key] = (val, start + flat // time_points, flat % time_points)
         for pop in (pop_plus, pop_minus):
-            root, flat = _first_max_root(pop) if pop is not None else (0.0, 0)
-            val = 2.0 * root
+            if pop is None:
+                val, flat = 0.0, 0
+            else:
+                # sqrt sends neighbouring doubles to one value, so the first
+                # maximum is taken after the root, not on pop
+                coh = 2.0 * np.sqrt(pop)
+                flat = int(np.argmax(coh))
+                val = float(coh.flat[flat])
             if val > best["state_level"][0]:
                 best["state_level"] = (val, start + flat // time_points, flat % time_points)
     return best
@@ -482,9 +409,6 @@ def classical_impossibility_search(
 
 # -- quantum-mediator demonstrations ----------------------------------------
 
-SWAP_INTERACTION = "swap"
-EXCHANGE_INTERACTION = "exchange"
-
 
 def exchange_hamiltonian() -> OperatorExpr:
     """S_Q+ S_M- + S_Q- S_M+ with S± = X ± iY; equals 2(X_Q X_M + Y_Q Y_M)."""
@@ -501,73 +425,70 @@ def coherence(rho_q: np.ndarray) -> float:
     return float(2 * abs(rho_q[0, 1]))
 
 
-def quantum_demo(interaction: str) -> WitnessReport:
+def quantum_demo() -> tuple[WitnessReport, WitnessReport]:
     """Witnessing with a genuine qubit mediator under the additive law.
 
-    ``swap``: M prepared in an X eigenstate, Q in |0>; after the swap gate Q
-    is X-sharp with the mediator's eigenvalue.  ``exchange``: the coherence
-    trajectory of Q under the exchange interaction is recorded on a 65-point
-    time grid over [0, pi/4], alongside the conservation residual of the
-    generator.
+    Returns the swap and the exchange report.  Swap: M prepared in an X
+    eigenstate, Q in |0>; after the swap gate Q is X-sharp with the
+    mediator's eigenvalue.  Exchange: the coherence trajectory of Q under the
+    exchange interaction is recorded on a 65-point time grid over [0, pi/4],
+    alongside the conservation residual of the generator.
     """
     c_add = ConservedQuantity.additive()
-    report = WitnessReport(task=f"qubit mediator, {interaction} interaction")
     ket0 = np.array([1.0, 0.0], dtype=complex)
-    if interaction == SWAP_INTERACTION:
-        swap_u = to_dense(swap())
-        for sign, name in ((1.0, "plus"), (-1.0, "minus")):
-            rho_m = 0.5 * (PAULI_MATS["I"] + sign * PAULI_MATS["X"])
-            joint = np.kron(np.outer(ket0, ket0.conj()), rho_m)
-            rho_q = partial_trace(swap_u @ joint @ swap_u.conj().T, (2, 2), keep=(0,))
-            bloch = bloch_vector(rho_q)
-            report.findings[f"bloch_{name}"] = bloch.tolist()
-            report.add_check(
-                f"swap-maps-to-{name}",
-                float(np.abs(bloch - np.array([sign, 0.0, 0.0])).max()),
-                "<",
-                1e-10,
-                "swap carries the mediator's X eigenstate onto Q",
-            )
-            report.coherence_maxima[name] = coherence(rho_q)
-        report.add_check(
-            "swap-conserves-additive-charge",
-            conservation_residual(swap_u, c_add),
+    swap_report = WitnessReport(task="qubit mediator, swap interaction")
+    swap_u = to_dense(swap())
+    for sign, name in ((1.0, "plus"), (-1.0, "minus")):
+        rho_m = 0.5 * (PAULI_MATS["I"] + sign * PAULI_MATS["X"])
+        joint = np.kron(np.outer(ket0, ket0.conj()), rho_m)
+        rho_q = partial_trace(swap_u @ joint @ swap_u.conj().T, (2, 2), keep=(0,))
+        bloch = bloch_vector(rho_q)
+        swap_report.findings[f"bloch_{name}"] = bloch.tolist()
+        swap_report.add_check(
+            f"swap-maps-to-{name}",
+            float(np.abs(bloch - np.array([sign, 0.0, 0.0])).max()),
             "<",
-            1e-12,
-            "[SWAP, Z_Q + Z_M] = 0",
+            1e-10,
+            "swap carries the mediator's X eigenstate onto Q",
         )
-    elif interaction == EXCHANGE_INTERACTION:
-        h = exchange_hamiltonian()
-        report.add_check(
-            "exchange-conserves-additive-charge",
-            conservation_residual(h, c_add),
-            "<",
-            1e-12,
-            "[S+S- + S-S+, Z_Q + Z_M] = 0",
-        )
-        h_dense = to_dense(h)
-        rho_m = 0.5 * (PAULI_MATS["I"] + PAULI_MATS["X"])
-        joint0 = np.kron(np.outer(ket0, ket0.conj()), rho_m)
-        times = np.linspace(0.0, math.pi / 4, 65)
-        trajectory = []
-        for t in times:
-            u = expm_hermitian(h_dense, t)
-            rho_q = partial_trace(u @ joint0 @ u.conj().T, (2, 2), keep=(0,))
-            bloch = bloch_vector(rho_q)
-            trajectory.append(
-                (float(t), float(bloch[0]), float(bloch[1]), float(bloch[2]))
-            )
-        report.findings["trajectory"] = trajectory
-        coh = [math.hypot(b[1], b[2]) for b in trajectory]
-        report.coherence_maxima["max_over_time"] = max(coh)
-        report.add_check(
-            "exchange-creates-coherence",
-            max(coh),
-            ">",
-            0.99,
-            "exchange interaction rotates Q out of the Z basis",
-        )
-    else:
-        raise StructuralError(f"unknown interaction {interaction!r}")
-    report.verdict = "WITNESSED" if report.all_passed() else "FAILED"
-    return report
+        swap_report.coherence_maxima[name] = coherence(rho_q)
+    swap_report.add_check(
+        "swap-conserves-additive-charge",
+        conservation_residual(swap_u, c_add),
+        "<",
+        1e-12,
+        "[SWAP, Z_Q + Z_M] = 0",
+    )
+    swap_report.verdict = "WITNESSED" if swap_report.all_passed() else "FAILED"
+
+    exchange_report = WitnessReport(task="qubit mediator, exchange interaction")
+    h = exchange_hamiltonian()
+    exchange_report.add_check(
+        "exchange-conserves-additive-charge",
+        conservation_residual(h, c_add),
+        "<",
+        1e-12,
+        "[S+S- + S-S+, Z_Q + Z_M] = 0",
+    )
+    h_dense = to_dense(h)
+    rho_m = 0.5 * (PAULI_MATS["I"] + PAULI_MATS["X"])
+    joint0 = np.kron(np.outer(ket0, ket0.conj()), rho_m)
+    times = np.linspace(0.0, math.pi / 4, 65)
+    trajectory = []
+    for t in times:
+        u = expm_hermitian(h_dense, t)
+        rho_q = partial_trace(u @ joint0 @ u.conj().T, (2, 2), keep=(0,))
+        bloch = bloch_vector(rho_q)
+        trajectory.append((float(t), float(bloch[0]), float(bloch[1]), float(bloch[2])))
+    exchange_report.findings["trajectory"] = trajectory
+    coh = [math.hypot(b[1], b[2]) for b in trajectory]
+    exchange_report.coherence_maxima["max_over_time"] = max(coh)
+    exchange_report.add_check(
+        "exchange-creates-coherence",
+        max(coh),
+        ">",
+        0.99,
+        "exchange interaction rotates Q out of the Z basis",
+    )
+    exchange_report.verdict = "WITNESSED" if exchange_report.all_passed() else "FAILED"
+    return swap_report, exchange_report

@@ -27,9 +27,7 @@ from qwitness.dense import expm_hermitian, to_dense
 from qwitness.homogenizer import XI, classical_reservoir_check, run, step_recursion
 from qwitness.oscillator import hp_hamiltonian
 from qwitness.paulis import OperatorExpr
-from qwitness.witness import (
-    EXCHANGE_INTERACTION, SWAP_INTERACTION, axis_constraint_report, quantum_demo,
-)
+from qwitness.witness import axis_constraint_report, quantum_demo
 
 # first computation of the classical-reservoir search minimum (seed 7, full
 # documented grid); the analytic sector argument puts it at 1/sqrt(2)
@@ -156,12 +154,9 @@ def test_criterion_09_network_hamiltonian_conservation(capsys):
 
 def test_criterion_10_quantum_demo():
     with criterion(10, "swap and exchange demos with a qubit mediator", 1.0):
-        assert_passed(
-            quantum_demo(SWAP_INTERACTION).checks, "swap-maps-to-plus", "swap-maps-to-minus"
-        )
-        assert_passed(
-            quantum_demo(EXCHANGE_INTERACTION).checks, "exchange-conserves-additive-charge"
-        )
+        swap, exchange = quantum_demo()
+        assert_passed(swap.checks, "swap-maps-to-plus", "swap-maps-to-minus")
+        assert_passed(exchange.checks, "exchange-conserves-additive-charge")
 
 
 def test_criterion_11_bosonic_reduction():

@@ -184,8 +184,13 @@ def test_homogenize_step_matches_closed_recursion():
 
 
 def test_homogenize_step_validates_states():
+    bad = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ContractViolation):
-        homogenize_step(np.diag([1.5, -0.5]).astype(complex), qubit_state((1, 0, 0)), 0.3)
+        homogenize_step(bad, qubit_state((1, 0, 0)), 0.3)
+    # run validates its two input states once, before the first collision
+    for rho0, xi in ((bad, XI), (RHO0, bad)):
+        with pytest.raises(ContractViolation):
+            run(0.3, 1, rho0, xi)
 
 
 def test_config_validation():
@@ -258,14 +263,14 @@ def test_experiment_steps_each_collision_once(monkeypatch, eta, n_steps, calls):
     # one run per distinct eta in (0.2, 0.5, 1.0, eta); the recursion check
     # reuses the run's own collisions instead of stepping again
     count = 0
-    step = homogenizer.homogenize_step
+    collide = homogenizer._collide
 
     def counted(*args):
         nonlocal count
         count += 1
-        return step(*args)
+        return collide(*args)
 
-    monkeypatch.setattr(homogenizer, "homogenize_step", counted)
+    monkeypatch.setattr(homogenizer, "_collide", counted)
     checks, _ = experiment_homogenize(RunConfig(eta=eta, n_steps=n_steps, budget=0))
     assert count == calls
     assert all(c.passed for c in checks)

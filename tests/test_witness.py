@@ -20,10 +20,9 @@ from qwitness.errors import ContractViolation, StructuralError
 from qwitness import witness
 from qwitness.paulis import signed_single_label
 from qwitness.witness import (
-    EXCHANGE_INTERACTION,
-    SWAP_INTERACTION,
     WITNESS_FRAME_MAP,
-    _first_max_root,
+    _axis_equations,
+    _format_equation,
     _sector_kernel,
     axis_constraint_report,
     classical_impossibility_search,
@@ -32,8 +31,6 @@ from qwitness.witness import (
     exchange_hamiltonian,
     quantum_demo,
     real_axis_roots,
-    roots_intersection,
-    solve_generator_system,
 )
 
 from operator_helpers import is_zero
@@ -160,33 +157,48 @@ def test_target_map_matrix_and_determinant():
     assert np.linalg.det(WITNESS_FRAME_MAP) == pytest.approx(1.0)
 
 
+def exact(*coords):
+    return tuple(Fraction(c) for c in coords)
+
+
+def max_root_residual(generator, image):
+    """Largest deviation of ``conjugation_image`` from the image over all roots."""
+    return max(
+        (
+            np.abs(conjugation_image(np.array(root, dtype=float), math.pi / 2, generator)
+                   - np.array(image)).max()
+            for root in real_axis_roots(generator, image)
+        ),
+        default=0.0,
+    )
+
+
 def test_z_system_root_set():
-    res = solve_generator_system("z", (1.0, 0.0, 0.0))
-    assert res.acceptable_roots == [(0.0, -1.0, 0.0)]
-    assert res.max_equation_residual < 1e-10
+    assert real_axis_roots("z", (1.0, 0.0, 0.0)) == [exact(0, -1, 0)]
+    assert max_root_residual("z", (1.0, 0.0, 0.0)) < 1e-10
 
 
 def test_x_system_root_set():
-    res = solve_generator_system("x", (0.0, 0.0, 1.0))
-    assert res.acceptable_roots == [(0.0, 1.0, 0.0)]
-    assert res.max_equation_residual < 1e-10
+    assert real_axis_roots("x", (0.0, 0.0, 1.0)) == [exact(0, 1, 0)]
+    assert max_root_residual("x", (0.0, 0.0, 1.0)) < 1e-10
 
 
 def test_y_system_under_both_right_hand_sides():
     # target reading (image -q_y): no real roots at all
-    target = solve_generator_system("y", (0.0, -1.0, 0.0))
-    assert target.acceptable_roots == []
+    assert real_axis_roots("y", (0.0, -1.0, 0.0)) == []
     # sign-flipped reading (+q_y): the two unit roots on the y axis
-    flipped = solve_generator_system("y", (0.0, 1.0, 0.0))
-    assert flipped.acceptable_roots == [(0.0, -1.0, 0.0), (0.0, 1.0, 0.0)]
+    assert real_axis_roots("y", (0.0, 1.0, 0.0)) == [exact(0, -1, 0), exact(0, 1, 0)]
 
 
 def test_roots_satisfy_their_systems_after_substitution():
-    for gen, image in (("z", (1.0, 0.0, 0.0)), ("x", (0.0, 0.0, 1.0))):
-        res = solve_generator_system(gen, image)
-        for root in res.acceptable_roots:
-            got = conjugation_image(np.array(root), math.pi / 2, gen)
-            assert np.allclose(got, image, atol=1e-10)
+    for gen, image in (
+        ("z", (1.0, 0.0, 0.0)),
+        ("x", (0.0, 0.0, 1.0)),
+        ("y", (0.0, 1.0, 0.0)),
+        ("z", (-0.5, 0.5, 0.5)),  # irrational roots
+    ):
+        assert real_axis_roots(gen, image)
+        assert max_root_residual(gen, image) < 1e-10
 
 
 AXIS = sympy.symbols("n_x n_y n_z", real=True)
@@ -318,10 +330,10 @@ def check_against_oracles(generator, image):
     """
     eqs = oracle_equations(generator, image)
     # the equation strings are sympy's own printing of the expressions
-    assert solve_generator_system(generator, image).equations == [
+    assert [_format_equation(e) for e in _axis_equations(generator, image)] == [
         str(e) + " = 0" for e in eqs
     ]
-    # the full real root set, before the unit-norm filter
+    # the full real root set
     got = [tuple(float(v) for v in root) for root in real_axis_roots(generator, image)]
     back_substituted = [
         tuple(float(v) for v in root) for root in groebner_axis_roots(generator, eqs)
@@ -376,7 +388,28 @@ def test_real_solutions_match_groebner_oracle_on_rational_images(generator, imag
 def test_positive_dimensional_axis_system_is_rejected():
     # zero image: n_y = +-i leaves n_x free, a complex curve of solutions
     with pytest.raises(StructuralError):
-        solve_generator_system("y", (0.0, 0.0, 0.0))
+        real_axis_roots("y", (0.0, 0.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    generator=st.sampled_from("xyz"),
+    a=st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    b=st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    order=st.permutations(range(3)),
+)
+def test_real_roots_of_unit_images_are_unit_axes(generator, a, b, order):
+    # s^2 = v_g and n_a^2 + n_b^2 = 1 - v_g: every real root of a unit image
+    # is a unit axis, so no root needs a unit-norm filter
+    q = a * a + b * b + 1
+    stereographic = (2 * a / q, 2 * b / q, (q - 2) / q)
+    image = tuple(stereographic[i] for i in order)
+    assert sum(v * v for v in image) == 1
+    for root in real_axis_roots(generator, image):
+        if all(isinstance(v, Fraction) for v in root):
+            assert sum(v * v for v in root) == 1
+        else:
+            assert abs(math.sqrt(sum(float(v) ** 2 for v in root)) - 1.0) <= 1e-12
 
 
 def test_nonlinear_level_over_irrational_root_is_rejected():
@@ -397,14 +430,6 @@ def test_real_solutions_are_exact_rationals_on_the_cli_systems(system):
     for root in roots:
         for v in root:
             assert isinstance(v, Fraction) and v in (-1, 0, 1)
-
-
-def test_axis_systems_have_empty_intersection():
-    results = {
-        g: solve_generator_system(g, tuple(WITNESS_FRAME_MAP[:, j]))
-        for j, g in enumerate("xyz")
-    }
-    assert roots_intersection(results) == []
 
 
 def test_axis_system_equations_are_exact_rationals():
@@ -592,14 +617,29 @@ def test_sector_kernel_skips_coherence_of_z_axes():
     assert np.all(coh == 0.0)
 
 
-def test_first_max_root_takes_the_first_entry_with_the_maximal_root():
+def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape):
+    """``_search_scan``'s state-level best over one block of ``shape`` cells
+    whose two sectors return the given ``pop`` arrays (None: all z axes)."""
+    sectors = iter((pop_plus, pop_minus))
+    monkeypatch.setattr(
+        witness, "_sector_kernel", lambda axes, times: (np.ones(shape), next(sectors))
+    )
+    rows, time_points = shape
+    best = witness._search_scan(np.zeros((rows, 1)), np.zeros(time_points), np.zeros((2, 1, 4)))
+    return best["state_level"]
+
+
+def test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence(monkeypatch):
     above = np.nextafter(0.25, 1.0)  # sqrt rounds it to 0.5, the root of 0.25
-    assert np.sqrt(above) == 0.5
+    assert above > 0.25 and np.sqrt(above) == 0.5
     pop = np.array([[0.1, 0.25], [above, 0.25]])
-    assert _first_max_root(pop) == (0.5, 1)
-    assert int(np.argmax(2.0 * np.sqrt(pop))) == 1
-    assert _first_max_root(np.zeros((2, 3))) == (0.0, 0)
-    assert _first_max_root(np.array([[0.3, 0.2, 0.3]])) == (math.sqrt(0.3), 0)
+    # plain argmax(pop) would take `above` at (sample 1, time 0)
+    assert state_level_of_crafted_pops(monkeypatch, None, pop, (2, 2)) == (1.0, 0, 1)
+    assert state_level_of_crafted_pops(monkeypatch, pop, pop, (2, 2)) == (1.0, 0, 1)
+    assert state_level_of_crafted_pops(monkeypatch, None, None, (2, 3)) == (0.0, 0, 0)
+    assert state_level_of_crafted_pops(
+        monkeypatch, np.array([[0.3, 0.2, 0.3]]), None, (1, 3)
+    ) == (2.0 * math.sqrt(0.3), 0, 0)
 
 
 def test_impossibility_search_budget_zero_is_unproven():
@@ -703,14 +743,14 @@ def test_exchange_hamiltonian_is_twice_xx_plus_yy():
 
 
 def test_quantum_demo_swap():
-    report = quantum_demo(SWAP_INTERACTION)
+    report, _ = quantum_demo()
     assert report.all_passed()
     assert np.allclose(report.findings["bloch_plus"], [1, 0, 0], atol=1e-12)
     assert np.allclose(report.findings["bloch_minus"], [-1, 0, 0], atol=1e-12)
 
 
 def test_quantum_demo_exchange():
-    report = quantum_demo(EXCHANGE_INTERACTION)
+    _, report = quantum_demo()
     assert report.all_passed()
     # H = 2(XX + YY) on |0>|+> gives coherence |sin(4t)|: full at t = pi/8
     traj = report.findings["trajectory"]
@@ -719,11 +759,6 @@ def test_quantum_demo_exchange():
     assert coh[0.0] == pytest.approx(0.0, abs=1e-12)
     for t, x, y, _ in traj:
         assert math.hypot(x, y) == pytest.approx(abs(math.sin(4 * t)), abs=1e-10)
-
-
-def test_quantum_demo_unknown_interaction():
-    with pytest.raises(StructuralError):
-        quantum_demo("teleport")
 
 
 def test_coherence_examples():
