@@ -306,6 +306,19 @@ def box_grid(n_free: int, grid_points: int, param_range: float) -> np.ndarray:
     return np.array(np.meshgrid(*[axis_vals] * n_free, indexing="ij")).reshape(n_free, -1).T
 
 
+#: Cells both classical-mediator searches hold per block.  A cell is one
+#: float of a sample's working state: one per time point in the impossibility
+#: search, four (the probe amplitudes psi0 and psi1) in the reservoir scan.
+#: At 2^14 cells a block's (block, T) or (block,) complex arrays stay at most
+#: 128 KiB each.
+_BLOCK_CELLS = 2**14
+
+
+def _block_rows(cells_per_sample: int) -> int:
+    """Samples per streamed block: ``_BLOCK_CELLS // cells_per_sample``, at least one."""
+    return max(1, _BLOCK_CELLS // cells_per_sample)
+
+
 def conservation_residual(
     target: OperatorExpr | np.ndarray, conserved: ConservedQuantity
 ) -> float:

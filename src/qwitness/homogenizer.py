@@ -17,6 +17,7 @@ block diagonal in Z_M, so the probe only meets the Z_M = +1 block.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +26,7 @@ from .circuit import partial_swap
 from .conservation import (
     ConservedQuantity,
     HamiltonianFamily,
+    _block_rows,
     box_grid,
     classical_filtered_family,
     conservation_residual,
@@ -166,37 +168,49 @@ def _sector_image_gap(blocks: np.ndarray) -> np.ndarray:
     return np.sqrt(sq.sum(axis=0))
 
 
-def _final_distances(plus: np.ndarray, eta: float, n_steps: int) -> np.ndarray:
+def _final_distances(
+    plus: np.ndarray, eta_grid: np.ndarray, n_steps: int
+) -> Iterator[np.ndarray]:
     """D(rho_N, |0><0|) after N collisions, from Z_M = +1 blocks (B, 4).
 
     U (rho x |0><0|) U^dag = U_+ rho U_+^dag x |0><0|, so the probe state is
     psi = U_+^N |+> with U_+ = cos(eta) I + i sin(eta) H_+, and the traceless
-    rho_N - |0><0| has trace distance sqrt(d00^2 + |d01|^2).
+    rho_N - |0><0| has trace distance sqrt(d00^2 + |d01|^2).  Yields one (B,)
+    row per eta; the eta-free parts of U_+ are built once.
     """
     c, nx, ny, nz = plus.T
-    cos, sin = math.cos(eta), math.sin(eta)
-    u00 = cos + 1j * sin * (c + nz)
-    u01 = sin * (ny + 1j * nx)
-    u10 = sin * (-ny + 1j * nx)
-    u11 = cos + 1j * sin * (c - nz)
-    psi0 = np.full(len(plus), 1 / math.sqrt(2), dtype=complex)
-    psi1 = psi0.copy()
-    for _ in range(n_steps):
-        psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
-    d00 = psi0.real**2 + psi0.imag**2 - 1.0
-    d01 = psi0 * psi1.conj()
-    return np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
+    c_plus, c_minus = c + nz, c - nz
+    off_up, off_down = ny + 1j * nx, -ny + 1j * nx
+    for eta in eta_grid:
+        cos, sin = math.cos(eta), math.sin(eta)
+        u00 = cos + 1j * sin * c_plus
+        u01 = sin * off_up
+        u10 = sin * off_down
+        u11 = cos + 1j * sin * c_minus
+        psi0 = np.full(len(plus), 1 / math.sqrt(2), dtype=complex)
+        psi1 = psi0.copy()
+        for _ in range(n_steps):
+            psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
+        d00 = psi0.real**2 + psi0.imag**2 - 1.0
+        d01 = psi0 * psi1.conj()
+        yield np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
 
 
 def _reservoir_scan(
     family: HamiltonianFamily, eta_grid: np.ndarray, n_steps: int, budget: int,
     seed: int, grid_points: int, param_range: float,
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample data of the reservoir search over the default classical family.
+) -> tuple[dict[str, int], int, list[tuple[float, list]], tuple[float, list]]:
+    """Streamed reservoir search over the default classical family.
 
-    Returns the admissibility mask of each sample source (grid, surface),
-    the admissible free parameters (B, 4), the final trace distances
-    (len(eta_grid), B) and the operator-image gaps (B,).
+    The grid, then the surface draws, pass in blocks of ``_block_rows(4)``
+    samples, 4,096 at ``_BLOCK_CELLS = 2**14``.  Each block keeps its admissible
+    samples (H^2 = I in both Z_M sectors) and updates a running best
+    (value, free parameters) per eta for the final trace distance and one
+    for the operator-image gap.  ``argmin`` takes the first minimum of a
+    block and a later block must beat the best strictly, so each best is the
+    first occurrence in sample order.  Returns the skipped count per source,
+    the admissible count, the per-eta bests and the image-gap best; a best
+    holds ``(inf, None)`` until an admissible sample arrives.
     """
     to_sectors = zm_sector_maps(family)  # (2, 4, 4)
     # no uniform box draws: H^2 = I has measure zero in the box
@@ -205,16 +219,31 @@ def _reservoir_scan(
     # free coordinates are (gamma, a, b, c) with a = -alpha, b = -beta
     surface = np.column_stack([gamma, -alpha, -beta, c])
 
-    masks, kept = {}, []
-    for name, block in (("grid", grid), ("surface", surface)):
-        masks[name] = _sector_involution_residual(block @ to_sectors) <= 1e-7
-        kept.append(block[masks[name]])
-    free_params = np.vstack(kept)
-    blocks = free_params @ to_sectors
-    distances = np.array(
-        [_final_distances(blocks[0], eta, n_steps) for eta in eta_grid]
-    ).reshape(len(eta_grid), len(free_params))
-    return masks, free_params, distances, _sector_image_gap(blocks)
+    skipped, admissible = {}, 0
+    dist_best = [(math.inf, None)] * len(eta_grid)
+    gap_best = (math.inf, None)
+    rows = _block_rows(4)  # the complex probe amplitudes psi0, psi1 of a sample
+    for name, source in (("grid", grid), ("surface", surface)):
+        kept = 0
+        for start in range(0, len(source), rows):
+            part = source[start : start + rows]
+            blocks = part @ to_sectors
+            mask = _sector_involution_residual(blocks) <= 1e-7
+            if not mask.any():
+                continue
+            part, blocks = part[mask], blocks[:, mask]
+            kept += len(part)
+            for k, dist in enumerate(_final_distances(blocks[0], eta_grid, n_steps)):
+                i = int(np.argmin(dist))
+                if dist[i] < dist_best[k][0]:
+                    dist_best[k] = (float(dist[i]), part[i].tolist())
+            gap = _sector_image_gap(blocks)
+            i = int(np.argmin(gap))
+            if gap[i] < gap_best[0]:
+                gap_best = (float(gap[i]), part[i].tolist())
+        skipped[name] = len(source) - kept
+        admissible += kept
+    return skipped, admissible, dist_best, gap_best
 
 
 def classical_reservoir_check(
@@ -236,7 +265,8 @@ def classical_reservoir_check(
     0.5 and 1.0 respectively.  Everything runs on 2x2 Z_M-sector blocks
     (:func:`zm_sector_maps`), exactly: the reservoir qubit enters as the
     diagonal |0><0| and H is block diagonal in Z_M, so N collisions are one
-    conjugation of the probe by U_+^N.  ``argmin_trace_distance`` is a
+    conjugation of the probe by U_+^N.  The samples stream through
+    :func:`_reservoir_scan` in blocks.  ``argmin_trace_distance`` is a
     tie-break among distances equal up to rounding (all sit at 1/sqrt(2)).
     """
     family = classical_filtered_family()
@@ -262,28 +292,28 @@ def classical_reservoir_check(
         eta_grid = np.linspace(math.pi / 32, math.pi / 2, 16)
     eta_grid = np.asarray(eta_grid, dtype=float)
 
-    masks, free_params, distances, image_gap = _reservoir_scan(
+    skipped, admissible, dist_best, (min_gap, gap_row) = _reservoir_scan(
         family, eta_grid, n_steps, budget, seed, grid_points, param_range
     )
-    report.findings["skipped"] = {name: int((~m).sum()) for name, m in masks.items()}
-    report.findings["admissible_samples"] = int(len(free_params))
-    if len(free_params) == 0:
+    report.findings["skipped"] = skipped
+    report.findings["admissible_samples"] = admissible
+    if admissible == 0:
         report.verdict = "UNPROVEN"
         return report
 
-    def located(idx: int) -> dict:
-        return {n: float(v) for n, v in zip(free_names, free_params[idx])}
+    def located(row: list) -> dict:
+        return dict(zip(free_names, row))
 
-    # first occurrence of the minimum in (eta, sample) order
-    eta_idx, idx = np.unravel_index(np.argmin(distances), distances.shape)
-    best_dist = float(distances[eta_idx, idx])
-    gap_idx = int(np.argmin(image_gap))
+    # the first eta holding the smallest minimum: with the scan's first
+    # sample per eta, the first occurrence in (eta, sample) order
+    eta_idx = min(range(len(eta_grid)), key=lambda k: dist_best[k][0])
+    best_dist, best_row = dist_best[eta_idx]
     report.findings["min_final_trace_distance"] = best_dist
     report.findings["argmin_trace_distance"] = {
-        **located(idx), "eta": float(eta_grid[eta_idx])
+        **located(best_row), "eta": float(eta_grid[eta_idx])
     }
-    report.findings["min_image_distance"] = float(image_gap[gap_idx])
-    report.findings["argmin_image_distance"] = located(gap_idx)
+    report.findings["min_image_distance"] = min_gap
+    report.findings["argmin_image_distance"] = located(gap_row)
     report.add_check(
         "final-distance-gap",
         best_dist,
@@ -293,7 +323,7 @@ def classical_reservoir_check(
     )
     report.add_check(
         "operator-image-gap",
-        float(image_gap[gap_idx]),
+        min_gap,
         ">",
         1.0,
         "H X_Q H never matches Z_Q, so no sin^2 term proportional to xi x xi",

@@ -25,6 +25,7 @@ import numpy as np
 from .circuit import swap
 from .conservation import (
     ConservedQuantity,
+    _block_rows,
     box_grid,
     classical_filtered_family,
     conservation_residual,
@@ -226,12 +227,6 @@ def axis_constraint_report() -> WitnessReport:
 # -- bounded classical-mediator search --------------------------------------
 
 
-#: Cells (samples x time points) the search evaluates at once: a block of
-#: ``_BLOCK_CELLS // time_points`` samples keeps each (block, T) array at
-#: most 128 KiB.
-_BLOCK_CELLS = 2**14
-
-
 def _sector_kernel(
     axes: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -289,7 +284,7 @@ def _search_scan(
         "sector_minus": (np.inf, 0, 0),
         "state_level": (-np.inf, 0, 0),
     }
-    rows = max(1, _BLOCK_CELLS // time_points)
+    rows = _block_rows(time_points)
     for start in range(0, len(samples), rows):
         part = samples[start : start + rows]
         (res_plus, pop_plus), (res_minus, pop_minus) = (

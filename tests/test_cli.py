@@ -276,37 +276,44 @@ def test_full_run_summary_structure(tmp_path):
     ]
 
 
-def modules_loaded_by(statement, prefix):
-    """Modules under ``prefix`` a fresh interpreter holds after ``statement``.
-
-    A fresh interpreter, because this test process may have loaded them
-    already.  The list is the last line the interpreter prints.
-    """
+@pytest.fixture(scope="module")
+def modules_loaded_by_import_and_run(tmp_path_factory):
+    # numpy is the only runtime dependency: sympy, and mpmath with it, is a
+    # test-only dependency and scipy is not used at all.  One fresh interpreter,
+    # because this test process may have loaded them already; it lists the
+    # loaded scipy, sympy and mpmath modules after the import and after the
+    # run.  Budget 200 runs both searches and the reservoir scan, which 0 skips.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["all", "--budget", "200", "--db", "32", "--out", str(tmp_path_factory.mktemp("run"))]
+    listing = (
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))"
+    )
     code = (
-        f"import sys, qwitness.cli; {statement}; "
-        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))"
+        f"import sys, qwitness.cli; {listing}; "
+        f"assert qwitness.cli.main({argv!r}) == 0; {listing}"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    lines = proc.stdout.splitlines()
+    return {"import": ast.literal_eval(lines[0]), "run": ast.literal_eval(lines[-1])}
 
 
-def test_cli_import_loads_no_scipy():
-    assert modules_loaded_by("pass", "scipy") == "[]"
+def loaded_under(modules, prefix):
+    return [m for m in modules if m.split(".")[0] == prefix]
+
+
+def test_cli_import_loads_no_scipy(modules_loaded_by_import_and_run):
+    assert loaded_under(modules_loaded_by_import_and_run["import"], "scipy") == []
+    assert loaded_under(modules_loaded_by_import_and_run["run"], "scipy") == []
 
 
 @pytest.mark.parametrize("prefix", ["sympy", "mpmath"])
-def test_cli_import_and_run_load_no_sympy(prefix, tmp_path):
-    # sympy, and mpmath with it, is a test-only dependency
-    run = (
-        "assert qwitness.cli.main(['all', '--budget', '0', '--db', '32', "
-        f"'--out', {str(tmp_path)!r}]) == 0"
-    )
-    assert modules_loaded_by("pass", prefix) == "[]"
-    assert modules_loaded_by(run, prefix) == "[]"
+def test_cli_import_and_run_load_no_sympy(prefix, modules_loaded_by_import_and_run):
+    assert loaded_under(modules_loaded_by_import_and_run["import"], prefix) == []
+    assert loaded_under(modules_loaded_by_import_and_run["run"], prefix) == []
 
 
 def test_write_json_converts_known_types_and_rejects_the_rest(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qwitness import homogenizer
 from qwitness.circuit import partial_swap
 from qwitness.cli import RunConfig, experiment_homogenize
-from qwitness.conservation import classical_filtered_family
+from qwitness.conservation import box_grid, classical_filtered_family, zm_sector_maps
 from qwitness.dense import (
     PAULI_MATS,
     partial_trace,
@@ -15,6 +16,7 @@ from qwitness.dense import (
     trace_distance,
 )
 from qwitness.errors import ContractViolation
+from qwitness.reports import WitnessReport
 from qwitness.homogenizer import (
     RHO0,
     XI,
@@ -102,8 +104,9 @@ def _dense_collisions(h_stack: np.ndarray, eta: float, n_steps: int) -> np.ndarr
 def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_range):
     """The reservoir search on full 4x4 operators, collision by collision.
 
-    Same sampling and return layout as ``_reservoir_scan``: masks per source,
-    admissible free parameters, final distances (eta, sample), image gaps.
+    Same sampling and return layout as ``_matrix_reservoir_scan``: masks per
+    source, admissible free parameters, final distances (eta, sample), image
+    gaps.
     """
     family = classical_filtered_family()
     free_names = family.free_params()
@@ -140,6 +143,93 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
 
     distances = [_dense_collisions(h_stack, eta, n_steps) for eta in eta_grid]
     return masks, free_params, np.array(distances), image_gap
+
+
+# -- the one-pass matrix scan, oracle of the streamed reservoir scan ----------
+
+
+def _matrix_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_range):
+    """The reservoir search in one pass, on the full (eta, sample) matrix.
+
+    Same samples and kernels as ``_reservoir_scan``.  Returns the
+    admissibility mask of each source (grid, surface), the admissible free
+    parameters (B, 4), the final trace distances (len(eta_grid), B) and the
+    operator-image gaps (B,).
+    """
+    family = classical_filtered_family()
+    to_sectors = zm_sector_maps(family)
+    grid = box_grid(len(family.free_params()), grid_points, param_range)
+    alpha, beta, gamma, c = _admissible_surface_draws(np.random.default_rng(seed), budget).T
+    surface = np.column_stack([gamma, -alpha, -beta, c])
+    masks, kept = {}, []
+    for name, block in (("grid", grid), ("surface", surface)):
+        masks[name] = _sector_involution_residual(block @ to_sectors) <= 1e-7
+        kept.append(block[masks[name]])
+    free_params = np.vstack(kept)
+    blocks = free_params @ to_sectors
+    distances = np.array(list(_final_distances(blocks[0], eta_grid, n_steps))).reshape(
+        len(eta_grid), len(free_params)
+    )
+    return masks, free_params, distances, _sector_image_gap(blocks)
+
+
+def _matrix_reservoir_check(
+    eta_grid=None, n_steps=8, budget=10_000, seed=7, grid_points=9, param_range=2.0
+):
+    """``classical_reservoir_check`` built on :func:`_matrix_reservoir_scan`.
+
+    The minimum is ``unravel_index(argmin)`` of the whole matrix: the first
+    occurrence in (eta, sample) order.
+    """
+    family = classical_filtered_family()
+    free_names = family.free_params()
+    report = WitnessReport(
+        task="classical reservoir homogenisation of |+> towards |0>",
+        seed=seed,
+        parameters={
+            "free_params": list(free_names),
+            "n_steps": n_steps,
+            "budget": budget,
+            "grid_points": grid_points,
+            "param_range": param_range,
+        },
+    )
+    report.findings["note"] = (
+        "bounded search: evidence only; the algebraic root systems carry the proof"
+    )
+    if eta_grid is None:
+        eta_grid = DEFAULT_ETA_GRID
+    masks, free_params, distances, image_gap = _matrix_reservoir_scan(
+        eta_grid, n_steps, budget, seed, grid_points, param_range
+    )
+    report.findings["skipped"] = {name: int((~m).sum()) for name, m in masks.items()}
+    report.findings["admissible_samples"] = int(len(free_params))
+    if len(free_params) == 0:
+        report.verdict = "UNPROVEN"
+        return report
+
+    def located(idx):
+        return {n: float(v) for n, v in zip(free_names, free_params[idx])}
+
+    eta_idx, idx = np.unravel_index(np.argmin(distances), distances.shape)
+    best_dist = float(distances[eta_idx, idx])
+    gap_idx = int(np.argmin(image_gap))
+    report.findings["min_final_trace_distance"] = best_dist
+    report.findings["argmin_trace_distance"] = {
+        **located(idx), "eta": float(eta_grid[eta_idx])
+    }
+    report.findings["min_image_distance"] = float(image_gap[gap_idx])
+    report.findings["argmin_image_distance"] = located(gap_idx)
+    report.add_check(
+        "final-distance-gap", best_dist, ">", 0.5,
+        "classical reservoir never drives |+> to |0>",
+    )
+    report.add_check(
+        "operator-image-gap", float(image_gap[gap_idx]), ">", 1.0,
+        "H X_Q H never matches Z_Q, so no sin^2 term proportional to xi x xi",
+    )
+    report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
+    return report
 
 
 def test_partial_swap_limits():
@@ -372,8 +462,10 @@ def test_reservoir_check_deterministic():
     ],
 )
 def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_grid, n_steps):
+    # every (eta, sample) entry of the sector kernels against 4x4 collisions;
+    # the streamed scan reads the same kernels (see the matrix oracle test)
     args = (eta_grid, n_steps, budget, seed, grid_points, 2.0)
-    masks, free, dist, gap = _reservoir_scan(classical_filtered_family(), *args)
+    masks, free, dist, gap = _matrix_reservoir_scan(*args)
     ref_masks, ref_free, ref_dist, ref_gap = _dense_reservoir_scan(*args)
     assert masks.keys() == ref_masks.keys()
     for name in masks:
@@ -382,21 +474,26 @@ def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_gr
     assert dist.shape == ref_dist.shape == (len(eta_grid), len(free))
     assert np.abs(dist - ref_dist).max() <= 1e-13
     assert np.abs(gap - ref_gap).max() <= 1e-13
+    skipped, admissible, dist_best, gap_best = _reservoir_scan(
+        classical_filtered_family(), *args
+    )
+    assert skipped == {name: int((~m).sum()) for name, m in ref_masks.items()}
+    assert admissible == len(ref_free)
+    assert np.abs([v for v, _ in dist_best] - ref_dist.min(axis=1)).max() <= 1e-13
+    assert abs(gap_best[0] - ref_gap.min()) <= 1e-13
     report = classical_reservoir_check(
         eta_grid=eta_grid, n_steps=n_steps, budget=budget, seed=seed,
         grid_points=grid_points,
     )
-    assert report.findings["skipped"] == {
-        name: int((~m).sum()) for name, m in ref_masks.items()
-    }
+    assert report.findings["skipped"] == skipped
     assert report.findings["admissible_samples"] == len(ref_free)
 
 
 def test_default_reservoir_search_sits_on_the_closed_form():
     # the Z_M = +1 block of every admissible member is (gamma + c) Z = +-Z, so
     # each collision only rotates Q about z and |+> stays at D = 1/sqrt(2)
-    family = classical_filtered_family()
-    _, _, dist, _ = _reservoir_scan(family, DEFAULT_ETA_GRID, 8, 10_000, 7, 9, 2.0)
+    _, _, dist, _ = _matrix_reservoir_scan(DEFAULT_ETA_GRID, 8, 10_000, 7, 9, 2.0)
+    assert dist.shape == (16, 10012)
     assert np.abs(dist - 1 / math.sqrt(2)).max() <= 1e-12
     report = classical_reservoir_check(n_steps=8, budget=10_000, seed=7, grid_points=9)
     assert report.findings["min_final_trace_distance"] == pytest.approx(
@@ -404,6 +501,87 @@ def test_default_reservoir_search_sits_on_the_closed_form():
     )
     assert report.findings["skipped"] == {"grid": 6549, "surface": 0}
     assert report.findings["admissible_samples"] == 10012
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},  # the CLI's default check: 6561 grid rows and 10,000 draws
+        dict(budget=5000, seed=5, grid_points=5),  # 5000 draws: a ragged last block
+        dict(budget=1000, seed=6, grid_points=3),  # less than one block per source
+        dict(budget=700, seed=9, grid_points=1),  # a single, inadmissible grid point
+        dict(budget=3000, seed=4, eta_grid=np.array([0.9])),  # a single eta
+        # repeated etas give equal rows, so the minimum ties across eta
+        dict(budget=6000, seed=8, n_steps=3, eta_grid=np.array([0.4, 1.1, 0.4, 1.1])),
+    ],
+)
+def test_streamed_reservoir_check_matches_matrix_oracle(kwargs):
+    # exact equality: blocks and running minima change no value, argument
+    # or tie-break of the one-pass (eta, sample) matrix
+    streamed = classical_reservoir_check(**kwargs)
+    assert streamed.to_json_dict() == _matrix_reservoir_check(**kwargs).to_json_dict()
+    assert streamed.verdict == "POSITIVE-GAP"
+
+
+def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
+    # crafted kernels: equal minima in two blocks of one eta and at both etas;
+    # the first (eta, sample) occurrence wins, as unravel_index(argmin) picks
+    eta_grid = np.array([0.3, 0.9])
+    rows = homogenizer._block_rows(4)
+    budget = 2 * rows + 100  # three surface blocks; the one grid point is inadmissible
+    args = (eta_grid, 8, budget, 3, 1, 2.0)
+    free = _matrix_reservoir_scan(*args)[1]
+    assert len(free) == budget
+    dist = 1.0 + np.arange(2 * budget, dtype=float).reshape(2, budget) / budget
+    dist[0, [5, rows + 7, 2 * rows + 1]] = 0.25
+    dist[1, [3, 40, 2 * rows + 9]] = 0.25
+    gap = np.full(budget, 3.0)
+    gap[[9, rows + 2, 2 * rows + 50]] = 2.0
+    served = {}
+
+    def crafted_distances(plus, etas, n_steps):
+        assert np.array_equal(etas, eta_grid)
+        start = served.get("dist", 0)
+        served["dist"] = start + len(plus)
+        return iter(dist[:, start : start + len(plus)])
+
+    def crafted_gap(blocks):
+        start = served.get("gap", 0)
+        served["gap"] = start + blocks.shape[1]
+        return gap[start : start + blocks.shape[1]]
+
+    monkeypatch.setattr(homogenizer, "_final_distances", crafted_distances)
+    monkeypatch.setattr(homogenizer, "_sector_image_gap", crafted_gap)
+    skipped, admissible, dist_best, gap_best = _reservoir_scan(
+        classical_filtered_family(), *args
+    )
+    assert (skipped, admissible) == ({"grid": 1, "surface": 0}, budget)
+    assert dist_best == [(0.25, free[5].tolist()), (0.25, free[3].tolist())]
+    assert gap_best == (2.0, free[9].tolist())
+
+    served.clear()
+    report = classical_reservoir_check(
+        eta_grid=eta_grid, n_steps=8, budget=budget, seed=3, grid_points=1
+    )
+    names = classical_filtered_family().free_params()
+    assert report.findings["argmin_trace_distance"] == {
+        **dict(zip(names, free[5].tolist())), "eta": 0.3
+    }
+    assert report.findings["argmin_image_distance"] == dict(zip(names, free[9].tolist()))
+
+
+def test_reservoir_check_peak_memory_is_bounded():
+    # blocks of _block_rows(4) samples and one running best per eta keep the
+    # check's temporaries small; the one-pass (16, 10012) distance matrix and
+    # its masks peak at about 4.7 MiB
+    classical_reservoir_check()
+    tracemalloc.start()
+    try:
+        classical_reservoir_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_sector_kernels_match_dense_on_generic_blocks():
@@ -424,7 +602,9 @@ def test_sector_kernels_match_dense_on_generic_blocks():
     invol[:, :2] = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
     assert (_sector_involution_residual(invol) <= 1e-7).all()
     h = _dense_from_blocks(invol)
-    for eta in (0.3, 1.1, 2.9):
-        for n_steps in (0, 1, 3, 8):
-            got = _final_distances(invol[0], eta, n_steps)
-            assert np.abs(got - _dense_collisions(h, eta, n_steps)).max() <= 1e-13
+    etas = (0.3, 1.1, 2.9)
+    for n_steps in (0, 1, 3, 8):
+        got = list(_final_distances(invol[0], etas, n_steps))
+        assert len(got) == len(etas)
+        for eta, row in zip(etas, got):
+            assert np.abs(row - _dense_collisions(h, eta, n_steps)).max() <= 1e-13
