@@ -33,7 +33,6 @@ from .errors import StructuralError
 from .paulis import OperatorExpr
 from .reports import Check
 
-SUBSYSTEMS = ("Q", "M")
 COMPONENTS = ("x", "y", "z")
 
 

@@ -9,6 +9,7 @@ problem on the (purely imaginary) commutator coefficients.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,7 @@ import numpy as np
 from .dense import to_dense
 from .errors import StructuralError
 from .paulis import PAULI_CHARS, OperatorExpr, commutator
+from .reports import WitnessReport
 
 ADDITIVE = "additive"
 NONADDITIVE = "nonadditive"
@@ -314,9 +316,40 @@ def box_grid(n_free: int, grid_points: int, param_range: float) -> np.ndarray:
 _BLOCK_CELLS = 2**14
 
 
-def _block_rows(cells_per_sample: int) -> int:
-    """Samples per streamed block: ``_BLOCK_CELLS // cells_per_sample``, at least one."""
-    return max(1, _BLOCK_CELLS // cells_per_sample)
+def _sector_blocks(
+    sources: dict[str, np.ndarray], maps: np.ndarray, cells_per_sample: int
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """Search samples with their Z_M-sector blocks, source by source.
+
+    Yields ``(name, rows, rows @ maps)`` for each source of free-parameter
+    rows, in source and row order, in blocks of
+    ``max(1, _BLOCK_CELLS // cells_per_sample)`` rows; ``maps`` is
+    :func:`zm_sector_maps` of the family, so the sector blocks are (2, B, 4).
+    """
+    step = max(1, _BLOCK_CELLS // cells_per_sample)
+    for name, samples in sources.items():
+        for start in range(0, len(samples), step):
+            rows = samples[start : start + step]
+            yield name, rows, rows @ maps
+
+
+def _search_report(
+    task: str, seed: int, parameters: dict, search: Callable[[WitnessReport], int]
+) -> WitnessReport:
+    """Report skeleton of the classical-mediator searches.
+
+    ``search(report)`` runs only for a positive ``parameters["budget"]``: it
+    adds the findings and checks and returns how many samples counted.  The
+    verdict stays unproven until one does, then tells whether every check passed.
+    """
+    report = WitnessReport(task=task, seed=seed, parameters=parameters)
+    report.findings["note"] = (
+        "bounded search: evidence only; the algebraic root systems carry the proof"
+    )
+    report.verdict = "UNPROVEN"
+    if parameters["budget"] > 0 and search(report) > 0:
+        report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
+    return report
 
 
 def conservation_residual(

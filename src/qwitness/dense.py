@@ -28,6 +28,9 @@ PAULI_MATS: dict[str, np.ndarray] = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+#: Tolerance of the Hermiticity, trace and eigenvalue tests of a state.
+_STATE_TOL = 1e-10
+
 
 @lru_cache(maxsize=8)
 def pauli_basis_stack(n_sites: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -126,16 +129,16 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def assert_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
+def assert_density_matrix(rho: np.ndarray) -> None:
     """Raise ContractViolation unless rho is a valid state to tolerance."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ContractViolation(f"not a square matrix: shape {rho.shape}")
-    if np.linalg.norm(rho - rho.conj().T) > tol:
+    if np.linalg.norm(rho - rho.conj().T) > _STATE_TOL:
         raise ContractViolation("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > _STATE_TOL:
         raise ContractViolation(f"trace {np.trace(rho):.3g} != 1")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -tol:
+    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -_STATE_TOL:
         raise ContractViolation("state has a negative eigenvalue")
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from .circuit import partial_swap
 from .conservation import (
     ConservedQuantity,
-    HamiltonianFamily,
-    _block_rows,
+    _search_report,
+    _sector_blocks,
     box_grid,
     classical_filtered_family,
     conservation_residual,
@@ -127,18 +127,16 @@ def run(
 
 
 def _admissible_surface_draws(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Random (alpha, beta, gamma, c) drawn directly on the H^2 = I surface.
+    """Random free parameters (gamma, a, b, c) drawn directly on the H^2 = I surface.
 
-    Per Z_M sector: (gamma + c)^2 = 1 and 4 alpha^2 + 4 beta^2 + (gamma - c)^2 = 1.
+    Per Z_M sector: (gamma + c)^2 = 1 and 4 a^2 + 4 b^2 + (gamma - c)^2 = 1.
     """
     sign = rng.choice([-1.0, 1.0], size=count)           # gamma + c
     vec = rng.normal(size=(count, 3))
-    vec /= np.linalg.norm(vec, axis=1, keepdims=True)     # (2a, 2b, gamma - c)
-    alpha = vec[:, 0] / 2
-    beta = vec[:, 1] / 2
-    gamma = (sign + vec[:, 2]) / 2
-    c = (sign - vec[:, 2]) / 2
-    return np.column_stack([alpha, beta, gamma, c])
+    vec /= np.linalg.norm(vec, axis=1, keepdims=True)     # (-2a, -2b, gamma - c)
+    return np.column_stack(
+        [(sign + vec[:, 2]) / 2, -vec[:, 0] / 2, -vec[:, 1] / 2, (sign - vec[:, 2]) / 2]
+    )
 
 
 def _sector_involution_residual(blocks: np.ndarray) -> np.ndarray:
@@ -197,52 +195,46 @@ def _final_distances(
 
 
 def _reservoir_scan(
-    family: HamiltonianFamily, eta_grid: np.ndarray, n_steps: int, budget: int,
-    seed: int, grid_points: int, param_range: float,
+    eta_grid: np.ndarray, n_steps: int, budget: int, seed: int, grid_points: int,
+    param_range: float,
 ) -> tuple[dict[str, int], int, list[tuple[float, list]], tuple[float, list]]:
     """Streamed reservoir search over the default classical family.
 
-    The grid, then the surface draws, pass in blocks of ``_block_rows(4)``
-    samples, 4,096 at ``_BLOCK_CELLS = 2**14``.  Each block keeps its admissible
-    samples (H^2 = I in both Z_M sectors) and updates a running best
-    (value, free parameters) per eta for the final trace distance and one
-    for the operator-image gap.  ``argmin`` takes the first minimum of a
-    block and a later block must beat the best strictly, so each best is the
-    first occurrence in sample order.  Returns the skipped count per source,
-    the admissible count, the per-eta bests and the image-gap best; a best
-    holds ``(inf, None)`` until an admissible sample arrives.
+    The grid, then the surface draws, pass through :func:`_sector_blocks` at
+    four cells (the complex probe amplitudes psi0, psi1) per sample.  Each
+    block keeps its admissible samples (H^2 = I in both Z_M sectors) and
+    updates a running best (value, free parameters) per eta for the final
+    trace distance and one for the operator-image gap.  ``argmin`` takes the
+    first minimum of a block and a later block must beat the best strictly,
+    so each best is the first occurrence in sample order.  Returns the
+    skipped count per source, the admissible count, the per-eta bests and
+    the image-gap best, ``(inf, None)`` until an admissible sample arrives.
     """
-    to_sectors = zm_sector_maps(family)  # (2, 4, 4)
-    # no uniform box draws: H^2 = I has measure zero in the box
-    grid = box_grid(len(family.free_params()), grid_points, param_range)
-    alpha, beta, gamma, c = _admissible_surface_draws(np.random.default_rng(seed), budget).T
-    # free coordinates are (gamma, a, b, c) with a = -alpha, b = -beta
-    surface = np.column_stack([gamma, -alpha, -beta, c])
-
-    skipped, admissible = {}, 0
+    family = classical_filtered_family()
+    sources = {
+        # no uniform box draws: H^2 = I has measure zero in the box
+        "grid": box_grid(len(family.free_params()), grid_points, param_range),
+        "surface": _admissible_surface_draws(np.random.default_rng(seed), budget),
+    }
+    skipped, admissible = dict.fromkeys(sources, 0), 0
     dist_best = [(math.inf, None)] * len(eta_grid)
     gap_best = (math.inf, None)
-    rows = _block_rows(4)  # the complex probe amplitudes psi0, psi1 of a sample
-    for name, source in (("grid", grid), ("surface", surface)):
-        kept = 0
-        for start in range(0, len(source), rows):
-            part = source[start : start + rows]
-            blocks = part @ to_sectors
-            mask = _sector_involution_residual(blocks) <= 1e-7
-            if not mask.any():
-                continue
-            part, blocks = part[mask], blocks[:, mask]
-            kept += len(part)
-            for k, dist in enumerate(_final_distances(blocks[0], eta_grid, n_steps)):
-                i = int(np.argmin(dist))
-                if dist[i] < dist_best[k][0]:
-                    dist_best[k] = (float(dist[i]), part[i].tolist())
-            gap = _sector_image_gap(blocks)
-            i = int(np.argmin(gap))
-            if gap[i] < gap_best[0]:
-                gap_best = (float(gap[i]), part[i].tolist())
-        skipped[name] = len(source) - kept
+    for name, rows, blocks in _sector_blocks(sources, zm_sector_maps(family), 4):
+        mask = _sector_involution_residual(blocks) <= 1e-7
+        kept = int(np.count_nonzero(mask))
+        skipped[name] += len(rows) - kept
         admissible += kept
+        if not kept:
+            continue
+        rows, blocks = rows[mask], blocks[:, mask]
+        for k, dist in enumerate(_final_distances(blocks[0], eta_grid, n_steps)):
+            i = int(np.argmin(dist))
+            if dist[i] < dist_best[k][0]:
+                dist_best[k] = (float(dist[i]), rows[i].tolist())
+        gap = _sector_image_gap(blocks)
+        i = int(np.argmin(gap))
+        if gap[i] < gap_best[0]:
+            gap_best = (float(gap[i]), rows[i].tolist())
     return skipped, admissible, dist_best, gap_best
 
 
@@ -261,75 +253,58 @@ def classical_reservoir_check(
     samples failing that are skipped and counted.  The samples are the grid
     and ``budget`` draws parametrised directly on that surface.  Reports the
     minimal final trace distance D(rho_N, |0><0|) and the minimal
-    ``|H X_Q H - Z_Q|_F``; verdict POSITIVE-GAP when they stay above
-    0.5 and 1.0 respectively.  Everything runs on 2x2 Z_M-sector blocks
+    ``|H X_Q H - Z_Q|_F``; the gap is positive when they stay above 0.5 and
+    1.0 respectively.  Everything runs on 2x2 Z_M-sector blocks
     (:func:`zm_sector_maps`), exactly: the reservoir qubit enters as the
     diagonal |0><0| and H is block diagonal in Z_M, so N collisions are one
     conjugation of the probe by U_+^N.  The samples stream through
     :func:`_reservoir_scan` in blocks.  ``argmin_trace_distance`` is a
     tie-break among distances equal up to rounding (all sit at 1/sqrt(2)).
     """
-    family = classical_filtered_family()
-    free_names = family.free_params()
-    report = WitnessReport(
-        task="classical reservoir homogenisation of |+> towards |0>",
-        seed=seed,
-        parameters={
+    free_names = classical_filtered_family().free_params()
+
+    def search(report: WitnessReport) -> int:
+        etas = np.linspace(math.pi / 32, math.pi / 2, 16) if eta_grid is None else eta_grid
+        etas = np.asarray(etas, dtype=float)
+        skipped, admissible, dist_best, (min_gap, gap_row) = _reservoir_scan(
+            etas, n_steps, budget, seed, grid_points, param_range
+        )
+        report.findings["skipped"] = skipped
+        report.findings["admissible_samples"] = admissible
+        if admissible == 0:
+            return 0
+        # the first eta holding the smallest minimum: with the scan's first
+        # sample per eta, the first occurrence in (eta, sample) order
+        eta_idx = min(range(len(etas)), key=lambda k: dist_best[k][0])
+        best_dist, best_row = dist_best[eta_idx]
+        report.findings["min_final_trace_distance"] = best_dist
+        report.findings["argmin_trace_distance"] = {
+            **dict(zip(free_names, best_row)), "eta": float(etas[eta_idx])
+        }
+        report.findings["min_image_distance"] = min_gap
+        report.findings["argmin_image_distance"] = dict(zip(free_names, gap_row))
+        report.add_check(
+            "final-distance-gap", best_dist, ">", 0.5,
+            "classical reservoir never drives |+> to |0>",
+        )
+        report.add_check(
+            "operator-image-gap", min_gap, ">", 1.0,
+            "H X_Q H never matches Z_Q, so no sin^2 term proportional to xi x xi",
+        )
+        return admissible
+
+    return _search_report(
+        "classical reservoir homogenisation of |+> towards |0>",
+        seed,
+        {
             "free_params": list(free_names),
             "n_steps": n_steps,
             "budget": budget,
             "grid_points": grid_points,
             "param_range": param_range,
         },
+        search,
     )
-    report.findings["note"] = (
-        "bounded search: evidence only; the algebraic root systems carry the proof"
-    )
-    if budget <= 0:
-        report.verdict = "UNPROVEN"
-        return report
-    if eta_grid is None:
-        eta_grid = np.linspace(math.pi / 32, math.pi / 2, 16)
-    eta_grid = np.asarray(eta_grid, dtype=float)
-
-    skipped, admissible, dist_best, (min_gap, gap_row) = _reservoir_scan(
-        family, eta_grid, n_steps, budget, seed, grid_points, param_range
-    )
-    report.findings["skipped"] = skipped
-    report.findings["admissible_samples"] = admissible
-    if admissible == 0:
-        report.verdict = "UNPROVEN"
-        return report
-
-    def located(row: list) -> dict:
-        return dict(zip(free_names, row))
-
-    # the first eta holding the smallest minimum: with the scan's first
-    # sample per eta, the first occurrence in (eta, sample) order
-    eta_idx = min(range(len(eta_grid)), key=lambda k: dist_best[k][0])
-    best_dist, best_row = dist_best[eta_idx]
-    report.findings["min_final_trace_distance"] = best_dist
-    report.findings["argmin_trace_distance"] = {
-        **located(best_row), "eta": float(eta_grid[eta_idx])
-    }
-    report.findings["min_image_distance"] = min_gap
-    report.findings["argmin_image_distance"] = located(gap_row)
-    report.add_check(
-        "final-distance-gap",
-        best_dist,
-        ">",
-        0.5,
-        "classical reservoir never drives |+> to |0>",
-    )
-    report.add_check(
-        "operator-image-gap",
-        min_gap,
-        ">",
-        1.0,
-        "H X_Q H never matches Z_Q, so no sin^2 term proportional to xi x xi",
-    )
-    report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
-    return report
 
 
 def nonadditive_conservation_residual(eta: float) -> float:

@@ -101,8 +101,8 @@ class OperatorExpr:
         return cls({"I" * n_sites: 1.0})
 
     @classmethod
-    def from_label(cls, label: str, coeff: complex = 1.0) -> "OperatorExpr":
-        return cls({label: coeff})
+    def from_label(cls, label: str) -> "OperatorExpr":
+        return cls({label: 1.0})
 
     # -- inspection --------------------------------------------------------
 

@@ -25,7 +25,8 @@ import numpy as np
 from .circuit import swap
 from .conservation import (
     ConservedQuantity,
-    _block_rows,
+    _search_report,
+    _sector_blocks,
     box_grid,
     classical_filtered_family,
     conservation_residual,
@@ -267,28 +268,27 @@ def _sector_kernel(
 
 
 def _search_scan(
-    samples: np.ndarray, times: np.ndarray, maps: np.ndarray
-) -> dict[str, tuple[float, int, int]]:
-    """Best (value, sample index, time index) of each search target.
+    sources: dict[str, np.ndarray], times: np.ndarray, maps: np.ndarray
+) -> dict[str, tuple[float, list, int]]:
+    """Best (value, sample row, time index) of each search target.
 
     ``joint``, ``sector_plus`` and ``sector_minus`` are minimal residuals,
     ``state_level`` the maximal coherence of U_m |0><0| U_m† over both
     sectors (diagonal mediator mixtures cannot beat their best pure
-    sector).  Samples are evaluated in blocks of ``_BLOCK_CELLS`` cells; a
-    tie goes to the first occurrence in (sample, time) order.
+    sector).  The sources stream through :func:`_sector_blocks` at one cell
+    per time point; a tie goes to the first occurrence in (sample, time)
+    order.
     """
     time_points = len(times)
     best = {
-        "joint": (np.inf, 0, 0),
-        "sector_plus": (np.inf, 0, 0),
-        "sector_minus": (np.inf, 0, 0),
-        "state_level": (-np.inf, 0, 0),
+        "joint": (np.inf, None, 0),
+        "sector_plus": (np.inf, None, 0),
+        "sector_minus": (np.inf, None, 0),
+        "state_level": (-np.inf, None, 0),
     }
-    rows = _block_rows(time_points)
-    for start in range(0, len(samples), rows):
-        part = samples[start : start + rows]
+    for _, rows, blocks in _sector_blocks(sources, maps, time_points):
         (res_plus, pop_plus), (res_minus, pop_minus) = (
-            _sector_kernel((part @ maps[m])[:, 1:], times) for m in range(2)
+            _sector_kernel(blocks[m][:, 1:], times) for m in range(2)
         )
         # 8 a + 8 b = 8 (a + b) exactly, so the sum is scaled like a sector
         for key, res in (
@@ -299,7 +299,8 @@ def _search_scan(
             flat = int(np.argmin(res))
             val = float(np.sqrt(8.0 * res.flat[flat]))
             if val < best[key][0]:
-                best[key] = (val, start + flat // time_points, flat % time_points)
+                i, j = divmod(flat, time_points)
+                best[key] = (val, rows[i].tolist(), j)
         for pop in (pop_plus, pop_minus):
             if pop is None:
                 val, flat = 0.0, 0
@@ -310,7 +311,8 @@ def _search_scan(
                 flat = int(np.argmax(coh))
                 val = float(coh.flat[flat])
             if val > best["state_level"][0]:
-                best["state_level"] = (val, start + flat // time_points, flat % time_points)
+                i, j = divmod(flat, time_points)
+                best["state_level"] = (val, rows[i].tolist(), j)
     return best
 
 
@@ -340,10 +342,41 @@ def classical_impossibility_search(
     """
     family = classical_filtered_family()
     free_names = family.free_params()
-    report = WitnessReport(
-        task="classical mediator, observable-level frame map",
-        seed=seed,
-        parameters={
+
+    def search(report: WitnessReport) -> int:
+        # (c_m, n_m) per mediator sector m; the sector constants c_m drop out
+        # of conjugation and coherence
+        maps = zm_sector_maps(family)
+        n_free = len(free_names)
+        draws = np.random.default_rng(seed).uniform(-param_range, param_range, (budget, n_free))
+        sources = {"grid": box_grid(n_free, grid_points, param_range), "draws": draws}
+        times = np.linspace(0.0, 2 * math.pi, time_points)
+        best = {
+            key: (val, {**dict(zip(free_names, row)), "time": float(times[j])})
+            for key, (val, row, j) in _search_scan(sources, times, maps).items()
+        }
+        report.findings["min_residual_joint"] = best["joint"][0]
+        report.findings["min_residual_mediator_plus"] = best["sector_plus"][0]
+        report.findings["min_residual_mediator_minus"] = best["sector_minus"][0]
+        report.findings["argmin_joint"] = best["joint"][1]
+        report.findings["argmin_mediator_plus"] = best["sector_plus"][1]
+        report.findings["argmin_mediator_minus"] = best["sector_minus"][1]
+        report.coherence_maxima["state_level_best"] = best["state_level"][0]
+        report.findings["argmax_state_level"] = best["state_level"][1]
+        report.add_check(
+            "joint-residual-gap", best["joint"][0], ">", 0.5,
+            "observable-level frame map out of reach for the whole search",
+        )
+        report.add_check(
+            "plus-sector-residual-gap", best["sector_plus"][0], ">", 0.5,
+            "mediator sharp in |0> only allows z-axis rotations of Q",
+        )
+        return budget  # every sample counts
+
+    return _search_report(
+        "classical mediator, observable-level frame map",
+        seed,
+        {
             "conserved": family.conserved.kind,
             "free_params": list(free_names),
             "budget": budget,
@@ -351,55 +384,8 @@ def classical_impossibility_search(
             "param_range": param_range,
             "time_points": time_points,
         },
+        search,
     )
-    report.findings["note"] = (
-        "bounded search: evidence only; the algebraic root systems carry the proof"
-    )
-    if budget <= 0:
-        report.verdict = "UNPROVEN"
-        return report
-
-    # (c_m, n_m) per mediator sector m; the sector constants c_m drop out of
-    # conjugation and coherence
-    maps = zm_sector_maps(family)
-    n_free = len(free_names)
-    draws = np.random.default_rng(seed).uniform(-param_range, param_range, (budget, n_free))
-    samples = np.vstack((box_grid(n_free, grid_points, param_range), draws))
-    times = np.linspace(0.0, 2 * math.pi, time_points)
-
-    def located(i: int, j: int) -> dict:
-        point = {n: float(v) for n, v in zip(free_names, samples[i])}
-        point["time"] = float(times[j])
-        return point
-
-    best = {
-        key: (val, located(i, j))
-        for key, (val, i, j) in _search_scan(samples, times, maps).items()
-    }
-    report.findings["min_residual_joint"] = best["joint"][0]
-    report.findings["min_residual_mediator_plus"] = best["sector_plus"][0]
-    report.findings["min_residual_mediator_minus"] = best["sector_minus"][0]
-    report.findings["argmin_joint"] = best["joint"][1]
-    report.findings["argmin_mediator_plus"] = best["sector_plus"][1]
-    report.findings["argmin_mediator_minus"] = best["sector_minus"][1]
-    report.coherence_maxima["state_level_best"] = best["state_level"][0]
-    report.findings["argmax_state_level"] = best["state_level"][1]
-    report.add_check(
-        "joint-residual-gap",
-        best["joint"][0],
-        ">",
-        0.5,
-        "observable-level frame map out of reach for the whole search",
-    )
-    report.add_check(
-        "plus-sector-residual-gap",
-        best["sector_plus"][0],
-        ">",
-        0.5,
-        "mediator sharp in |0> only allows z-axis rotations of Q",
-    )
-    report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
-    return report
 
 
 # -- quantum-mediator demonstrations ----------------------------------------

@@ -8,8 +8,10 @@ import numpy as np
 
 from typing import Sequence
 
-from qwitness.circuit import SUBSYSTEMS
 from qwitness.paulis import COEFF_TOL, OperatorExpr
+
+#: The two systems of the witness network, in tensor order.
+SUBSYSTEMS = ("Q", "M")
 
 
 def approx_equal(a: OperatorExpr, b: OperatorExpr, tol: float = 1e-12) -> bool:

@@ -5,7 +5,6 @@ import pytest
 
 from qwitness.circuit import (
     REFERENCE_DESCRIPTOR_TABLE,
-    SUBSYSTEMS,
     cnot_mq,
     composite_unitary,
     cphase_mq,
@@ -22,7 +21,13 @@ from qwitness.dense import qubit_state, to_dense
 from qwitness.errors import ContractViolation, StructuralError
 from qwitness.paulis import OperatorExpr, commutator, signed_single_label
 
-from operator_helpers import approx_equal, evolve_descriptors_stepwise, is_hermitian, is_unitary
+from operator_helpers import (
+    SUBSYSTEMS,
+    approx_equal,
+    evolve_descriptors_stepwise,
+    is_hermitian,
+    is_unitary,
+)
 
 
 @pytest.mark.parametrize("builder", [ry_m, partial_swap])

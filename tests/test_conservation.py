@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from qwitness.circuit import network_hamiltonian, swap
 from qwitness.conservation import (
+    _BLOCK_CELLS,
     ConservedQuantity,
     HamiltonianFamily,
     _commutator_constraint_matrix,
     _null_space,
+    _sector_blocks,
     additive_commutant_reference,
     channel_extension_family,
     classical_filtered_family,
@@ -238,6 +240,35 @@ def test_zm_sector_maps_reproduce_dense_blocks():
         zm_sector_maps(quantum)
     with pytest.raises(StructuralError):
         zm_sector_maps(HamiltonianFamily(basis=[OperatorExpr.from_label("X")], params=("p",)))
+
+
+@pytest.mark.parametrize(
+    "cells_per_sample, step",
+    [(4, 4096), (48, 341), (64, 256), (_BLOCK_CELLS + 1, 1)],
+)
+def test_sector_blocks_stream_each_source_in_order(cells_per_sample, step):
+    # a ragged last block, an empty source and a source shorter than one block
+    maps = zm_sector_maps(classical_filtered_family())
+    rng = np.random.default_rng(41)
+    sources = {
+        "grid": rng.uniform(-2.0, 2.0, (2 * step + step // 2 + 1, 4)),
+        "empty": np.zeros((0, 4)),
+        "draws": rng.uniform(-2.0, 2.0, (step // 2 + 1, 4)),
+    }
+    expected = [
+        (name, min(step, len(rows) - start))
+        for name, rows in sources.items()
+        for start in range(0, len(rows), step)
+    ]
+    assert [size for name, size in expected if name == "grid"][-1] == step // 2 + 1
+    got = list(_sector_blocks(sources, maps, cells_per_sample))
+    assert [(name, len(rows)) for name, rows, _ in got] == expected
+    for name, rows, blocks in got:
+        assert blocks.shape == (2, len(rows), 4)
+        assert np.array_equal(blocks, rows @ maps)
+    for name, samples in sources.items():
+        streamed = [rows for n, rows, _ in got if n == name]
+        assert np.array_equal(np.concatenate(streamed or [np.zeros((0, 4))]), samples)
 
 
 def test_conservation_residual_examples():

@@ -7,7 +7,12 @@ import pytest
 from qwitness import homogenizer
 from qwitness.circuit import partial_swap
 from qwitness.cli import RunConfig, experiment_homogenize
-from qwitness.conservation import box_grid, classical_filtered_family, zm_sector_maps
+from qwitness.conservation import (
+    _BLOCK_CELLS,
+    box_grid,
+    classical_filtered_family,
+    zm_sector_maps,
+)
 from qwitness.dense import (
     PAULI_MATS,
     partial_trace,
@@ -16,7 +21,6 @@ from qwitness.dense import (
     trace_distance,
 )
 from qwitness.errors import ContractViolation
-from qwitness.reports import WitnessReport
 from qwitness.homogenizer import (
     RHO0,
     XI,
@@ -53,6 +57,15 @@ def _admissible(params: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     plus = np.abs((gamma + c) ** 2 - 1.0) <= tol
     minus = np.abs(4 * alpha**2 + 4 * beta**2 + (gamma - c) ** 2 - 1.0) <= tol
     return plus & minus
+
+
+def _from_free(free: np.ndarray) -> np.ndarray:
+    """(alpha, beta, gamma, c) rows of free-parameter rows (gamma, a, b, c).
+
+    The non-additive law ties a = -alpha and b = -beta.
+    """
+    gamma, a, b, c = free.T
+    return np.column_stack([-a, -b, gamma, c])
 
 
 def _involution_mask(h_stack: np.ndarray, tol: float = 1e-7) -> np.ndarray:
@@ -124,10 +137,9 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
         .T
     )
     sources = {"grid": grid}
-    surf = _admissible_surface_draws(rng, budget)
-    full = np.column_stack(
-        [surf[:, 0], surf[:, 1], surf[:, 2], -surf[:, 0], -surf[:, 1], surf[:, 3]]
-    )
+    gamma, a, b, c = _admissible_surface_draws(rng, budget).T
+    assert family.params == ("alpha", "beta", "gamma", "a", "b", "c")
+    full = np.column_stack([-a, -b, gamma, a, b, c])
     sources["surface"] = full[:, [family.params.index(n) for n in free_names]]
 
     masks, kept = {}, []
@@ -159,8 +171,7 @@ def _matrix_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_r
     family = classical_filtered_family()
     to_sectors = zm_sector_maps(family)
     grid = box_grid(len(family.free_params()), grid_points, param_range)
-    alpha, beta, gamma, c = _admissible_surface_draws(np.random.default_rng(seed), budget).T
-    surface = np.column_stack([gamma, -alpha, -beta, c])
+    surface = _admissible_surface_draws(np.random.default_rng(seed), budget)
     masks, kept = {}, []
     for name, block in (("grid", grid), ("surface", surface)):
         masks[name] = _sector_involution_residual(block @ to_sectors) <= 1e-7
@@ -173,63 +184,17 @@ def _matrix_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_r
     return masks, free_params, distances, _sector_image_gap(blocks)
 
 
-def _matrix_reservoir_check(
-    eta_grid=None, n_steps=8, budget=10_000, seed=7, grid_points=9, param_range=2.0
-):
-    """``classical_reservoir_check`` built on :func:`_matrix_reservoir_scan`.
+def _bests_of_matrix(masks, free_params, distances, image_gap):
+    """``_reservoir_scan``'s return read off the one-pass matrices: the skipped
+    counts, the admissible count, and the first minimum (value, free
+    parameters) of each eta row and of the image gaps."""
 
-    The minimum is ``unravel_index(argmin)`` of the whole matrix: the first
-    occurrence in (eta, sample) order.
-    """
-    family = classical_filtered_family()
-    free_names = family.free_params()
-    report = WitnessReport(
-        task="classical reservoir homogenisation of |+> towards |0>",
-        seed=seed,
-        parameters={
-            "free_params": list(free_names),
-            "n_steps": n_steps,
-            "budget": budget,
-            "grid_points": grid_points,
-            "param_range": param_range,
-        },
-    )
-    report.findings["note"] = (
-        "bounded search: evidence only; the algebraic root systems carry the proof"
-    )
-    if eta_grid is None:
-        eta_grid = DEFAULT_ETA_GRID
-    masks, free_params, distances, image_gap = _matrix_reservoir_scan(
-        eta_grid, n_steps, budget, seed, grid_points, param_range
-    )
-    report.findings["skipped"] = {name: int((~m).sum()) for name, m in masks.items()}
-    report.findings["admissible_samples"] = int(len(free_params))
-    if len(free_params) == 0:
-        report.verdict = "UNPROVEN"
-        return report
+    def first_min(values):
+        i = int(np.argmin(values))
+        return float(values[i]), free_params[i].tolist()
 
-    def located(idx):
-        return {n: float(v) for n, v in zip(free_names, free_params[idx])}
-
-    eta_idx, idx = np.unravel_index(np.argmin(distances), distances.shape)
-    best_dist = float(distances[eta_idx, idx])
-    gap_idx = int(np.argmin(image_gap))
-    report.findings["min_final_trace_distance"] = best_dist
-    report.findings["argmin_trace_distance"] = {
-        **located(idx), "eta": float(eta_grid[eta_idx])
-    }
-    report.findings["min_image_distance"] = float(image_gap[gap_idx])
-    report.findings["argmin_image_distance"] = located(gap_idx)
-    report.add_check(
-        "final-distance-gap", best_dist, ">", 0.5,
-        "classical reservoir never drives |+> to |0>",
-    )
-    report.add_check(
-        "operator-image-gap", float(image_gap[gap_idx]), ">", 1.0,
-        "H X_Q H never matches Z_Q, so no sin^2 term proportional to xi x xi",
-    )
-    report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
-    return report
+    skipped = {name: int((~m).sum()) for name, m in masks.items()}
+    return skipped, len(free_params), [first_min(row) for row in distances], first_min(image_gap)
 
 
 def test_partial_swap_limits():
@@ -398,7 +363,11 @@ def test_admissibility_predicate():
 def test_surface_draws_are_always_admissible():
     rng = np.random.default_rng(13)
     draws = _admissible_surface_draws(rng, 500)
-    assert _admissible(draws).all()
+    assert draws.shape == (500, 4)
+    assert _admissible(_from_free(draws)).all()
+    # the same rows as free parameters of the family the search maps
+    blocks = draws @ zm_sector_maps(classical_filtered_family())
+    assert (_sector_involution_residual(blocks) <= 1e-7).all()
 
 
 def test_involution_mask_agrees_with_closed_form():
@@ -406,7 +375,7 @@ def test_involution_mask_agrees_with_closed_form():
     params = np.vstack(
         [
             rng.uniform(-2, 2, size=(200, 4)),
-            _admissible_surface_draws(rng, 200),
+            _from_free(_admissible_surface_draws(rng, 200)),
             np.array([[0.5, 0.0, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0]]),
         ]
     )
@@ -419,6 +388,19 @@ def test_reservoir_check_budget_zero_is_unproven():
     report = classical_reservoir_check(budget=0)
     assert report.verdict == "UNPROVEN"
     assert report.checks == []
+
+
+def test_reservoir_check_without_an_admissible_sample_is_unproven(monkeypatch):
+    # H = 0 is no involution, and neither is the one grid point (-2, -2, -2, -2)
+    monkeypatch.setattr(
+        homogenizer, "_admissible_surface_draws", lambda rng, count: np.zeros((count, 4))
+    )
+    report = classical_reservoir_check(budget=50, grid_points=1)
+    assert report.verdict == "UNPROVEN"
+    assert report.checks == []
+    assert report.findings["skipped"] == {"grid": 1, "surface": 50}
+    assert report.findings["admissible_samples"] == 0
+    assert "min_final_trace_distance" not in report.findings
 
 
 def test_pure_dephasing_family_keeps_probe_in_the_equator():
@@ -474,9 +456,7 @@ def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_gr
     assert dist.shape == ref_dist.shape == (len(eta_grid), len(free))
     assert np.abs(dist - ref_dist).max() <= 1e-13
     assert np.abs(gap - ref_gap).max() <= 1e-13
-    skipped, admissible, dist_best, gap_best = _reservoir_scan(
-        classical_filtered_family(), *args
-    )
+    skipped, admissible, dist_best, gap_best = _reservoir_scan(*args)
     assert skipped == {name: int((~m).sum()) for name, m in ref_masks.items()}
     assert admissible == len(ref_free)
     assert np.abs([v for v, _ in dist_best] - ref_dist.min(axis=1)).max() <= 1e-13
@@ -515,19 +495,36 @@ def test_default_reservoir_search_sits_on_the_closed_form():
         dict(budget=6000, seed=8, n_steps=3, eta_grid=np.array([0.4, 1.1, 0.4, 1.1])),
     ],
 )
-def test_streamed_reservoir_check_matches_matrix_oracle(kwargs):
+def test_streamed_reservoir_check_matches_matrix_oracle(monkeypatch, kwargs):
     # exact equality: blocks and running minima change no value, argument
-    # or tie-break of the one-pass (eta, sample) matrix
+    # or tie-break of the one-pass (eta, sample) matrix; only the scan is swapped
     streamed = classical_reservoir_check(**kwargs)
-    assert streamed.to_json_dict() == _matrix_reservoir_check(**kwargs).to_json_dict()
+    seen = {}
+
+    def matrix_scan(*args):
+        seen["args"], seen["matrix"] = args, _matrix_reservoir_scan(*args)
+        return _bests_of_matrix(*seen["matrix"])
+
+    monkeypatch.setattr(homogenizer, "_reservoir_scan", matrix_scan)
+    assert streamed.to_json_dict() == classical_reservoir_check(**kwargs).to_json_dict()
     assert streamed.verdict == "POSITIVE-GAP"
+    # the eta tie-break on its own: unravel_index(argmin) of the whole matrix
+    # is the first occurrence in (eta, sample) order
+    eta_grid = seen["args"][0]
+    _, free, distances, _ = seen["matrix"]
+    eta_idx, idx = np.unravel_index(np.argmin(distances), distances.shape)
+    names = classical_filtered_family().free_params()
+    assert streamed.findings["min_final_trace_distance"] == distances[eta_idx, idx]
+    assert streamed.findings["argmin_trace_distance"] == {
+        **dict(zip(names, free[idx].tolist())), "eta": float(eta_grid[eta_idx])
+    }
 
 
 def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
     # crafted kernels: equal minima in two blocks of one eta and at both etas;
     # the first (eta, sample) occurrence wins, as unravel_index(argmin) picks
     eta_grid = np.array([0.3, 0.9])
-    rows = homogenizer._block_rows(4)
+    rows = _BLOCK_CELLS // 4
     budget = 2 * rows + 100  # three surface blocks; the one grid point is inadmissible
     args = (eta_grid, 8, budget, 3, 1, 2.0)
     free = _matrix_reservoir_scan(*args)[1]
@@ -552,9 +549,7 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
 
     monkeypatch.setattr(homogenizer, "_final_distances", crafted_distances)
     monkeypatch.setattr(homogenizer, "_sector_image_gap", crafted_gap)
-    skipped, admissible, dist_best, gap_best = _reservoir_scan(
-        classical_filtered_family(), *args
-    )
+    skipped, admissible, dist_best, gap_best = _reservoir_scan(*args)
     assert (skipped, admissible) == ({"grid": 1, "surface": 0}, budget)
     assert dist_best == [(0.25, free[5].tolist()), (0.25, free[3].tolist())]
     assert gap_best == (2.0, free[9].tolist())
@@ -571,7 +566,7 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
 
 
 def test_reservoir_check_peak_memory_is_bounded():
-    # blocks of _block_rows(4) samples and one running best per eta keep the
+    # blocks of _BLOCK_CELLS // 4 samples and one running best per eta keep the
     # check's temporaries small; the one-pass (16, 10012) distance matrix and
     # its masks peak at about 4.7 MiB
     classical_reservoir_check()

@@ -49,7 +49,7 @@ def site_product(a: str, b: str) -> tuple[complex, str]:
 
 
 def unit(label: str, coeff: complex = 1.0) -> OperatorExpr:
-    return OperatorExpr.from_label(label, coeff)
+    return OperatorExpr({label: coeff})
 
 
 def test_single_site_group_table_matches_dense_products():

@@ -543,9 +543,11 @@ def chunked_sector_kernel(axes, times):
     return res_sq, coh
 
 
-def chunked_search_scan(samples, times, maps):
-    """Oracle for ``_search_scan``: full (2048, T) residual and coherence
-    arrays per chunk, scaled before the arg-extrema are taken."""
+def chunked_search_scan(sources, times, maps):
+    """Oracle for ``_search_scan``: the sources stacked into one sample set,
+    full (2048, T) residual and coherence arrays per chunk, scaled before the
+    arg-extrema are taken; returns (value, sample row, time index)."""
+    samples = np.vstack(tuple(sources.values()))
     best = {
         "joint": (np.inf, None, None),
         "sector_plus": (np.inf, None, None),
@@ -566,12 +568,12 @@ def chunked_search_scan(samples, times, maps):
             idx = np.unravel_index(np.argmin(grid_vals), grid_vals.shape)
             val = float(np.sqrt(grid_vals[idx]))
             if val < best[key][0]:
-                best[key] = (val, start + int(idx[0]), int(idx[1]))
+                best[key] = (val, samples[start + idx[0]].tolist(), int(idx[1]))
         for coh in (coh_plus, coh_minus):
             idx = np.unravel_index(np.argmax(coh), coh.shape)
             val = float(coh[idx])
             if val > best["state_level"][0]:
-                best["state_level"] = (val, start + int(idx[0]), int(idx[1]))
+                best["state_level"] = (val, samples[start + idx[0]].tolist(), int(idx[1]))
     return best
 
 
@@ -619,13 +621,15 @@ def test_sector_kernel_skips_coherence_of_z_axes():
 
 def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape):
     """``_search_scan``'s state-level best over one block of ``shape`` cells
-    whose two sectors return the given ``pop`` arrays (None: all z axes)."""
+    whose two sectors return the given ``pop`` arrays (None: all z axes).
+    Sample k is the one-entry row [k]."""
     sectors = iter((pop_plus, pop_minus))
     monkeypatch.setattr(
         witness, "_sector_kernel", lambda axes, times: (np.ones(shape), next(sectors))
     )
     rows, time_points = shape
-    best = witness._search_scan(np.zeros((rows, 1)), np.zeros(time_points), np.zeros((2, 1, 4)))
+    samples = np.arange(rows, dtype=float)[:, None]
+    best = witness._search_scan({"grid": samples}, np.zeros(time_points), np.zeros((2, 1, 4)))
     return best["state_level"]
 
 
@@ -634,12 +638,12 @@ def test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence(mon
     assert above > 0.25 and np.sqrt(above) == 0.5
     pop = np.array([[0.1, 0.25], [above, 0.25]])
     # plain argmax(pop) would take `above` at (sample 1, time 0)
-    assert state_level_of_crafted_pops(monkeypatch, None, pop, (2, 2)) == (1.0, 0, 1)
-    assert state_level_of_crafted_pops(monkeypatch, pop, pop, (2, 2)) == (1.0, 0, 1)
-    assert state_level_of_crafted_pops(monkeypatch, None, None, (2, 3)) == (0.0, 0, 0)
+    assert state_level_of_crafted_pops(monkeypatch, None, pop, (2, 2)) == (1.0, [0.0], 1)
+    assert state_level_of_crafted_pops(monkeypatch, pop, pop, (2, 2)) == (1.0, [0.0], 1)
+    assert state_level_of_crafted_pops(monkeypatch, None, None, (2, 3)) == (0.0, [0.0], 0)
     assert state_level_of_crafted_pops(
         monkeypatch, np.array([[0.3, 0.2, 0.3]]), None, (1, 3)
-    ) == (2.0 * math.sqrt(0.3), 0, 0)
+    ) == (2.0 * math.sqrt(0.3), [0.0], 0)
 
 
 def test_impossibility_search_budget_zero_is_unproven():
@@ -698,15 +702,23 @@ def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
 
 def test_search_scan_ties_go_to_the_first_occurrence():
     # a repeated sample set ties every extremum across blocks (256 rows at
-    # T = 64); the first copy must win, as in the chunked oracle
+    # T = 64) and across sources; the first copy must win, as in the chunked
+    # oracle.  A fifth column, mapped to zero, tags each copy, so the
+    # winning row tells the copies apart.
     from qwitness.conservation import classical_filtered_family, zm_sector_maps
 
     maps = zm_sector_maps(classical_filtered_family())
+    tagged_maps = np.concatenate((maps, np.zeros((2, 1, 4))), axis=1)
     once = np.random.default_rng(31).uniform(-2.0, 2.0, (300, 4))
+    copy = [np.column_stack((once, np.full(len(once), k))) for k in range(3)]
     times = np.linspace(0.0, 2 * math.pi, 64)
-    best = witness._search_scan(np.vstack((once, once, once)), times, maps)
-    assert best == chunked_search_scan(np.vstack((once, once, once)), times, maps)
-    assert best == witness._search_scan(once, times, maps)
+    sources = {"grid": copy[0], "draws": np.vstack((copy[1], copy[2]))}
+    best = witness._search_scan(sources, times, tagged_maps)
+    assert best == chunked_search_scan(sources, times, tagged_maps)
+    assert best == witness._search_scan({"grid": copy[0]}, times, tagged_maps)
+    assert all(row[-1] == 0.0 for _, row, _ in best.values())
+    untagged = witness._search_scan({"grid": once}, times, maps)
+    assert {key: (val, row[:-1], j) for key, (val, row, j) in best.items()} == untagged
 
 
 def test_impossibility_search_peak_memory_is_bounded():
