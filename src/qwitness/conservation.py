@@ -334,20 +334,22 @@ def _sector_blocks(
 
 
 def _search_report(
-    task: str, seed: int, parameters: dict, search: Callable[[WitnessReport], int]
+    task: str, seed: int, parameters: dict, search: Callable[[WitnessReport], None]
 ) -> WitnessReport:
     """Report skeleton of the classical-mediator searches.
 
-    ``search(report)`` runs only for a positive ``parameters["budget"]``: it
-    adds the findings and checks and returns how many samples counted.  The
-    verdict stays unproven until one does, then tells whether every check passed.
+    ``search(report)`` runs only for a positive ``parameters["budget"]`` and
+    adds the findings, and the checks once a sample counts.  The verdict stays
+    unproven without checks, then tells whether every check passed.
     """
     report = WitnessReport(task=task, seed=seed, parameters=parameters)
     report.findings["note"] = (
         "bounded search: evidence only; the algebraic root systems carry the proof"
     )
     report.verdict = "UNPROVEN"
-    if parameters["budget"] > 0 and search(report) > 0:
+    if parameters["budget"] > 0:
+        search(report)
+    if report.checks:
         report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
     return report
 

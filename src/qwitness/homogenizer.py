@@ -195,31 +195,32 @@ def _final_distances(
 
 
 def _reservoir_scan(
-    eta_grid: np.ndarray, n_steps: int, budget: int, seed: int, grid_points: int,
-    param_range: float,
+    maps: np.ndarray, eta_grid: np.ndarray, n_steps: int, budget: int, seed: int,
+    grid_points: int, param_range: float,
 ) -> tuple[dict[str, int], int, list[tuple[float, list]], tuple[float, list]]:
     """Streamed reservoir search over the default classical family.
 
-    The grid, then the surface draws, pass through :func:`_sector_blocks` at
-    four cells (the complex probe amplitudes psi0, psi1) per sample.  Each
-    block keeps its admissible samples (H^2 = I in both Z_M sectors) and
-    updates a running best (value, free parameters) per eta for the final
-    trace distance and one for the operator-image gap.  ``argmin`` takes the
-    first minimum of a block and a later block must beat the best strictly,
-    so each best is the first occurrence in sample order.  Returns the
-    skipped count per source, the admissible count, the per-eta bests and
-    the image-gap best, ``(inf, None)`` until an admissible sample arrives.
+    ``maps`` is :func:`zm_sector_maps` of that family, whose free parameters
+    (gamma, a, b, c) the surface draws are drawn in.  The grid, then the
+    surface draws, pass through :func:`_sector_blocks` at four cells (the
+    complex probe amplitudes psi0, psi1) per sample.  Each block keeps its
+    admissible samples (H^2 = I in both Z_M sectors) and updates a running
+    best (value, free parameters) per eta for the final trace distance and
+    one for the operator-image gap.  ``argmin`` takes the first minimum of a
+    block and a later block must beat the best strictly, so each best is the
+    first occurrence in sample order.  Returns the skipped count per source,
+    the admissible count, the per-eta bests and the image-gap best,
+    ``(inf, None)`` until an admissible sample arrives.
     """
-    family = classical_filtered_family()
     sources = {
         # no uniform box draws: H^2 = I has measure zero in the box
-        "grid": box_grid(len(family.free_params()), grid_points, param_range),
+        "grid": box_grid(maps.shape[1], grid_points, param_range),
         "surface": _admissible_surface_draws(np.random.default_rng(seed), budget),
     }
     skipped, admissible = dict.fromkeys(sources, 0), 0
     dist_best = [(math.inf, None)] * len(eta_grid)
     gap_best = (math.inf, None)
-    for name, rows, blocks in _sector_blocks(sources, zm_sector_maps(family), 4):
+    for name, rows, blocks in _sector_blocks(sources, maps, 4):
         mask = _sector_involution_residual(blocks) <= 1e-7
         kept = int(np.count_nonzero(mask))
         skipped[name] += len(rows) - kept
@@ -261,18 +262,19 @@ def classical_reservoir_check(
     :func:`_reservoir_scan` in blocks.  ``argmin_trace_distance`` is a
     tie-break among distances equal up to rounding (all sit at 1/sqrt(2)).
     """
-    free_names = classical_filtered_family().free_params()
+    family = classical_filtered_family()
+    free_names = family.free_params()
 
-    def search(report: WitnessReport) -> int:
+    def search(report: WitnessReport) -> None:
         etas = np.linspace(math.pi / 32, math.pi / 2, 16) if eta_grid is None else eta_grid
         etas = np.asarray(etas, dtype=float)
         skipped, admissible, dist_best, (min_gap, gap_row) = _reservoir_scan(
-            etas, n_steps, budget, seed, grid_points, param_range
+            zm_sector_maps(family), etas, n_steps, budget, seed, grid_points, param_range
         )
         report.findings["skipped"] = skipped
         report.findings["admissible_samples"] = admissible
         if admissible == 0:
-            return 0
+            return
         # the first eta holding the smallest minimum: with the scan's first
         # sample per eta, the first occurrence in (eta, sample) order
         eta_idx = min(range(len(etas)), key=lambda k: dist_best[k][0])
@@ -291,7 +293,6 @@ def classical_reservoir_check(
             "operator-image-gap", min_gap, ">", 1.0,
             "H X_Q H never matches Z_Q, so no sin^2 term proportional to xi x xi",
         )
-        return admissible
 
     return _search_report(
         "classical reservoir homogenisation of |+> towards |0>",

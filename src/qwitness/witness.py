@@ -343,7 +343,7 @@ def classical_impossibility_search(
     family = classical_filtered_family()
     free_names = family.free_params()
 
-    def search(report: WitnessReport) -> int:
+    def search(report: WitnessReport) -> None:
         # (c_m, n_m) per mediator sector m; the sector constants c_m drop out
         # of conjugation and coherence
         maps = zm_sector_maps(family)
@@ -371,7 +371,6 @@ def classical_impossibility_search(
             "plus-sector-residual-gap", best["sector_plus"][0], ">", 0.5,
             "mediator sharp in |0> only allows z-axis rotations of Q",
         )
-        return budget  # every sample counts
 
     return _search_report(
         "classical mediator, observable-level frame map",

@@ -41,6 +41,10 @@ from operator_helpers import is_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 DEFAULT_ETA_GRID = np.linspace(math.pi / 32, math.pi / 2, 16)
+# classical_reservoir_check's defaults, in _reservoir_scan's argument order
+RESERVOIR_DEFAULTS = dict(
+    eta_grid=DEFAULT_ETA_GRID, n_steps=8, budget=10_000, seed=7, grid_points=9, param_range=2.0
+)
 
 
 # -- dense 4x4 reference for the reservoir search ----------------------------
@@ -182,6 +186,10 @@ def _matrix_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_r
         len(eta_grid), len(free_params)
     )
     return masks, free_params, distances, _sector_image_gap(blocks)
+
+
+def _default_maps():
+    return zm_sector_maps(classical_filtered_family())
 
 
 def _bests_of_matrix(masks, free_params, distances, image_gap):
@@ -456,7 +464,7 @@ def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_gr
     assert dist.shape == ref_dist.shape == (len(eta_grid), len(free))
     assert np.abs(dist - ref_dist).max() <= 1e-13
     assert np.abs(gap - ref_gap).max() <= 1e-13
-    skipped, admissible, dist_best, gap_best = _reservoir_scan(*args)
+    skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), *args)
     assert skipped == {name: int((~m).sum()) for name, m in ref_masks.items()}
     assert admissible == len(ref_free)
     assert np.abs([v for v, _ in dist_best] - ref_dist.min(axis=1)).max() <= 1e-13
@@ -501,13 +509,18 @@ def test_streamed_reservoir_check_matches_matrix_oracle(monkeypatch, kwargs):
     streamed = classical_reservoir_check(**kwargs)
     seen = {}
 
-    def matrix_scan(*args):
+    def matrix_scan(maps, *args):
+        assert np.array_equal(maps, _default_maps())
         seen["args"], seen["matrix"] = args, _matrix_reservoir_scan(*args)
         return _bests_of_matrix(*seen["matrix"])
 
     monkeypatch.setattr(homogenizer, "_reservoir_scan", matrix_scan)
     assert streamed.to_json_dict() == classical_reservoir_check(**kwargs).to_json_dict()
     assert streamed.verdict == "POSITIVE-GAP"
+    # the check's defaults, eta grid included, pinned by this file's constants
+    want = {**RESERVOIR_DEFAULTS, **kwargs}
+    assert np.array_equal(seen["args"][0], want.pop("eta_grid"))
+    assert seen["args"][1:] == tuple(want.values())
     # the eta tie-break on its own: unravel_index(argmin) of the whole matrix
     # is the first occurrence in (eta, sample) order
     eta_grid = seen["args"][0]
@@ -549,7 +562,7 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
 
     monkeypatch.setattr(homogenizer, "_final_distances", crafted_distances)
     monkeypatch.setattr(homogenizer, "_sector_image_gap", crafted_gap)
-    skipped, admissible, dist_best, gap_best = _reservoir_scan(*args)
+    skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), *args)
     assert (skipped, admissible) == ({"grid": 1, "surface": 0}, budget)
     assert dist_best == [(0.25, free[5].tolist()), (0.25, free[3].tolist())]
     assert gap_best == (2.0, free[9].tolist())
