@@ -41,7 +41,8 @@ from operator_helpers import is_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 DEFAULT_ETA_GRID = np.linspace(math.pi / 32, math.pi / 2, 16)
-# classical_reservoir_check's defaults, in _reservoir_scan's argument order
+# classical_reservoir_check's defaults, in the order _reservoir_scan takes
+# them after the sector maps
 RESERVOIR_DEFAULTS = dict(
     eta_grid=DEFAULT_ETA_GRID, n_steps=8, budget=10_000, seed=7, grid_points=9, param_range=2.0
 )
