@@ -213,7 +213,7 @@ def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
         "commutant dimension equals the sum of squared eigenvalue multiplicities of the charge",
     ))
 
-    family = cons.constrain_family(cons.classical_mediator_family(), c_non)
+    family = cons.classical_filtered_family()
     expected = [{"alpha": 1.0, "a": 1.0}, {"beta": 1.0, "b": 1.0}]
     match = float(0 if family.constraints == expected else 1)
     checks.append(Check.compare(

@@ -197,20 +197,21 @@ def _final_distances(
 def _reservoir_scan(
     maps: np.ndarray, eta_grid: np.ndarray, n_steps: int, budget: int, seed: int,
     grid_points: int, param_range: float,
-) -> tuple[dict[str, int], int, list[tuple[float, list]], tuple[float, list]]:
+) -> tuple[dict[str, int], int, tuple[float, int, list], tuple[float, list]]:
     """Streamed reservoir search over the default classical family.
 
     ``maps`` is :func:`zm_sector_maps` of that family, whose free parameters
     (gamma, a, b, c) the surface draws are drawn in.  The grid, then the
     surface draws, pass through :func:`_sector_blocks` at four cells (the
     complex probe amplitudes psi0, psi1) per sample.  Each block keeps its
-    admissible samples (H^2 = I in both Z_M sectors) and updates a running
-    best (value, free parameters) per eta for the final trace distance and
-    one for the operator-image gap.  ``argmin`` takes the first minimum of a
-    block and a later block must beat the best strictly, so each best is the
-    first occurrence in sample order.  Returns the skipped count per source,
-    the admissible count, the per-eta bests and the image-gap best,
-    ``(inf, None)`` until an admissible sample arrives.
+    admissible samples (H^2 = I in both Z_M sectors) and updates one best
+    (value, eta index, free parameters) of the final trace distance and one
+    (value, free parameters) of the operator-image gap.  ``argmin`` takes the
+    first minimum of a block's eta row, and the distance best moves only when
+    ``(value, eta index)`` is strictly smaller, so it is the first occurrence
+    in (eta, sample) order; the gap best is the first in sample order.
+    Returns the skipped count per source, the admissible count and the two
+    bests, with value inf and no row until an admissible sample arrives.
     """
     sources = {
         # no uniform box draws: H^2 = I has measure zero in the box
@@ -218,7 +219,7 @@ def _reservoir_scan(
         "surface": _admissible_surface_draws(np.random.default_rng(seed), budget),
     }
     skipped, admissible = dict.fromkeys(sources, 0), 0
-    dist_best = [(math.inf, None)] * len(eta_grid)
+    dist_best = (math.inf, 0, None)
     gap_best = (math.inf, None)
     for name, rows, blocks in _sector_blocks(sources, maps, 4):
         mask = _sector_involution_residual(blocks) <= 1e-7
@@ -230,8 +231,8 @@ def _reservoir_scan(
         rows, blocks = rows[mask], blocks[:, mask]
         for k, dist in enumerate(_final_distances(blocks[0], eta_grid, n_steps)):
             i = int(np.argmin(dist))
-            if dist[i] < dist_best[k][0]:
-                dist_best[k] = (float(dist[i]), rows[i].tolist())
+            if (dist[i], k) < dist_best[:2]:
+                dist_best = (float(dist[i]), k, rows[i].tolist())
         gap = _sector_image_gap(blocks)
         i = int(np.argmin(gap))
         if gap[i] < gap_best[0]:
@@ -240,12 +241,13 @@ def _reservoir_scan(
 
 
 def classical_reservoir_check(
-    eta_grid: np.ndarray | None = None,
-    n_steps: int = 8,
-    budget: int = 10_000,
-    seed: int = 7,
-    grid_points: int = 9,
-    param_range: float = 2.0,
+    *,
+    eta_grid: np.ndarray,
+    n_steps: int,
+    budget: int,
+    seed: int,
+    grid_points: int,
+    param_range: float,
 ) -> WitnessReport:
     """Search for a classical reservoir that homogenises |+> towards |0>.
 
@@ -259,29 +261,24 @@ def classical_reservoir_check(
     (:func:`zm_sector_maps`), exactly: the reservoir qubit enters as the
     diagonal |0><0| and H is block diagonal in Z_M, so N collisions are one
     conjugation of the probe by U_+^N.  The samples stream through
-    :func:`_reservoir_scan` in blocks.  ``argmin_trace_distance`` is a
+    :func:`_reservoir_scan` in blocks, which picks the first (eta, sample)
+    occurrence of the smallest distance.  ``argmin_trace_distance`` is that
     tie-break among distances equal up to rounding (all sit at 1/sqrt(2)).
     """
     family = classical_filtered_family()
     free_names = family.free_params()
 
     def search(report: WitnessReport) -> None:
-        etas = np.linspace(math.pi / 32, math.pi / 2, 16) if eta_grid is None else eta_grid
-        etas = np.asarray(etas, dtype=float)
-        skipped, admissible, dist_best, (min_gap, gap_row) = _reservoir_scan(
-            zm_sector_maps(family), etas, n_steps, budget, seed, grid_points, param_range
+        skipped, admissible, (best_dist, eta_idx, best_row), (min_gap, gap_row) = _reservoir_scan(
+            zm_sector_maps(family), eta_grid, n_steps, budget, seed, grid_points, param_range
         )
         report.findings["skipped"] = skipped
         report.findings["admissible_samples"] = admissible
         if admissible == 0:
             return
-        # the first eta holding the smallest minimum: with the scan's first
-        # sample per eta, the first occurrence in (eta, sample) order
-        eta_idx = min(range(len(etas)), key=lambda k: dist_best[k][0])
-        best_dist, best_row = dist_best[eta_idx]
         report.findings["min_final_trace_distance"] = best_dist
         report.findings["argmin_trace_distance"] = {
-            **dict(zip(free_names, best_row)), "eta": float(etas[eta_idx])
+            **dict(zip(free_names, best_row)), "eta": float(eta_grid[eta_idx])
         }
         report.findings["min_image_distance"] = min_gap
         report.findings["argmin_image_distance"] = dict(zip(free_names, gap_row))

@@ -317,11 +317,12 @@ def _search_scan(
 
 
 def classical_impossibility_search(
-    budget: int = 10_000,
-    seed: int = 7,
-    grid_points: int = 9,
-    param_range: float = 2.0,
-    time_points: int = 64,
+    *,
+    budget: int,
+    seed: int,
+    grid_points: int,
+    param_range: float,
+    time_points: int,
 ) -> WitnessReport:
     """Bounded search over the constrained classical-bit-mediator family.
 

@@ -1,13 +1,19 @@
-"""Operator predicates and the stepwise descriptor reference shared by the tests.
+"""Operator predicates, the stepwise descriptor reference and the CLI's search
+arguments, shared by the tests.
 
 None of these is needed to run the CLI, so they live beside the tests that
 use them rather than in ``src/``.
 """
 
+import functools
+from types import MappingProxyType
+
 import numpy as np
+import pytest
 
 from typing import Sequence
 
+from qwitness import cli, homogenizer, witness
 from qwitness.paulis import COEFF_TOL, OperatorExpr
 
 #: The two systems of the witness network, in tensor order.
@@ -72,3 +78,36 @@ def evolve_descriptors_stepwise(gates: Sequence[OperatorExpr]) -> list[dict]:
         v_dag = dagger(v)
         rows.append({sub: tuple(v_dag @ p @ v for p in triple) for sub, triple in prev.items()})
     return rows
+
+
+@functools.cache
+def cli_search_arguments(**config) -> MappingProxyType:
+    """Keyword arguments the CLI hands each search driver, by driver name.
+
+    Runs ``experiment_witness`` and ``experiment_homogenize`` at
+    ``RunConfig(**config)`` with both drivers replaced by recorders that
+    answer with the real driver at budget 0, so nothing is sampled.  With no
+    ``config`` these are the arguments of the CLI's default search and check.
+    The result is cached and shared, so it is read-only, arrays included.
+    """
+    seen = {}
+
+    def recorder(module, name):
+        real = getattr(module, name)
+
+        def driver(**kwargs):
+            seen[name] = MappingProxyType(kwargs)
+            return real(**{**kwargs, "budget": 0})
+
+        return driver
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in (
+            (witness, "classical_impossibility_search"),
+            (homogenizer, "classical_reservoir_check"),
+        ):
+            mp.setattr(module, name, recorder(module, name))
+        cli.experiment_witness(cli.RunConfig(**config))
+        cli.experiment_homogenize(cli.RunConfig(**config))
+    seen["classical_reservoir_check"]["eta_grid"].flags.writeable = False
+    return MappingProxyType(seen)

@@ -29,6 +29,8 @@ from qwitness.oscillator import hp_hamiltonian
 from qwitness.paulis import OperatorExpr
 from qwitness.witness import axis_constraint_report, quantum_demo
 
+from operator_helpers import cli_search_arguments
+
 # first computation of the classical-reservoir search minimum (seed 7, full
 # documented grid); the analytic sector argument puts it at 1/sqrt(2)
 FROZEN_RESERVOIR_DISTANCE = 0.707106781
@@ -175,9 +177,8 @@ def test_criterion_11_bosonic_reduction():
 
 def test_criterion_12_classical_reservoir_gap():
     with criterion(12, "classical reservoir distance gap", 60.0):
-        report = classical_reservoir_check(
-            n_steps=8, budget=10_000, seed=7, grid_points=9
-        )
+        # the CLI's default check
+        report = classical_reservoir_check(**cli_search_arguments()["classical_reservoir_check"])
         measured = report.findings["min_final_trace_distance"]
         print(f"minimal final trace distance over the search: {measured!r}")
         assert measured > FROZEN_RESERVOIR_DISTANCE

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 from qwitness import cli
 from qwitness.cli import EXPERIMENTS, RunConfig, main, run_experiment
 from qwitness.errors import StructuralError
-from qwitness.reports import write_json
+from qwitness.reports import Check, write_json
+
+from operator_helpers import cli_search_arguments
 
 
 def small_config(tmp_path, **overrides):
@@ -36,6 +39,40 @@ def small_config(tmp_path, **overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def test_run_config_defaults_are_the_papers_settings():
+    # the one place the tests state the run settings: `qwitness all` runs
+    # these, and every test of the CLI's default search or check reads them
+    # through the CLI's own wiring (cli_search_arguments)
+    assert asdict(RunConfig()) == {
+        "schema_version": 1, "experiment": "all", "seed": 7, "out_dir": "out",
+        "eta": 0.4, "n_steps": 20, "d_b": 4, "budget": 10_000, "grid_points": 9,
+        "param_range": 2.0, "time_points": 64, "eta_points": 16, "reservoir_steps": 8,
+    }
+
+
+def test_experiments_hand_the_drivers_their_config_fields():
+    # pairwise distinct values, so no field can stand in for another
+    # (reservoir_steps is not n_steps)
+    config = dict(
+        seed=3, budget=11, grid_points=2, param_range=1.5, time_points=5,
+        eta_points=6, reservoir_steps=4, n_steps=7, d_b=8, eta=0.3,
+    )
+    cfg = RunConfig(**config)
+    seen = cli_search_arguments(**config)
+    assert seen["classical_impossibility_search"] == dict(
+        budget=cfg.budget, seed=cfg.seed, grid_points=cfg.grid_points,
+        param_range=cfg.param_range, time_points=cfg.time_points,
+    )
+    reservoir = dict(seen["classical_reservoir_check"])
+    # the CLI's coupling grid, the one rule for it
+    eta_grid = reservoir.pop("eta_grid")
+    assert np.array_equal(eta_grid, np.linspace(math.pi / 32, math.pi / 2, cfg.eta_points))
+    assert reservoir == dict(
+        n_steps=cfg.reservoir_steps, budget=cfg.budget, seed=cfg.seed,
+        grid_points=cfg.grid_points, param_range=cfg.param_range,
+    )
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -151,6 +188,20 @@ def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, con
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"{message}: ")
     assert not list(out.rglob("*"))
+
+
+def test_cli_failed_check_exits_1_and_writes_every_artifact(tmp_path, monkeypatch):
+    # exit 1 is a failed check, not a usage error: every artifact is written
+    def failing(cfg):
+        check = Check.compare("always-fails", 1.0, "<", 0.0, "a check that cannot pass")
+        return [check], {"extra.json": {"x": 1}}
+
+    monkeypatch.setitem(cli._RUNNERS, "table1", failing)
+    out = tmp_path / "out"
+    assert main(["table1", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["verdict"], summary["n_failed"]) == ("FAIL", 1)
+    assert json.loads((out / "extra.json").read_text()) == {"x": 1}
 
 
 def test_cli_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):

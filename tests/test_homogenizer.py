@@ -37,15 +37,14 @@ from qwitness.homogenizer import (
     xi_coefficient,
 )
 
-from operator_helpers import is_unitary
+from operator_helpers import cli_search_arguments, is_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-DEFAULT_ETA_GRID = np.linspace(math.pi / 32, math.pi / 2, 16)
-# classical_reservoir_check's defaults, in the order _reservoir_scan takes
-# them after the sector maps
-RESERVOIR_DEFAULTS = dict(
-    eta_grid=DEFAULT_ETA_GRID, n_steps=8, budget=10_000, seed=7, grid_points=9, param_range=2.0
-)
+
+
+def reservoir_arguments(**overrides):
+    """The CLI's default reservoir-check arguments, with ``overrides``."""
+    return {**cli_search_arguments()["classical_reservoir_check"], **overrides}
 
 
 # -- dense 4x4 reference for the reservoir search ----------------------------
@@ -195,15 +194,17 @@ def _default_maps():
 
 def _bests_of_matrix(masks, free_params, distances, image_gap):
     """``_reservoir_scan``'s return read off the one-pass matrices: the skipped
-    counts, the admissible count, and the first minimum (value, free
-    parameters) of each eta row and of the image gaps."""
-
-    def first_min(values):
-        i = int(np.argmin(values))
-        return float(values[i]), free_params[i].tolist()
-
-    skipped = {name: int((~m).sum()) for name, m in masks.items()}
-    return skipped, len(free_params), [first_min(row) for row in distances], first_min(image_gap)
+    counts, the admissible count, the first minimum (value, eta index, free
+    parameters) of the (eta, sample) distances in row-major order, and the
+    first minimum (value, free parameters) of the image gaps."""
+    eta_idx, i = np.unravel_index(np.argmin(distances), distances.shape)
+    j = int(np.argmin(image_gap))
+    return (
+        {name: int((~m).sum()) for name, m in masks.items()},
+        len(free_params),
+        (float(distances[eta_idx, i]), int(eta_idx), free_params[i].tolist()),
+        (float(image_gap[j]), free_params[j].tolist()),
+    )
 
 
 def test_partial_swap_limits():
@@ -394,7 +395,7 @@ def test_involution_mask_agrees_with_closed_form():
 
 
 def test_reservoir_check_budget_zero_is_unproven():
-    report = classical_reservoir_check(budget=0)
+    report = classical_reservoir_check(**reservoir_arguments(budget=0))
     assert report.verdict == "UNPROVEN"
     assert report.checks == []
 
@@ -404,7 +405,7 @@ def test_reservoir_check_without_an_admissible_sample_is_unproven(monkeypatch):
     monkeypatch.setattr(
         homogenizer, "_admissible_surface_draws", lambda rng, count: np.zeros((count, 4))
     )
-    report = classical_reservoir_check(budget=50, grid_points=1)
+    report = classical_reservoir_check(**reservoir_arguments(budget=50, grid_points=1))
     assert report.verdict == "UNPROVEN"
     assert report.checks == []
     assert report.findings["skipped"] == {"grid": 1, "surface": 50}
@@ -427,7 +428,7 @@ def test_pure_dephasing_family_keeps_probe_in_the_equator():
 
 
 def test_reservoir_check_reports_positive_gap_and_skip_counts():
-    report = classical_reservoir_check(budget=300, seed=5, n_steps=4)
+    report = classical_reservoir_check(**reservoir_arguments(budget=300, seed=5, n_steps=4))
     assert report.verdict == "POSITIVE-GAP"
     assert report.findings["skipped"]["surface"] == 0
     assert report.findings["min_final_trace_distance"] == pytest.approx(
@@ -437,8 +438,9 @@ def test_reservoir_check_reports_positive_gap_and_skip_counts():
 
 
 def test_reservoir_check_deterministic():
-    a = classical_reservoir_check(budget=100, seed=9, n_steps=3)
-    b = classical_reservoir_check(budget=100, seed=9, n_steps=3)
+    kwargs = reservoir_arguments(budget=100, seed=9, n_steps=3)
+    a = classical_reservoir_check(**kwargs)
+    b = classical_reservoir_check(**kwargs)
     assert a.findings["min_final_trace_distance"] == b.findings["min_final_trace_distance"]
     assert a.findings["argmin_trace_distance"] == b.findings["argmin_trace_distance"]
 
@@ -455,9 +457,11 @@ def test_reservoir_check_deterministic():
 def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_grid, n_steps):
     # every (eta, sample) entry of the sector kernels against 4x4 collisions;
     # the streamed scan reads the same kernels (see the matrix oracle test)
-    args = (eta_grid, n_steps, budget, seed, grid_points, 2.0)
-    masks, free, dist, gap = _matrix_reservoir_scan(*args)
-    ref_masks, ref_free, ref_dist, ref_gap = _dense_reservoir_scan(*args)
+    kwargs = reservoir_arguments(
+        eta_grid=eta_grid, n_steps=n_steps, budget=budget, seed=seed, grid_points=grid_points
+    )
+    masks, free, dist, gap = _matrix_reservoir_scan(**kwargs)
+    ref_masks, ref_free, ref_dist, ref_gap = _dense_reservoir_scan(**kwargs)
     assert masks.keys() == ref_masks.keys()
     for name in masks:
         assert np.array_equal(masks[name], ref_masks[name])
@@ -465,15 +469,15 @@ def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_gr
     assert dist.shape == ref_dist.shape == (len(eta_grid), len(free))
     assert np.abs(dist - ref_dist).max() <= 1e-13
     assert np.abs(gap - ref_gap).max() <= 1e-13
-    skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), *args)
+    skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), **kwargs)
     assert skipped == {name: int((~m).sum()) for name, m in ref_masks.items()}
     assert admissible == len(ref_free)
-    assert np.abs([v for v, _ in dist_best] - ref_dist.min(axis=1)).max() <= 1e-13
+    assert abs(dist_best[0] - ref_dist.min()) <= 1e-13
     assert abs(gap_best[0] - ref_gap.min()) <= 1e-13
-    report = classical_reservoir_check(
-        eta_grid=eta_grid, n_steps=n_steps, budget=budget, seed=seed,
-        grid_points=grid_points,
-    )
+    for k in range(len(eta_grid)):  # each eta's minimum, one eta per scan
+        one_eta = {**kwargs, "eta_grid": eta_grid[k : k + 1]}
+        assert abs(_reservoir_scan(_default_maps(), **one_eta)[2][0] - ref_dist[k].min()) <= 1e-13
+    report = classical_reservoir_check(**kwargs)
     assert report.findings["skipped"] == skipped
     assert report.findings["admissible_samples"] == len(ref_free)
 
@@ -481,10 +485,11 @@ def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_gr
 def test_default_reservoir_search_sits_on_the_closed_form():
     # the Z_M = +1 block of every admissible member is (gamma + c) Z = +-Z, so
     # each collision only rotates Q about z and |+> stays at D = 1/sqrt(2)
-    _, _, dist, _ = _matrix_reservoir_scan(DEFAULT_ETA_GRID, 8, 10_000, 7, 9, 2.0)
-    assert dist.shape == (16, 10012)
+    kwargs = reservoir_arguments()
+    _, _, dist, _ = _matrix_reservoir_scan(**kwargs)
+    assert dist.shape == (len(kwargs["eta_grid"]), 10012)
     assert np.abs(dist - 1 / math.sqrt(2)).max() <= 1e-12
-    report = classical_reservoir_check(n_steps=8, budget=10_000, seed=7, grid_points=9)
+    report = classical_reservoir_check(**kwargs)
     assert report.findings["min_final_trace_distance"] == pytest.approx(
         1 / math.sqrt(2), abs=1e-12
     )
@@ -505,47 +510,40 @@ def test_default_reservoir_search_sits_on_the_closed_form():
     ],
 )
 def test_streamed_reservoir_check_matches_matrix_oracle(monkeypatch, kwargs):
-    # exact equality: blocks and running minima change no value, argument
-    # or tie-break of the one-pass (eta, sample) matrix; only the scan is swapped
-    streamed = classical_reservoir_check(**kwargs)
+    # exact equality: blocks and the single running best change no value,
+    # argument or tie-break of the one-pass (eta, sample) matrix, whose
+    # unravel_index(argmin) is the first occurrence in (eta, sample) order;
+    # only the scan is swapped; ``kwargs`` override the CLI's default check
+    arguments = reservoir_arguments(**kwargs)
+    streamed = classical_reservoir_check(**arguments)
     seen = {}
 
     def matrix_scan(maps, *args):
         assert np.array_equal(maps, _default_maps())
-        seen["args"], seen["matrix"] = args, _matrix_reservoir_scan(*args)
-        return _bests_of_matrix(*seen["matrix"])
+        seen["args"] = args
+        return _bests_of_matrix(*_matrix_reservoir_scan(*args))
 
     monkeypatch.setattr(homogenizer, "_reservoir_scan", matrix_scan)
-    assert streamed.to_json_dict() == classical_reservoir_check(**kwargs).to_json_dict()
+    assert streamed.to_json_dict() == classical_reservoir_check(**arguments).to_json_dict()
     assert streamed.verdict == "POSITIVE-GAP"
-    # the check's defaults, eta grid included, pinned by this file's constants
-    want = {**RESERVOIR_DEFAULTS, **kwargs}
-    assert np.array_equal(seen["args"][0], want.pop("eta_grid"))
-    assert seen["args"][1:] == tuple(want.values())
-    # the eta tie-break on its own: unravel_index(argmin) of the whole matrix
-    # is the first occurrence in (eta, sample) order
-    eta_grid = seen["args"][0]
-    _, free, distances, _ = seen["matrix"]
-    eta_idx, idx = np.unravel_index(np.argmin(distances), distances.shape)
-    names = classical_filtered_family().free_params()
-    assert streamed.findings["min_final_trace_distance"] == distances[eta_idx, idx]
-    assert streamed.findings["argmin_trace_distance"] == {
-        **dict(zip(names, free[idx].tolist())), "eta": float(eta_grid[eta_idx])
-    }
+    # the check hands the scan its own arguments, in the scan's order
+    eta_grid, *rest = seen["args"]
+    assert eta_grid is arguments["eta_grid"]
+    assert rest == [
+        arguments[k] for k in ("n_steps", "budget", "seed", "grid_points", "param_range")
+    ]
 
 
 def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
-    # crafted kernels: equal minima in two blocks of one eta and at both etas;
-    # the first (eta, sample) occurrence wins, as unravel_index(argmin) picks
+    # crafted kernels: the first (eta, sample) occurrence of the smallest
+    # distance wins, as unravel_index(argmin) picks, and the first sample of
+    # the smallest image gap
     eta_grid = np.array([0.3, 0.9])
     rows = _BLOCK_CELLS // 4
     budget = 2 * rows + 100  # three surface blocks; the one grid point is inadmissible
-    args = (eta_grid, 8, budget, 3, 1, 2.0)
-    free = _matrix_reservoir_scan(*args)[1]
+    kwargs = reservoir_arguments(eta_grid=eta_grid, budget=budget, seed=3, grid_points=1)
+    free = _matrix_reservoir_scan(**kwargs)[1]
     assert len(free) == budget
-    dist = 1.0 + np.arange(2 * budget, dtype=float).reshape(2, budget) / budget
-    dist[0, [5, rows + 7, 2 * rows + 1]] = 0.25
-    dist[1, [3, 40, 2 * rows + 9]] = 0.25
     gap = np.full(budget, 3.0)
     gap[[9, rows + 2, 2 * rows + 50]] = 2.0
     served = {}
@@ -554,7 +552,7 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
         assert np.array_equal(etas, eta_grid)
         start = served.get("dist", 0)
         served["dist"] = start + len(plus)
-        return iter(dist[:, start : start + len(plus)])
+        return iter(served["matrix"][:, start : start + len(plus)])
 
     def crafted_gap(blocks):
         start = served.get("gap", 0)
@@ -563,30 +561,41 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
 
     monkeypatch.setattr(homogenizer, "_final_distances", crafted_distances)
     monkeypatch.setattr(homogenizer, "_sector_image_gap", crafted_gap)
-    skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), *args)
-    assert (skipped, admissible) == ({"grid": 1, "surface": 0}, budget)
-    assert dist_best == [(0.25, free[5].tolist()), (0.25, free[3].tolist())]
-    assert gap_best == (2.0, free[9].tolist())
-
-    served.clear()
-    report = classical_reservoir_check(
-        eta_grid=eta_grid, n_steps=8, budget=budget, seed=3, grid_points=1
-    )
     names = classical_filtered_family().free_params()
-    assert report.findings["argmin_trace_distance"] == {
-        **dict(zip(names, free[5].tolist())), "eta": 0.3
-    }
-    assert report.findings["argmin_image_distance"] == dict(zip(names, free[9].tolist()))
+    for minima, (eta_idx, idx) in (
+        # equal minima in all three blocks of each eta: the first block of eta 0
+        ([[5, rows + 7, 2 * rows + 1], [3, 40, 2 * rows + 9]], (0, 5)),
+        # eta 1 holds the minimum a block before eta 0 does; eta 0 still wins
+        ([[rows + 7, 2 * rows + 1], [3, 40]], (0, rows + 7)),
+    ):
+        dist = 1.0 + np.arange(2 * budget, dtype=float).reshape(2, budget) / budget
+        for k, samples in enumerate(minima):
+            dist[k, samples] = 0.25
+        served.clear()
+        served["matrix"] = dist
+        skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), **kwargs)
+        assert (skipped, admissible) == ({"grid": 1, "surface": 0}, budget)
+        assert dist_best == (0.25, eta_idx, free[idx].tolist())
+        assert gap_best == (2.0, free[9].tolist())
+
+        served.clear()
+        served["matrix"] = dist
+        report = classical_reservoir_check(**kwargs)
+        assert report.findings["argmin_trace_distance"] == {
+            **dict(zip(names, free[idx].tolist())), "eta": float(eta_grid[eta_idx])
+        }
+        assert report.findings["argmin_image_distance"] == dict(zip(names, free[9].tolist()))
 
 
 def test_reservoir_check_peak_memory_is_bounded():
-    # blocks of _BLOCK_CELLS // 4 samples and one running best per eta keep the
-    # check's temporaries small; the one-pass (16, 10012) distance matrix and
-    # its masks peak at about 4.7 MiB
-    classical_reservoir_check()
+    # blocks of _BLOCK_CELLS // 4 samples and a single running best keep the
+    # check's temporaries small; the one-pass (16, 10012) distance matrix of
+    # the CLI's default check and its masks peak at about 4.7 MiB
+    kwargs = reservoir_arguments()
+    classical_reservoir_check(**kwargs)
     tracemalloc.start()
     try:
-        classical_reservoir_check()
+        classical_reservoir_check(**kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -33,9 +33,14 @@ from qwitness.witness import (
     real_axis_roots,
 )
 
-from operator_helpers import is_zero
+from operator_helpers import cli_search_arguments, is_zero
 
 GEN = {"x": PAULI_MATS["X"], "y": PAULI_MATS["Y"], "z": PAULI_MATS["Z"]}
+
+
+def search_arguments(**overrides):
+    """The CLI's default impossibility-search arguments, with ``overrides``."""
+    return {**cli_search_arguments()["classical_impossibility_search"], **overrides}
 
 
 def rotation_unitary(axis, theta):
@@ -647,7 +652,7 @@ def test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence(mon
 
 
 def test_impossibility_search_budget_zero_is_unproven():
-    report = classical_impossibility_search(budget=0)
+    report = classical_impossibility_search(**search_arguments(budget=0))
     assert report.verdict == "UNPROVEN"
     assert report.checks == []
 
@@ -656,7 +661,7 @@ def test_impossibility_search_budget_zero_is_unproven():
 def test_impossibility_search_reports_positive_gap(seed):
     # 625 grid points + 2000 draws at 32 time points span six 512-row blocks
     report = classical_impossibility_search(
-        budget=2000, seed=seed, grid_points=5, time_points=32
+        **search_arguments(budget=2000, seed=seed, grid_points=5, time_points=32)
     )
     assert report.verdict == "POSITIVE-GAP"
     # the |0>-sector only reaches z-rotations, so 2*sqrt(2) bounds its
@@ -674,7 +679,7 @@ def test_impossibility_search_reports_positive_gap(seed):
 def test_impossibility_search_is_deterministic():
     # 81 grid points + 5000 draws at 16 time points span four full
     # 1024-row blocks and a ragged fifth
-    kwargs = dict(budget=5000, seed=11, grid_points=3, time_points=16)
+    kwargs = search_arguments(budget=5000, seed=11, grid_points=3, time_points=16)
     a = classical_impossibility_search(**kwargs)
     b = classical_impossibility_search(**kwargs)
     assert a.to_json_dict() == b.to_json_dict()
@@ -694,10 +699,11 @@ def test_impossibility_search_is_deterministic():
 )
 def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
     # exact equality: the blocks and the deferred scaling change no value,
-    # argument or tie-break
-    streamed = classical_impossibility_search(**kwargs).to_json_dict()
+    # argument or tie-break; ``kwargs`` override the CLI's default search
+    arguments = search_arguments(**kwargs)
+    streamed = classical_impossibility_search(**arguments).to_json_dict()
     monkeypatch.setattr(witness, "_search_scan", chunked_search_scan)
-    assert streamed == classical_impossibility_search(**kwargs).to_json_dict()
+    assert streamed == classical_impossibility_search(**arguments).to_json_dict()
 
 
 def test_search_scan_ties_go_to_the_first_occurrence():
@@ -723,11 +729,13 @@ def test_search_scan_ties_go_to_the_first_occurrence():
 
 def test_impossibility_search_peak_memory_is_bounded():
     # blocks of _BLOCK_CELLS cells keep the search's temporaries small; the
-    # (2048, 64) arrays of a one-pass evaluation peak at about 13 MiB
-    classical_impossibility_search()
+    # (2048, 64) arrays of a one-pass evaluation of the CLI's default search
+    # peak at about 13 MiB
+    kwargs = search_arguments()
+    classical_impossibility_search(**kwargs)
     tracemalloc.start()
     try:
-        classical_impossibility_search()
+        classical_impossibility_search(**kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,0 +1,144 @@
+"""Run each named source mutation against the tests that must kill it.
+
+Usage: ``python tools/mutants.py`` from anywhere; it takes no flags.
+
+For every mutant in ``MUTANTS`` the repository, without ``.git``, is copied
+to a temporary directory, one exact ``old`` -> ``new`` string replacement is
+made in one file under ``src/`` (``old`` must occur there exactly once), and
+the mutant's tests run in that copy.  A mutant is killed when its tests fail
+and survives when they pass; any other pytest outcome (a test that is not
+found, a collection error) stops the script.  The unmutated copy must pass
+every named test first.  Results go to ``tools/mutants.json`` beside this
+script, and the exit code is 1 when any mutant survived.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORD = ROOT / "tools" / "mutants.json"
+
+_CONFIG_PIN = "tests/test_cli.py::test_run_config_defaults_are_the_papers_settings"
+_WIRING_PIN = "tests/test_cli.py::test_experiments_hand_the_drivers_their_config_fields"
+_RESERVOIR_TIES = "tests/test_homogenizer.py::test_reservoir_scan_ties_go_to_the_first_occurrence"
+_SEARCH_TIES = "tests/test_witness.py::test_search_scan_ties_go_to_the_first_occurrence"
+_ROOTED_ARGMAX = (
+    "tests/test_witness.py::"
+    "test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence"
+)
+
+#: name, file under src/qwitness, old string, new string, tests that must fail
+MUTANTS = [
+    ("search-plain-argmax-of-pop", "witness.py",
+     "flat = int(np.argmax(coh))", "flat = int(np.argmax(pop))", [_ROOTED_ARGMAX]),
+    ("runconfig-budget-halved", "cli.py",
+     "budget: int = 10_000", "budget: int = 5_000", [_CONFIG_PIN]),
+    ("runconfig-time-points-halved", "cli.py",
+     "time_points: int = 64", "time_points: int = 32", [_CONFIG_PIN]),
+    ("runconfig-eta-points-halved", "cli.py",
+     "eta_points: int = 16", "eta_points: int = 8", [_CONFIG_PIN]),
+    ("reservoir-fed-n-steps", "cli.py",
+     "n_steps=cfg.reservoir_steps", "n_steps=cfg.n_steps", [_WIRING_PIN]),
+    ("reservoir-distance-best-by-value-only", "homogenizer.py",
+     "if (dist[i], k) < dist_best[:2]:", "if dist[i] < dist_best[0]:", [_RESERVOIR_TIES]),
+    ("reservoir-distance-best-le", "homogenizer.py",
+     "if (dist[i], k) < dist_best[:2]:", "if (dist[i], k) <= dist_best[:2]:", [_RESERVOIR_TIES]),
+    ("reservoir-gap-best-le", "homogenizer.py",
+     "if gap[i] < gap_best[0]:", "if gap[i] <= gap_best[0]:", [_RESERVOIR_TIES]),
+    ("search-residual-best-le", "witness.py",
+     "if val < best[key][0]:", "if val <= best[key][0]:", [_SEARCH_TIES]),
+    ("search-state-level-best-ge", "witness.py",
+     'if val > best["state_level"][0]:', 'if val >= best["state_level"][0]:', [_SEARCH_TIES]),
+    ("search-kernel-cross-term-sign", "witness.py",
+     "res = cos2 * (ux + uz) ** 2", "res = cos2 * (ux - uz) ** 2",
+     ["tests/test_witness.py::test_sector_kernel_matches_rotation_tensor"]),
+    ("axis-root-sign", "witness.py",
+     "root[a], root[b] = (n_g * v_a + v_b) / w,", "root[a], root[b] = (n_g * v_a - v_b) / w,",
+     ["tests/test_witness.py::test_x_system_root_set",
+      "tests/test_witness.py::test_roots_satisfy_their_systems_after_substitution"]),
+    ("rref-pivot-among-reduced-rows", "conservation.py",
+     "for i in range(r, len(rows)) if rows[i][j]", "for i in range(len(rows)) if rows[i][j]",
+     ["tests/test_conservation.py::test_rref_matches_sympy_on_small_integer_matrices"]),
+    ("sector-map-sign", "conservation.py",
+     '-coeff.real if label[1] == "Z" else coeff.real',
+     'coeff.real if label[1] == "Z" else -coeff.real',
+     ["tests/test_conservation.py::test_zm_sector_maps_reproduce_dense_blocks"]),
+    ("z-convention-flipped", "dense.py",
+     '"Z": np.array([[1, 0], [0, -1]], dtype=complex)',
+     '"Z": np.array([[-1, 0], [0, 1]], dtype=complex)',
+     ["tests/test_circuit.py::test_cphase_matrix"]),
+    ("controlled-gate-projectors-swapped", "circuit.py",
+     "0.5 * (one + mz) + 0.5 * ((one - mz) @", "0.5 * (one - mz) + 0.5 * ((one + mz) @",
+     ["tests/test_circuit.py::test_cnot_flips_q_when_m_is_one"]),
+    ("non-finite-angle-only-nan", "circuit.py",
+     "if not math.isfinite(angle):", "if math.isnan(angle):",
+     ["tests/test_circuit.py::test_non_finite_angle_is_a_structural_error"]),
+    ("failed-check-exits-2", "cli.py",
+     "return (0 if passed else 1), checks", "return (0 if passed else 2), checks",
+     ["tests/test_cli.py::test_cli_failed_check_exits_1_and_writes_every_artifact"]),
+    ("config-error-exits-1", "cli.py",
+     'print(f"config error: {exc}", file=sys.stderr)\n        return 2',
+     'print(f"config error: {exc}", file=sys.stderr)\n        return 1',
+     ["tests/test_cli.py::test_cli_bad_config_returns_2"]),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    shutil.copytree(
+        ROOT, dest,
+        ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out", ".bench_build",
+        ),
+    )
+
+
+def _run_tests(tree: Path, tests: list[str]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode not in (0, 1):  # 1: tests failed; anything else is no verdict
+        sys.exit(f"pytest exited {proc.returncode} in {tree}:\n{proc.stdout}{proc.stderr}")
+    return proc.returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="qwitness-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        if _run_tests(clean, named) != 0:
+            sys.exit("the unmutated tree fails a named test")
+        results = []
+        for name, path, old, new, tests in MUTANTS:
+            tree = Path(tmp) / name
+            _copy_tree(tree)
+            source = tree / "src" / "qwitness" / path
+            text = source.read_text()
+            count = text.count(old)
+            if count != 1:
+                sys.exit(f"{name}: {old!r} occurs {count} times in src/qwitness/{path}")
+            source.write_text(text.replace(old, new))
+            outcome = "killed" if _run_tests(tree, tests) else "survived"
+            shutil.rmtree(tree)
+            print(f"{outcome:8} {name}")
+            results.append({
+                "name": name, "file": f"src/qwitness/{path}", "old": old, "new": new,
+                "tests": tests, "result": outcome,
+            })
+    RECORD.write_text(json.dumps({"mutants": results}, indent=2) + "\n")
+    survived = [r["name"] for r in results if r["result"] == "survived"]
+    print(f"{len(results) - len(survived)}/{len(results)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
