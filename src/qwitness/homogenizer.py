@@ -24,6 +24,7 @@ import numpy as np
 
 from .circuit import partial_swap
 from .conservation import (
+    _BLOCK_CELLS,
     ConservedQuantity,
     _search_report,
     _sector_blocks,
@@ -194,6 +195,35 @@ def _final_distances(
         yield np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
 
 
+def _admissible_blocks(
+    sources: dict[str, np.ndarray], maps: np.ndarray, skipped: dict[str, int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Admissible samples (H^2 = I in both Z_M sectors) with their sector blocks.
+
+    The sources pass through :func:`_sector_blocks` at four cells (the
+    complex probe amplitudes psi0, psi1) per sample.  The admissible rows of
+    a block are held, across blocks and sources, until at least
+    ``_BLOCK_CELLS // 4`` rows are held; those are yielded as one block, in
+    source and row order, and what is held at the end as a last one.  Each
+    source's inadmissible count is added to ``skipped``.
+    """
+    held = ()
+    for name, rows, blocks in _sector_blocks(sources, maps, 4):
+        mask = _sector_involution_residual(blocks) <= 1e-7
+        skipped[name] += len(rows) - int(np.count_nonzero(mask))
+        rows, blocks = rows[mask], blocks[:, mask]
+        if held:
+            rows = np.concatenate((held[0], rows))
+            blocks = np.concatenate((held[1], blocks), axis=1)
+        held = ()
+        if len(rows) >= _BLOCK_CELLS // 4:
+            yield rows, blocks
+        elif len(rows):
+            held = rows, blocks
+    if held:
+        yield held
+
+
 def _reservoir_scan(
     maps: np.ndarray, eta_grid: np.ndarray, n_steps: int, budget: int, seed: int,
     grid_points: int, param_range: float,
@@ -202,14 +232,13 @@ def _reservoir_scan(
 
     ``maps`` is :func:`zm_sector_maps` of that family, whose free parameters
     (gamma, a, b, c) the surface draws are drawn in.  The grid, then the
-    surface draws, pass through :func:`_sector_blocks` at four cells (the
-    complex probe amplitudes psi0, psi1) per sample.  Each block keeps its
-    admissible samples (H^2 = I in both Z_M sectors) and updates one best
-    (value, eta index, free parameters) of the final trace distance and one
-    (value, free parameters) of the operator-image gap.  ``argmin`` takes the
-    first minimum of a block's eta row, and the distance best moves only when
-    ``(value, eta index)`` is strictly smaller, so it is the first occurrence
-    in (eta, sample) order; the gap best is the first in sample order.
+    surface draws, pass through :func:`_admissible_blocks`.  Each block of
+    admissible samples updates one best (value, eta index, free parameters)
+    of the final trace distance and one (value, free parameters) of the
+    operator-image gap.  ``argmin`` takes the first minimum of a block's eta
+    row, and the distance best moves only when ``(value, eta index)`` is
+    strictly smaller, so it is the first occurrence in (eta, sample) order
+    whatever the blocks; the gap best is the first in sample order.
     Returns the skipped count per source, the admissible count and the two
     bests, with value inf and no row until an admissible sample arrives.
     """
@@ -221,14 +250,8 @@ def _reservoir_scan(
     skipped, admissible = dict.fromkeys(sources, 0), 0
     dist_best = (math.inf, 0, None)
     gap_best = (math.inf, None)
-    for name, rows, blocks in _sector_blocks(sources, maps, 4):
-        mask = _sector_involution_residual(blocks) <= 1e-7
-        kept = int(np.count_nonzero(mask))
-        skipped[name] += len(rows) - kept
-        admissible += kept
-        if not kept:
-            continue
-        rows, blocks = rows[mask], blocks[:, mask]
+    for rows, blocks in _admissible_blocks(sources, maps, skipped):
+        admissible += len(rows)
         for k, dist in enumerate(_final_distances(blocks[0], eta_grid, n_steps)):
             i = int(np.argmin(dist))
             if (dist[i], k) < dist_best[:2]:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .circuit import swap
 from .conservation import (
+    _BLOCK_CELLS,
     ConservedQuantity,
     _search_report,
     _sector_blocks,
@@ -267,6 +268,114 @@ def _sector_kernel(
     return res, pop
 
 
+#: Float slack of :func:`_sector_certificates`, each far above the rounding
+#: it covers.  Distances: the certificate's y = (t / pi) r and the kernel's
+#: phase r t round apart by a few ulps of the phase, and pi, arcsin and
+#: 1/2 - f add a few ulps of 1, so each distance is lowered by
+#: ``_PHASE_SLACK (1 + r max|t|)``.
+_PHASE_SLACK = 2.0**-44
+#: np.cos and its square may round the kernel's cos^2 a few ulps low, and
+#: np.sin and its square the floor sin^2(x) a few ulps high: the floor is
+#: lowered by this share of itself.
+_COS2_SLACK = 2.0**-48
+#: The kernel's pop = p (1 - p) rounds through sin^2, cos^2, u_z^2 + T != 1
+#: and three products, a few ulps of 1/4 in all: added to 1/4 - m^2.
+_POP_SLACK = 2.0**-44
+
+
+def _sector_certificates(
+    blocks: np.ndarray, times: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> None:
+    """Per-row bounds over all times of one block (2, B, 4), written to ``out`` (4, B).
+
+    ``out[0:3]`` are floors ``sqrt(8 lb)`` of the row's joint, plus and minus
+    residuals and ``out[3]`` is minus a ceiling on its coherence in either
+    sector, each as the scan compares them.  ``work`` is scratch space of at
+    least (2, 2 B T) floats.  r, u, A = (u_x + u_z)^2, B = (u_x - u_z)^2 +
+    2 u_y^2 and T = u_x^2 + u_y^2 are computed as :func:`_sector_kernel`
+    computes them; the time axis sees no trig.  With y = r t / pi and
+    f = |y - rint(y)|, the phase phi = r t lies pi f from pi Z.
+
+    * Residual: |cos phi| = sin(dist(phi, pi/2 + pi Z)), so cos^2 >= sin^2(x)
+      for x = pi (1/2 - max f), and ``lb = sin^2(x) A + B`` rounds no higher
+      than the kernel's ``cos^2 A + B``.
+    * Coherence: ``2 sqrt(1/4 - m^2)`` with m = |p - 1/2|, p = sin^2(phi) T.
+      For T < 1/2, m >= 1/2 - T.  Otherwise ``p - 1/2 = T sin(phi - alpha)
+      sin(phi + alpha)`` with alpha = arcsin sqrt(1/(2T)); with d the smallest
+      distance to +-alpha + pi Z (min |pi f - alpha|) and g = min(2 alpha,
+      pi - 2 alpha) the gap between those lattices,
+      ``m >= T sin(d) sin(max(d, g - d))``, which grows with d.
+    """
+    n_rows = out.shape[1]
+    axes = blocks[..., 1:].reshape(-1, 3)  # the plus rows, then the minus rows
+    r = np.linalg.norm(axes, axis=-1)
+    degenerate = r < 1e-100
+    unit = axes / np.where(degenerate, 1.0, r)[:, None]
+    unit[degenerate] = _E["z"]
+    ux, uy, uz = unit.T
+    f, dist = work[:, : len(times) * len(r)].reshape(2, len(times), len(r))
+    np.multiply.outer(times / math.pi, r, out=f)
+    np.subtract(f, np.rint(f, out=dist), out=f)
+    np.abs(f, out=f)
+    slack = _PHASE_SLACK * (1.0 + np.abs(times).max() * r)
+    x = np.maximum(math.pi * (0.5 - f.max(axis=0)) - slack, 0.0)
+    floor = np.sin(x) ** 2 * (1.0 - _COS2_SLACK)
+    lb = floor * (ux + uz) ** 2 + ((ux - uz) ** 2 + 2.0 * uy * uy)
+    np.sqrt(8.0 * (lb[:n_rows] + lb[n_rows:]), out=out[0])
+    out[1:3] = np.sqrt(8.0 * lb).reshape(2, n_rows)
+    transverse = ux * ux + uy * uy
+    alpha = np.arcsin(np.sqrt(0.5 / np.maximum(transverse, 0.5)))
+    np.subtract(f, alpha / math.pi, out=dist)
+    d = np.maximum(math.pi * np.abs(dist, out=dist).min(axis=0) - slack, 0.0)
+    g = np.minimum(2.0 * alpha, math.pi - 2.0 * alpha) - slack
+    m = np.where(
+        transverse < 0.5,
+        0.5 - transverse,
+        transverse * np.sin(d) * np.sin(np.maximum(d, g - d)),
+    )
+    ub = 2.0 * np.sqrt(0.25 - m * m + _POP_SLACK)
+    np.negative(np.maximum(ub[:n_rows], ub[n_rows:]), out=out[3])
+
+
+def _scan_block(
+    best: dict[str, tuple[float, list, int]], rows: np.ndarray, blocks: np.ndarray,
+    times: np.ndarray,
+) -> None:
+    """Update ``best`` with the kernel's values on ``rows`` and their sector blocks.
+
+    A block's first extremum (``argmin`` on the residual before its root,
+    ``argmax`` on the rooted coherence) replaces a best only when strictly
+    better, so a tie goes to the first occurrence in (sample, time) order.
+    """
+    time_points = len(times)
+    (res_plus, pop_plus), (res_minus, pop_minus) = (
+        _sector_kernel(blocks[m][:, 1:], times) for m in range(2)
+    )
+    # 8 a + 8 b = 8 (a + b) exactly, so the sum is scaled like a sector
+    for key, res in (
+        ("joint", res_plus + res_minus),
+        ("sector_plus", res_plus),
+        ("sector_minus", res_minus),
+    ):
+        flat = int(np.argmin(res))
+        val = float(np.sqrt(8.0 * res.flat[flat]))
+        if val < best[key][0]:
+            i, j = divmod(flat, time_points)
+            best[key] = (val, rows[i].tolist(), j)
+    for pop in (pop_plus, pop_minus):
+        if pop is None:
+            val, flat = 0.0, 0
+        else:
+            # sqrt sends neighbouring doubles to one value, so the first
+            # maximum is taken after the root, not on pop
+            coh = 2.0 * np.sqrt(pop)
+            flat = int(np.argmax(coh))
+            val = float(coh.flat[flat])
+        if val > best["state_level"][0]:
+            i, j = divmod(flat, time_points)
+            best["state_level"] = (val, rows[i].tolist(), j)
+
+
 def _search_scan(
     sources: dict[str, np.ndarray], times: np.ndarray, maps: np.ndarray
 ) -> dict[str, tuple[float, list, int]]:
@@ -276,43 +385,57 @@ def _search_scan(
     ``state_level`` the maximal coherence of U_m |0><0| U_m† over both
     sectors (diagonal mediator mixtures cannot beat their best pure
     sector).  The sources stream through :func:`_sector_blocks` at one cell
-    per time point; a tie goes to the first occurrence in (sample, time)
-    order.
+    per time point, twice.  The first pass writes each row's
+    :func:`_sector_certificates` into one (4, rows) array and keeps the row
+    with the best certificate of each target; the kernel then runs on those
+    rows alone, and their values are the incumbents.  The second pass runs
+    :func:`_scan_block` on the rows of each block whose certificate reaches
+    or ties the better of the incumbent and the running best of some target,
+    and on the first row of the first block, and skips a block without one.
+    Every cell that attains a final optimum lies in a kept row, and the kept
+    rows keep their order, so the result, with its tie-break to the first
+    occurrence in (sample, time) order, is that of evaluating every row.
     """
     time_points = len(times)
+    certificates = np.empty((4, sum(map(len, sources.values()))))
+    # a block holds at most max(_BLOCK_CELLS, time_points) cells per sector
+    work = np.empty((2, 2 * max(_BLOCK_CELLS, time_points)))
+    probe = [(np.inf, None, None)] * 4  # (certificate, row, its sector blocks)
+    start = 0
+    for _, rows, blocks in _sector_blocks(sources, maps, time_points):
+        block = certificates[:, start : start + len(rows)]
+        _sector_certificates(blocks, times, block, work)
+        for k, i in enumerate(block.argmin(axis=1)):
+            if block[k, i] < probe[k][0]:
+                probe[k] = (block[k, i], rows[i], blocks[:, i])
+        start += len(rows)
     best = {
         "joint": (np.inf, None, 0),
         "sector_plus": (np.inf, None, 0),
         "sector_minus": (np.inf, None, 0),
         "state_level": (-np.inf, None, 0),
     }
+    incumbent = dict(best)
+    _scan_block(
+        incumbent,
+        np.array([row for _, row, _ in probe]),
+        np.stack([sector for _, _, sector in probe], axis=1),
+        times,
+    )
+    start = 0
     for _, rows, blocks in _sector_blocks(sources, maps, time_points):
-        (res_plus, pop_plus), (res_minus, pop_minus) = (
-            _sector_kernel(blocks[m][:, 1:], times) for m in range(2)
-        )
-        # 8 a + 8 b = 8 (a + b) exactly, so the sum is scaled like a sector
-        for key, res in (
-            ("joint", res_plus + res_minus),
-            ("sector_plus", res_plus),
-            ("sector_minus", res_minus),
-        ):
-            flat = int(np.argmin(res))
-            val = float(np.sqrt(8.0 * res.flat[flat]))
-            if val < best[key][0]:
-                i, j = divmod(flat, time_points)
-                best[key] = (val, rows[i].tolist(), j)
-        for pop in (pop_plus, pop_minus):
-            if pop is None:
-                val, flat = 0.0, 0
-            else:
-                # sqrt sends neighbouring doubles to one value, so the first
-                # maximum is taken after the root, not on pop
-                coh = 2.0 * np.sqrt(pop)
-                flat = int(np.argmax(coh))
-                val = float(coh.flat[flat])
-            if val > best["state_level"][0]:
-                i, j = divmod(flat, time_points)
-                best["state_level"] = (val, rows[i].tolist(), j)
+        limits = [
+            min(incumbent[key][0], best[key][0])
+            for key in ("joint", "sector_plus", "sector_minus")
+        ]
+        limits.append(-max(incumbent["state_level"][0], best["state_level"][0]))
+        block = certificates[:, start : start + len(rows)]
+        keep = (block <= np.array(limits)[:, None]).any(axis=0)
+        # row 0 carries the pop-is-None rule: (0.0, first row, time 0)
+        keep[0] |= start == 0
+        start += len(rows)
+        if keep.any():
+            _scan_block(best, rows[keep], blocks[:, keep], times)
     return best
 
 
@@ -339,7 +462,10 @@ def classical_impossibility_search(
     by 2 |n_m| t, and W is symmetric with trace -1, so the squared residual
     of a sector is the closed form ``16 - 8 sin^2(|n_m| t) (1 + u.W u)`` with
     u = n_m / |n_m| (see :func:`_sector_kernel`); the joint residual adds the
-    two sectors.  The samples stream through :func:`_search_scan` in blocks.
+    two sectors.  The samples stream through :func:`_search_scan` in blocks,
+    which runs that kernel only on the rows whose trig-free certificate can
+    still reach or tie an optimum; the reported values, arguments and
+    tie-breaks are those of evaluating every sample at every time.
     """
     family = classical_filtered_family()
     free_names = family.free_params()

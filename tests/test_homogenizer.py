@@ -587,6 +587,22 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
         assert report.findings["argmin_image_distance"] == dict(zip(names, free[9].tolist()))
 
 
+def test_reservoir_scan_runs_the_kernels_on_full_blocks(monkeypatch):
+    # the grid's 12 admissible points (of 6,561) are held and join the first
+    # surface block, so the distance kernel runs on three blocks, not five
+    sizes = []
+    distances = homogenizer._final_distances
+
+    def recorded(plus, eta_grid, n_steps):
+        sizes.append(len(plus))
+        return distances(plus, eta_grid, n_steps)
+
+    monkeypatch.setattr(homogenizer, "_final_distances", recorded)
+    skipped, admissible, _, _ = _reservoir_scan(_default_maps(), **reservoir_arguments())
+    assert (skipped, admissible) == ({"grid": 6549, "surface": 0}, 10012)
+    assert sizes == [12 + _BLOCK_CELLS // 4, _BLOCK_CELLS // 4, 10000 - _BLOCK_CELLS // 2]
+
+
 def test_reservoir_check_peak_memory_is_bounded():
     # blocks of _BLOCK_CELLS // 4 samples and a single running best keep the
     # check's temporaries small; the one-pass (16, 10012) distance matrix of

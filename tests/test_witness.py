@@ -18,11 +18,13 @@ from qwitness.circuit import evolve_descriptors, witness_circuit
 from qwitness.dense import PAULI_MATS
 from qwitness.errors import ContractViolation, StructuralError
 from qwitness import witness
+from qwitness.conservation import _sector_blocks
 from qwitness.paulis import signed_single_label
 from qwitness.witness import (
     WITNESS_FRAME_MAP,
     _axis_equations,
     _format_equation,
+    _sector_certificates,
     _sector_kernel,
     axis_constraint_report,
     classical_impossibility_search,
@@ -582,6 +584,44 @@ def chunked_search_scan(sources, times, maps):
     return best
 
 
+def full_search_scan(sources, times, maps):
+    """Oracle for ``_search_scan``: the kernel on every row of every
+    ``_sector_blocks`` block, with the scan's update code; returns (value,
+    sample row, time index)."""
+    time_points = len(times)
+    best = {
+        "joint": (np.inf, None, 0),
+        "sector_plus": (np.inf, None, 0),
+        "sector_minus": (np.inf, None, 0),
+        "state_level": (-np.inf, None, 0),
+    }
+    for _, rows, blocks in _sector_blocks(sources, maps, time_points):
+        (res_plus, pop_plus), (res_minus, pop_minus) = (
+            _sector_kernel(blocks[m][:, 1:], times) for m in range(2)
+        )
+        for key, res in (
+            ("joint", res_plus + res_minus),
+            ("sector_plus", res_plus),
+            ("sector_minus", res_minus),
+        ):
+            flat = int(np.argmin(res))
+            val = float(np.sqrt(8.0 * res.flat[flat]))
+            if val < best[key][0]:
+                i, j = divmod(flat, time_points)
+                best[key] = (val, rows[i].tolist(), j)
+        for pop in (pop_plus, pop_minus):
+            if pop is None:
+                val, flat = 0.0, 0
+            else:
+                coh = 2.0 * np.sqrt(pop)
+                flat = int(np.argmax(coh))
+                val = float(coh.flat[flat])
+            if val > best["state_level"][0]:
+                i, j = divmod(flat, time_points)
+                best["state_level"] = (val, rows[i].tolist(), j)
+    return best
+
+
 def test_sector_kernel_matches_rotation_tensor():
     # the closed form against the Rodrigues tensor and the coherence of
     # R|0> written out from its diagonal entries, on the search's time grid
@@ -624,17 +664,30 @@ def test_sector_kernel_skips_coherence_of_z_axes():
     assert np.all(coh == 0.0)
 
 
-def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape):
+def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape, keep=True):
     """``_search_scan``'s state-level best over one block of ``shape`` cells
     whose two sectors return the given ``pop`` arrays (None: all z axes).
-    Sample k is the one-entry row [k]."""
-    sectors = iter((pop_plus, pop_minus))
-    monkeypatch.setattr(
-        witness, "_sector_kernel", lambda axes, times: (np.ones(shape), next(sectors))
-    )
+    Sample k is the row [k, 1], which the sector maps send to the axis
+    (k, m, 0) of sector m, so the crafted kernel reads the sector and the
+    samples from the axes it gets.  The crafted certificate keeps every row,
+    or none with ``keep=False``."""
+    pops = (pop_plus, pop_minus)
+
+    def kernel(axes, times):
+        pop = pops[int(axes[0, 1])]
+        return np.ones((len(axes), len(times))), None if pop is None else pop[axes[:, 0].astype(int)]
+
+    def certificates(blocks, times, out, work):
+        out[:] = -1e300 if keep else 1e300
+
+    monkeypatch.setattr(witness, "_sector_kernel", kernel)
+    monkeypatch.setattr(witness, "_sector_certificates", certificates)
     rows, time_points = shape
-    samples = np.arange(rows, dtype=float)[:, None]
-    best = witness._search_scan({"grid": samples}, np.zeros(time_points), np.zeros((2, 1, 4)))
+    samples = np.column_stack((np.arange(rows, dtype=float), np.ones(rows)))
+    maps = np.zeros((2, 2, 4))
+    maps[:, 0, 1] = 1.0  # n_x = k
+    maps[1, 1, 2] = 1.0  # n_y = m
+    best = witness._search_scan({"grid": samples}, np.zeros(time_points), maps)
     return best["state_level"]
 
 
@@ -643,12 +696,17 @@ def test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence(mon
     assert above > 0.25 and np.sqrt(above) == 0.5
     pop = np.array([[0.1, 0.25], [above, 0.25]])
     # plain argmax(pop) would take `above` at (sample 1, time 0)
-    assert state_level_of_crafted_pops(monkeypatch, None, pop, (2, 2)) == (1.0, [0.0], 1)
-    assert state_level_of_crafted_pops(monkeypatch, pop, pop, (2, 2)) == (1.0, [0.0], 1)
-    assert state_level_of_crafted_pops(monkeypatch, None, None, (2, 3)) == (0.0, [0.0], 0)
+    assert state_level_of_crafted_pops(monkeypatch, None, pop, (2, 2)) == (1.0, [0.0, 1.0], 1)
+    assert state_level_of_crafted_pops(monkeypatch, pop, pop, (2, 2)) == (1.0, [0.0, 1.0], 1)
+    assert state_level_of_crafted_pops(monkeypatch, None, None, (2, 3)) == (0.0, [0.0, 1.0], 0)
     assert state_level_of_crafted_pops(
         monkeypatch, np.array([[0.3, 0.2, 0.3]]), None, (1, 3)
-    ) == (2.0 * math.sqrt(0.3), [0.0], 0)
+    ) == (2.0 * math.sqrt(0.3), [0.0, 1.0], 0)
+    # the first row of the first block is evaluated even when no certificate
+    # keeps it, so an all-z search still reports its first sample at time 0
+    assert state_level_of_crafted_pops(
+        monkeypatch, None, None, (2, 3), keep=False
+    ) == (0.0, [0.0, 1.0], 0)
 
 
 def test_impossibility_search_budget_zero_is_unproven():
@@ -695,15 +753,23 @@ def test_impossibility_search_is_deterministic():
         dict(budget=9000, seed=12, grid_points=3, time_points=2),  # 8192-row blocks
         # 48 does not divide _BLOCK_CELLS: 341-row blocks of 16,368 cells
         dict(budget=1500, seed=13, grid_points=3, time_points=48),
+        dict(seed=41),
+        dict(seed=42),
+        dict(param_range=1e-9),  # phases below 1e-7: the residuals tie to rounding
+        dict(param_range=1e3),  # phases up to about 4e4
+        dict(time_points=1),  # the single time 0
+        dict(budget=40_000),
     ],
 )
 def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
-    # exact equality: the blocks and the deferred scaling change no value,
-    # argument or tie-break; ``kwargs`` override the CLI's default search
+    # exact equality: the certificates, the blocks and the deferred scaling
+    # change no value, argument or tie-break; ``kwargs`` override the CLI's
+    # default search
     arguments = search_arguments(**kwargs)
     streamed = classical_impossibility_search(**arguments).to_json_dict()
-    monkeypatch.setattr(witness, "_search_scan", chunked_search_scan)
-    assert streamed == classical_impossibility_search(**arguments).to_json_dict()
+    for oracle in (full_search_scan, chunked_search_scan):
+        monkeypatch.setattr(witness, "_search_scan", oracle)
+        assert streamed == classical_impossibility_search(**arguments).to_json_dict()
 
 
 def test_search_scan_ties_go_to_the_first_occurrence():
@@ -725,6 +791,97 @@ def test_search_scan_ties_go_to_the_first_occurrence():
     assert all(row[-1] == 0.0 for _, row, _ in best.values())
     untagged = witness._search_scan({"grid": once}, times, maps)
     assert {key: (val, row[:-1], j) for key, (val, row, j) in best.items()} == untagged
+
+
+def test_search_scan_keeps_rows_whose_certificate_ties_the_optimum():
+    # the sector axes are a sample's last three entries.  The tie axis
+    # reaches r t = pi/2 at times[16], where cos^2 A vanishes next to B and
+    # its residual is exactly B; its certificate sqrt(8 B) then equals that
+    # minimum, and so does the incumbent taken on it.  Its T = 0.36 keeps
+    # its coherence ceiling below the e_x row's coherence, so only a
+    # non-strict residual test keeps it, and its first copy must win
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    tie = [0.0, *(math.pi / 2 / times[16] * np.array([0.6, 0.0, 0.8]))]
+    sources = {"grid": np.array([[0.0, 1.3, 0.0, 0.0], tie]), "draws": np.array([tie, tie])}
+    maps = np.stack((np.eye(4), np.eye(4)))
+    best = witness._search_scan(sources, times, maps)
+    assert best == full_search_scan(sources, times, maps)
+    certificates = np.empty((4, 1))
+    _sector_certificates(np.array([[tie], [tie]]), times, certificates, np.empty((2, 128)))
+    for k, key in enumerate(("joint", "sector_plus", "sector_minus")):
+        assert best[key] == (certificates[k, 0], tie, 16)
+    assert best["state_level"][1] == [0.0, 1.3, 0.0, 0.0]
+
+
+def test_sector_certificates_bound_every_kernel_cell():
+    # lb below every residual cell and ub above every coherence cell of the
+    # kernel, as the scan compares them (after the root), on random axes of
+    # every scale and on adversarial ones
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    rng = np.random.default_rng(5)
+
+    def transverse(axes):
+        r = np.linalg.norm(axes, axis=-1)
+        unit = axes / np.where(r < 1e-100, 1.0, r)[:, None]
+        return unit[:, 0] ** 2 + unit[:, 1] ** 2
+
+    # T exactly 1/2 and exactly 1, as the kernel rounds it
+    cone = rng.normal(size=(2000, 3))
+    cone[:, 2] = np.hypot(cone[:, 0], cone[:, 1])
+    half = cone[transverse(cone) == 0.5][:8]
+    flat = rng.normal(size=(2000, 3))
+    flat[:, 2] = 0.0
+    one = flat[transverse(flat) == 1.0][:8]
+    assert len(half) == len(one) == 8
+    # unit axes whose phase meets alpha or pi - alpha, where p = 1/2, on a
+    # grid point, and the rotation-tensor test's axes with r t = pi/2 there
+    tilted = rng.normal(size=(400, 3))
+    tilted /= np.linalg.norm(tilted, axis=1)[:, None]
+    tilted = tilted[transverse(tilted) >= 0.5]
+    alpha = np.arcsin(np.sqrt(0.5 / transverse(tilted)))[:, None]
+    reach = math.pi / 2 / times[16]
+    diag = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
+
+    def unit(axes):
+        return axes / np.linalg.norm(axes, axis=1)[:, None]
+
+    axes = np.vstack([
+        rng.normal(size=(300, 3)),
+        rng.normal(size=(300, 3)) * 1e-9,
+        rng.normal(size=(300, 3)) * 1e3,
+        rng.normal(size=(50, 3)) * 1e8,
+        np.zeros(3),
+        np.full(3, 1e-120),
+        reach * diag,
+        -reach * diag,
+        [reach, 0.0, 0.0],
+        [0.0, reach, 0.0],
+        half,
+        7.3 * half,
+        one,
+        1e-3 * one,
+        reach * unit(half),
+        0.5 * reach * unit(one),
+        tilted * alpha / times[16],
+        tilted * (math.pi - alpha) / times[16],
+    ])
+    n = len(axes)
+    blocks = np.zeros((2, n, 4))
+    blocks[0, :, 1:], blocks[1, :, 1:] = axes, axes[::-1]
+    # written through a column slice, as the scan writes one block
+    store = np.full((4, n + 2), np.nan)
+    _sector_certificates(blocks, times, store[:, 1:-1], np.empty((2, 2 * n * len(times))))
+    assert np.isnan(store[:, [0, -1]]).all()
+    lb_joint, lb_plus, lb_minus, neg_ub = store[:, 1:-1]
+    (res_plus, pop_plus), (res_minus, pop_minus) = (
+        _sector_kernel(blocks[m][:, 1:], times) for m in range(2)
+    )
+    assert np.all(lb_joint <= np.sqrt(8.0 * (res_plus + res_minus)).min(axis=1))
+    assert np.all(lb_plus <= np.sqrt(8.0 * res_plus).min(axis=1))
+    assert np.all(lb_minus <= np.sqrt(8.0 * res_minus).min(axis=1))
+    coh = np.maximum(*(2.0 * np.sqrt(pop) for pop in (pop_plus, pop_minus)))
+    assert coh.max() > 1.0  # rounding lifts some cells above the exact maximum
+    assert np.all(-neg_ub >= coh.max(axis=1))
 
 
 def test_impossibility_search_peak_memory_is_bounded():

@@ -33,6 +33,10 @@ _ROOTED_ARGMAX = (
     "tests/test_witness.py::"
     "test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence"
 )
+_CERTIFICATE_TIES = (
+    "tests/test_witness.py::test_search_scan_keeps_rows_whose_certificate_ties_the_optimum"
+)
+_CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_every_kernel_cell"
 
 #: name, file under src/qwitness, old string, new string, tests that must fail
 MUTANTS = [
@@ -56,6 +60,14 @@ MUTANTS = [
      "if val < best[key][0]:", "if val <= best[key][0]:", [_SEARCH_TIES]),
     ("search-state-level-best-ge", "witness.py",
      'if val > best["state_level"][0]:', 'if val >= best["state_level"][0]:', [_SEARCH_TIES]),
+    ("search-certificate-keep-strict", "witness.py",
+     "keep = (block <= np.array(limits)", "keep = (block < np.array(limits)", [_CERTIFICATE_TIES]),
+    ("search-certificate-first-row-dropped", "witness.py",
+     "keep[0] |= start == 0", "keep[0] |= False", [_ROOTED_ARGMAX]),
+    ("search-certificate-phase-slack-dropped", "witness.py",
+     "slack = _PHASE_SLACK * (", "slack = 0.0 * (", [_CERTIFICATE_BOUNDS]),
+    ("search-certificate-pop-slack-dropped", "witness.py",
+     "0.25 - m * m + _POP_SLACK", "0.25 - m * m", [_CERTIFICATE_BOUNDS]),
     ("search-kernel-cross-term-sign", "witness.py",
      "res = cos2 * (ux + uz) ** 2", "res = cos2 * (ux - uz) ** 2",
      ["tests/test_witness.py::test_sector_kernel_matches_rotation_tensor"]),
