@@ -257,13 +257,14 @@ def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
     ))
     # the composite circuit residual is a finding, not an assertion
 
-    # random constrained members generate conserving unitaries
-    worst = 0.0
-    for _ in range(100):
-        member, _vec = family.random_member(rng)
-        t = rng.uniform(0.0, 2 * math.pi)
-        u = expm_hermitian(to_dense(member), t)
-        worst = max(worst, cons.conservation_residual(u, c_non))
+    # random constrained members generate conserving unitaries; the draws
+    # keep their order, each member's coordinates then its time
+    dirs = family.member_directions()
+    draws = [(rng.uniform(-2.0, 2.0, size=dirs.shape[1]), rng.uniform(0.0, 2 * math.pi))
+             for _ in range(100)]
+    coords, times = (np.array(d) for d in zip(*draws))
+    members = family.dense_members((dirs @ coords[..., None])[..., 0])
+    worst = float(cons.conservation_residual(expm_hermitian(members, times), c_non).max())
     checks.append(Check.compare(
         "constrained-members-generate-conserving-unitaries", worst, "<", 1e-10,
         "exp(-iHt) commutes with the conserved quantity for every member",
@@ -355,9 +356,10 @@ def experiment_homogenize(cfg: RunConfig) -> tuple[list[Check], dict]:
     recursion_worst = 0.0
     for eta in dict.fromkeys((0.2, 0.5, 1.0, cfg.eta)):
         states, used = homog.run(eta, cfg.n_steps)
-        distances = [trace_distance(rho, homog.XI) for rho in states]
-        for n, rho in enumerate(states):
-            kappa = homog.xi_coefficient(rho, homog.XI)
+        stacked = np.array(states)
+        distances = trace_distance(stacked, homog.XI).tolist()
+        kappas = homog.xi_coefficient(stacked, homog.XI).tolist()
+        for n, kappa in enumerate(kappas):
             predicted = 1.0 - math.cos(eta) ** (2 * n)
             rows.append((eta, n, distances[n], kappa, predicted))
             law_worst = max(law_worst, abs(kappa - predicted))

@@ -16,9 +16,9 @@ from itertools import product
 
 import numpy as np
 
-from .dense import to_dense
+from .dense import frobenius_norm, pauli_basis_stack, to_dense
 from .errors import StructuralError
-from .paulis import PAULI_CHARS, OperatorExpr, commutator
+from .paulis import COEFF_TOL, PAULI_CHARS, OperatorExpr, commutator
 from .reports import WitnessReport
 
 ADDITIVE = "additive"
@@ -120,15 +120,30 @@ class HamiltonianFamily:
             out = out + float(c) * b
         return out
 
-    def random_member(self, rng: np.random.Generator) -> tuple[OperatorExpr, np.ndarray]:
-        """Random constrained member; returns (expression, parameter vector).
+    def member_directions(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the parameter vectors the constraints allow."""
+        return _null_space(self.constraint_matrix())
 
-        Coordinates along an orthonormal basis of the parameter directions the
-        constraints allow are uniform on [-2, 2].
+    def dense_members(self, vecs: np.ndarray) -> np.ndarray:
+        """Dense members for the parameter vectors ``vecs`` (..., n_params), stacked.
+
+        Each slice equals ``to_dense(self.member(...))`` of its vector bit for
+        bit: with a basis of distinct single Pauli products, that is each
+        term of magnitude at least ``COEFF_TOL`` added to zero in label order.
         """
-        dirs = _null_space(self.constraint_matrix())
-        vec = dirs @ rng.uniform(-2.0, 2.0, size=dirs.shape[1])
-        return self.member(dict(zip(self.params, vec))), vec
+        terms = [list(b) for b in self.basis]
+        if any(len(t) != 1 for t in terms) or len({t[0][0] for t in terms}) != len(terms):
+            raise StructuralError("dense members need distinct single Pauli products")
+        resid = np.abs(vecs @ self.constraint_matrix().T).max(initial=0.0)
+        if resid > 1e-9:
+            raise StructuralError(f"parameters violate constraints (residual {resid:.3g})")
+        n = self.basis[0].n_sites
+        stack, labels = pauli_basis_stack(n)
+        out = np.zeros(vecs.shape[:-1] + (2**n, 2**n), dtype=complex)
+        for label, j, coeff in sorted((t[0][0], j, t[0][1]) for j, t in enumerate(terms)):
+            c = np.where(np.abs(vecs[..., j]) >= COEFF_TOL, vecs[..., j], 0.0) * coeff
+            out += c[..., None, None] * stack[labels.index(label)]
+        return out
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -360,15 +375,15 @@ def conservation_residual(
     """Frobenius norm of [target, C] in dense form; ~0 means conserved.
 
     ``target`` may be a generator or an evolution operator; the residual
-    formula is the same for both.
+    formula is the same for both.  A (..., n, n) stack of matrices gives one
+    residual per matrix.
     """
     if isinstance(target, OperatorExpr):
         target = to_dense(target)
     c_dense = to_dense(conserved.expr)
-    if target.shape != c_dense.shape:
+    if target.shape[-2:] != c_dense.shape:
         raise StructuralError(f"shape mismatch: {target.shape} vs {c_dense.shape}")
-    comm = target @ c_dense - c_dense @ target
-    return float(np.linalg.norm(comm))
+    return frobenius_norm(target @ c_dense - c_dense @ target)
 
 
 # -- named families ------------------------------------------------------

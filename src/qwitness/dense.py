@@ -6,8 +6,19 @@ Conventions fixed here and inherited by every other module:
   ``|0>`` is the +1 eigenvector of ``Z``.
 * Tensor factors are ordered (Q, M, ancillas...) and map to ``np.kron``
   left-to-right, so site 0 indexes the most significant qubit.
-* Matrix exponentials go through a Hermitian eigendecomposition; every
-  dimension used in the package is at most 64.
+* Matrix exponentials go through a Hermitian eigendecomposition.  The
+  package's matrices are 4 x 4 for the two-qubit network, 8 x 8 for the
+  channel extension and 2 d_b x 2 d_b for the bosonic image, so their side
+  grows with the mediator truncation ``--db`` (64 at ``--db 32``).
+* Stacks: :func:`expm_hermitian`, :func:`partial_trace`, :func:`bloch_vector`,
+  :func:`assert_density_matrix`, :func:`trace_distance` and
+  :func:`frobenius_norm` take matrices with any leading stack axes,
+  ``(..., n, n)``, and treat each trailing 2-D slice as one matrix; a 2-D
+  input is the one-matrix case.  Every slice of a stacked result equals the
+  2-D result for that slice bit for bit: each step is elementwise or one
+  LAPACK/BLAS call per slice, as for one matrix.  A stack fails validation
+  when any slice does; with one invalid slice, the error is the one that
+  slice raises alone.
 """
 
 from __future__ import annotations
@@ -77,11 +88,12 @@ def partial_trace(
 ) -> np.ndarray:
     """Trace out every subsystem not in ``keep`` (original order preserved).
 
-    ``dims`` lists the tensor factors of ``mat`` in kron order.
+    ``dims`` lists the tensor factors of ``mat`` (..., side, side) in kron
+    order.
     """
     dims = tuple(dims)
     side = prod(dims)
-    if mat.shape != (side, side):
+    if mat.shape[-2:] != (side, side):
         raise StructuralError(f"matrix shape {mat.shape} does not match dims {dims}")
     keep = tuple(sorted(set(keep)))
     n = len(dims)
@@ -89,24 +101,52 @@ def partial_trace(
         raise StructuralError("keep set must be nonempty")
     if any(k < 0 or k >= n for k in keep):
         raise StructuralError(f"keep indices {keep} out of range for {n} subsystems")
-    tensor = mat.reshape(dims + dims)
+    stack = mat.shape[:-2]
+    tensor = mat.reshape(stack + dims + dims)
     # contract row/col indices of each traced subsystem pairwise
     traced = [i for i in range(n) if i not in keep]
     for offset, idx in enumerate(traced):
-        ax = idx - offset  # axes shift left after each trace
+        ax = len(stack) + idx - offset  # axes shift left after each trace
         tensor = np.trace(tensor, axis1=ax, axis2=ax + (n - offset))
     kept = prod(dims[k] for k in keep)
-    return tensor.reshape(kept, kept)
+    return tensor.reshape(stack + (kept, kept))
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Unitary exp(-i t H) of a Hermitian H via eigendecomposition."""
-    if not np.linalg.norm(h - h.conj().T) <= 1e-10:
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each trailing 2-D slice."""
+    return mat.conj().swapaxes(-1, -2)
+
+
+def frobenius_norm(mat: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm of each C-ordered 2-D slice, as ``np.linalg.norm`` gives it.
+
+    ``np.linalg.norm`` of one complex matrix is sqrt(re.re + im.im), each
+    term one strided BLAS dot over the flattened slice; ``axis=(-2, -1)``
+    sums the squares in another order and can differ in the last bit.  A
+    vector @ vector ``matmul`` calls that same dot, once per slice.
+    """
+    mat = np.asarray(mat)
+    flat = mat.reshape(*mat.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    squares = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    norm = np.sqrt(squares[..., 0, 0])
+    return norm if norm.ndim else float(norm)
+
+
+def expm_hermitian(h: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
+    """Unitary exp(-i t H) of a Hermitian H via eigendecomposition.
+
+    ``t`` is a scalar or an array broadcasting against the stack axes of
+    ``h``; one eigendecomposition of ``h`` serves every time.
+    """
+    adjoint = _adjoint(h)
+    if not np.all(frobenius_norm(h - adjoint) <= 1e-10):
         raise ContractViolation("expm_hermitian requires a Hermitian matrix")
     # force exact Hermiticity so eigh phases are clean
-    sym = (h + h.conj().T) / 2
+    sym = (h + adjoint) / 2
     evals, vecs = np.linalg.eigh(sym)
-    return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
+    phase = np.exp(-1j * np.asarray(t)[..., None] * evals)
+    return (vecs * phase[..., None, :]) @ _adjoint(vecs)
 
 
 # -- qubit-state helpers -------------------------------------------------
@@ -123,26 +163,31 @@ def qubit_state(bloch: tuple[float, float, float]) -> np.ndarray:
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """(<X>, <Y>, <Z>) of a qubit density matrix."""
-    return np.array(
-        [np.trace(rho @ PAULI_MATS[c]).real for c in "XYZ"]
+    """(<X>, <Y>, <Z>) of a qubit density matrix, along a new last axis."""
+    return np.stack(
+        [np.trace(rho @ PAULI_MATS[c], axis1=-2, axis2=-1).real for c in "XYZ"], axis=-1
     )
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:
-    """Raise ContractViolation unless rho is a valid state to tolerance."""
+    """Raise ContractViolation unless rho (or every slice) is a valid state to tolerance."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ContractViolation(f"not a square matrix: shape {rho.shape}")
-    if np.linalg.norm(rho - rho.conj().T) > _STATE_TOL:
+    adjoint = _adjoint(rho)
+    if np.any(frobenius_norm(rho - adjoint) > _STATE_TOL):
         raise ContractViolation("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > _STATE_TOL:
-        raise ContractViolation(f"trace {np.trace(rho):.3g} != 1")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -_STATE_TOL:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    error = trace - 1.0
+    off = np.hypot(error.real, error.imag) > _STATE_TOL  # the scalar abs() of a complex
+    if np.any(off):
+        raise ContractViolation(f"trace {np.asarray(trace)[off][0]:.3g} != 1")
+    if np.linalg.eigvalsh((rho + adjoint) / 2).min() < -_STATE_TOL:
         raise ContractViolation("state has a negative eigenvalue")
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """D(a, b) = tr|a - b| / 2 for Hermitian matrices."""
-    diff = (a - b + (a - b).conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(diff)).sum() / 2)
+    diff = a - b
+    dist = np.abs(np.linalg.eigvalsh((diff + _adjoint(diff)) / 2)).sum(axis=-1) / 2
+    return dist if dist.ndim else float(dist)

@@ -80,7 +80,7 @@ def step_recursion(
     )
 
 
-def xi_coefficient(rho: np.ndarray, xi: np.ndarray) -> float:
+def xi_coefficient(rho: np.ndarray, xi: np.ndarray) -> float | np.ndarray:
     """Weight of xi inside rho from the split rho = kappa xi + rest.
 
     ``rest`` is constrained to the span of the identity and the Pauli
@@ -88,15 +88,17 @@ def xi_coefficient(rho: np.ndarray, xi: np.ndarray) -> float:
     one-parameter least-squares problem:
     kappa = <xi_tl, rho_tl> / <xi_tl, xi_tl> in the Hilbert-Schmidt inner
     product of traceless parts.  NaN when xi is maximally mixed (no traceless
-    direction to project on).
+    direction to project on).  A (..., d, d) stack of states gives one
+    weight per state.
     """
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     xi_tl = xi - np.trace(xi) / dim * np.eye(dim)
     denom = np.trace(xi_tl.conj().T @ xi_tl).real
     if denom < 1e-24:
-        return float("nan")
-    rho_tl = rho - np.trace(rho) / dim * np.eye(dim)
-    return float(np.trace(xi_tl.conj().T @ rho_tl).real / denom)
+        denom = math.nan  # no traceless direction: every weight is NaN
+    rho_tl = rho - (np.trace(rho, axis1=-2, axis2=-1) / dim)[..., None, None] * np.eye(dim)
+    kappa = np.trace(xi_tl.conj().T @ rho_tl, axis1=-2, axis2=-1).real / denom
+    return kappa if kappa.ndim else float(kappa)
 
 
 #: Default initial system state |0><0| and reservoir state |+><+|.

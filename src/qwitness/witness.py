@@ -581,12 +581,9 @@ def quantum_demo() -> tuple[WitnessReport, WitnessReport]:
     rho_m = 0.5 * (PAULI_MATS["I"] + PAULI_MATS["X"])
     joint0 = np.kron(np.outer(ket0, ket0.conj()), rho_m)
     times = np.linspace(0.0, math.pi / 4, 65)
-    trajectory = []
-    for t in times:
-        u = expm_hermitian(h_dense, t)
-        rho_q = partial_trace(u @ joint0 @ u.conj().T, (2, 2), keep=(0,))
-        bloch = bloch_vector(rho_q)
-        trajectory.append((float(t), float(bloch[0]), float(bloch[1]), float(bloch[2])))
+    u = expm_hermitian(h_dense, times)
+    rho_q = partial_trace(u @ joint0 @ u.conj().swapaxes(-1, -2), (2, 2), keep=(0,))
+    trajectory = [(t, *b) for t, b in zip(times.tolist(), bloch_vector(rho_q).tolist())]
     exchange_report.findings["trajectory"] = trajectory
     coh = [math.hypot(b[1], b[2]) for b in trajectory]
     exchange_report.coherence_maxima["max_over_time"] = max(coh)

@@ -1,11 +1,12 @@
-"""Operator predicates, the stepwise descriptor reference and the CLI's search
-arguments, shared by the tests.
+"""Operator predicates, the stepwise descriptor reference, the CLI's search
+arguments and per-sample references for the stacked sites, shared by the tests.
 
 None of these is needed to run the CLI, so they live beside the tests that
 use them rather than in ``src/``.
 """
 
 import functools
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -13,7 +14,16 @@ import pytest
 
 from typing import Sequence
 
-from qwitness import cli, homogenizer, witness
+from qwitness import cli, conservation, homogenizer, oscillator, witness
+from qwitness.circuit import composite_unitary, witness_circuit
+from qwitness.dense import (
+    PAULI_MATS,
+    bloch_vector,
+    expm_hermitian,
+    partial_trace,
+    to_dense,
+    trace_distance,
+)
 from qwitness.paulis import COEFF_TOL, OperatorExpr
 
 #: The two systems of the witness network, in tensor order.
@@ -111,3 +121,110 @@ def cli_search_arguments(**config) -> MappingProxyType:
         cli.experiment_homogenize(cli.RunConfig(**config))
     seen["classical_reservoir_check"]["eta_grid"].flags.writeable = False
     return MappingProxyType(seen)
+
+
+# -- per-sample references for the stacked sites ----------------------------
+# Each loop below is the one its site ran before the site became one numpy
+# call per stack, with the dense helpers called on one matrix at a time.  The
+# tests hold each stacked site equal to its loop with ==, not allclose.
+
+
+def random_member(
+    family: conservation.HamiltonianFamily, rng: np.random.Generator
+) -> tuple[OperatorExpr, np.ndarray]:
+    """Random constrained member of ``family``: (expression, parameter vector).
+
+    Coordinates along ``family.member_directions()`` are uniform on [-2, 2].
+    """
+    dirs = family.member_directions()
+    vec = dirs @ rng.uniform(-2.0, 2.0, size=dirs.shape[1])
+    return family.member(dict(zip(family.params, vec))), vec
+
+
+def member_residual_loop(seed: int) -> float:
+    """``experiment_conservation``'s worst residual over 100 constrained members.
+
+    The rng is fresh at ``seed``, as the experiment's is when it reaches its
+    members; each draw takes a :func:`random_member` (the null space solved
+    again), then its time.  The residual is ``np.linalg.norm`` of the
+    commutator.
+    """
+    rng = np.random.default_rng(seed)
+    family = conservation.classical_filtered_family()
+    c_dense = to_dense(conservation.ConservedQuantity.nonadditive().expr)
+    worst = 0.0
+    for _ in range(100):
+        member, _vec = random_member(family, rng)
+        t = rng.uniform(0.0, 2 * math.pi)
+        u = expm_hermitian(to_dense(member), t)
+        worst = max(worst, float(np.linalg.norm(u @ c_dense - c_dense @ u)))
+    return worst
+
+
+def haar_mediator_states_loop(seed: int) -> list[np.ndarray]:
+    """The 100 pure mediator states of ``mediator_independence_check``, one at a time."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(100):
+        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+        amp /= np.linalg.norm(amp)
+        states.append(np.outer(amp, amp.conj()))
+    return states
+
+
+def witness_state_loop(mediator_states: list[np.ndarray]) -> np.ndarray:
+    """``witness_state_check``, one mediator state at a time."""
+    ket0 = np.zeros((2, 2), dtype=complex)
+    ket0[0, 0] = 1.0
+    u = composite_unitary(witness_circuit())
+    blochs = []
+    for rho_m in mediator_states:
+        joint = np.kron(ket0, np.asarray(rho_m, dtype=complex))
+        rho_q = partial_trace(u @ joint @ u.conj().T, (2, 2), keep=(0,))
+        blochs.append(bloch_vector(rho_q))
+    return np.array(blochs)
+
+
+def exchange_trajectory_loop() -> list[tuple[float, float, float, float]]:
+    """The exchange demo's (t, <X>, <Y>, <Z>) rows, one exponential per time."""
+    h_dense = to_dense(witness.exchange_hamiltonian())
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    rho_m = 0.5 * (PAULI_MATS["I"] + PAULI_MATS["X"])
+    joint0 = np.kron(np.outer(ket0, ket0.conj()), rho_m)
+    trajectory = []
+    for t in np.linspace(0.0, math.pi / 4, 65):
+        u = expm_hermitian(h_dense, t)
+        rho_q = partial_trace(u @ joint0 @ u.conj().T, (2, 2), keep=(0,))
+        bloch = bloch_vector(rho_q)
+        trajectory.append((float(t), float(bloch[0]), float(bloch[1]), float(bloch[2])))
+    return trajectory
+
+
+def oscillator_run_loop(d_b: int) -> dict[int, list[tuple[float, float]]]:
+    """``oscillator_witness_run``, one state vector per (level, time)."""
+    t_grid = np.linspace(0.0, 2 * math.pi, 64)
+    evals, vecs = np.linalg.eigh(oscillator.hp_hamiltonian(d_b))
+    trajectories = {}
+    for level in range(d_b):
+        psi0 = np.zeros(2 * d_b, dtype=complex)
+        psi0[level] = 1.0
+        coeff = vecs.conj().T @ psi0
+        points = []
+        for t in t_grid:
+            psi = vecs @ (np.exp(-1j * t * evals) * coeff)
+            rho_01 = (psi[:d_b] * psi[d_b:].conj()).sum()
+            points.append((float(t), float(2 * abs(rho_01))))
+        trajectories[level] = points
+    return trajectories
+
+
+def homogenize_rows_loop(cfg: "cli.RunConfig") -> list[tuple]:
+    """``homogenizer_trajectory.csv`` rows, one state at a time."""
+    rows = []
+    for eta in dict.fromkeys((0.2, 0.5, 1.0, cfg.eta)):
+        states, _used = homogenizer.run(eta, cfg.n_steps)
+        distances = [trace_distance(rho, homogenizer.XI) for rho in states]
+        for n, rho in enumerate(states):
+            kappa = homogenizer.xi_coefficient(rho, homogenizer.XI)
+            rows.append((eta, n, distances[n], kappa, 1.0 - math.cos(eta) ** (2 * n)))
+    return rows

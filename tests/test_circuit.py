@@ -9,6 +9,7 @@ from qwitness.circuit import (
     composite_unitary,
     cphase_mq,
     evolve_descriptors,
+    mediator_independence_check,
     network_hamiltonian,
     partial_swap,
     ry_m,
@@ -25,8 +26,10 @@ from operator_helpers import (
     SUBSYSTEMS,
     approx_equal,
     evolve_descriptors_stepwise,
+    haar_mediator_states_loop,
     is_hermitian,
     is_unitary,
+    witness_state_loop,
 )
 
 
@@ -167,14 +170,17 @@ def test_witness_state_check_basis_and_mixed_states():
 
 
 def test_witness_state_check_haar_random_states():
-    rng = np.random.default_rng(42)
-    states = []
-    for _ in range(100):
-        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amp /= np.linalg.norm(amp)
-        states.append(np.outer(amp, amp.conj()))
-    out = witness_state_check(states)
+    out = witness_state_check(haar_mediator_states_loop(42))
     assert np.abs(out - np.array([1, 0, 0])).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 7, 41, 42, 99])
+def test_mediator_check_equals_the_per_state_loop(seed):
+    states = haar_mediator_states_loop(seed)
+    want = witness_state_loop(states)
+    assert (witness_state_check(np.array(states)) == want).all()
+    worst = float(np.abs(want - np.array([1.0, 0.0, 0.0])).max())
+    assert mediator_independence_check(seed).value == worst
 
 
 def test_witness_state_check_rejects_invalid_states():

@@ -29,11 +29,12 @@ from qwitness.conservation import (
     span_projection_residual,
     zm_sector_maps,
 )
+from qwitness.cli import RunConfig, experiment_conservation
 from qwitness.dense import expm_hermitian, to_dense
 from qwitness.errors import StructuralError
-from qwitness.paulis import OperatorExpr
+from qwitness.paulis import COEFF_TOL, OperatorExpr
 
-from operator_helpers import approx_equal, is_hermitian
+from operator_helpers import approx_equal, is_hermitian, member_residual_loop, random_member
 
 
 def constrained_classical_hamiltonian(alpha, beta, gamma, c):
@@ -286,10 +287,62 @@ def test_random_constrained_members_generate_conserving_unitaries():
     family = constrain_family(classical_mediator_family(), ConservedQuantity.nonadditive())
     c_non = ConservedQuantity.nonadditive()
     for _ in range(100):
-        member, vec = family.random_member(rng)
+        member, vec = random_member(family, rng)
         assert family.constraint_matrix() @ vec == pytest.approx(np.zeros(2), abs=1e-12)
         u = expm_hermitian(to_dense(member), rng.uniform(0, 2 * math.pi))
         assert conservation_residual(u, c_non) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 7, 41, 42, 99])
+def test_constrained_member_check_equals_the_per_member_loop(seed):
+    checks, _files = experiment_conservation(RunConfig(seed=seed))
+    (check,) = [c for c in checks if c.name == "constrained-members-generate-conserving-unitaries"]
+    assert check.value == member_residual_loop(seed)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [classical_filtered_family(), classical_mediator_family(),
+     constrain_family(channel_extension_family(), ConservedQuantity.channel3())],
+)
+def test_dense_members_equal_each_members_dense_matrix(family):
+    rng = np.random.default_rng(3)
+    dirs = family.member_directions()
+    vecs = (dirs @ rng.uniform(-2.0, 2.0, size=(12, dirs.shape[1], 1)))[..., 0]
+    vecs[1] = 0.0
+    # a free coordinate below the canonical tolerance is dropped, as member() drops it
+    free = family.params.index(family.free_params()[-1])
+    vecs[2, free] = 0.5 * COEFF_TOL
+    vecs[3, free] = -COEFF_TOL
+    stacked = family.dense_members(vecs.reshape(3, 4, -1))
+    for k, vec in enumerate(vecs):
+        dense = to_dense(family.member(dict(zip(family.params, vec))))
+        assert (stacked[k // 4, k % 4] == dense).all()
+        assert (family.dense_members(vec) == dense).all()
+
+
+def test_dense_members_reject_what_member_rejects():
+    family = classical_filtered_family()
+    values = np.zeros(len(family.params))
+    values[family.params.index("a")] = 0.4  # a = -alpha is violated
+    with pytest.raises(StructuralError):
+        family.dense_members(values[None, :])
+    shared = HamiltonianFamily(
+        basis=[OperatorExpr.from_label("XI"), OperatorExpr({"XI": 1.0, "ZZ": 1.0})],
+        params=("u", "v"),
+    )
+    with pytest.raises(StructuralError):
+        shared.dense_members(np.ones((1, 2)))
+
+
+def test_conservation_residual_of_a_stack_is_one_residual_per_matrix():
+    rng = np.random.default_rng(8)
+    mats = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    c_non = ConservedQuantity.nonadditive()
+    stacked = conservation_residual(mats, c_non)
+    assert stacked.shape == (6,)
+    for k in range(6):
+        assert stacked[k] == conservation_residual(mats[k], c_non)
 
 
 def test_constrained_classical_hamiltonian_matches_family_member():

@@ -7,6 +7,7 @@ from qwitness.dense import (
     assert_density_matrix,
     bloch_vector,
     expm_hermitian,
+    frobenius_norm,
     partial_trace,
     pauli_decompose,
     qubit_state,
@@ -166,3 +167,123 @@ def test_bloch_vector_and_trace_distance():
     # half the Bloch-vector Euclidean distance for qubit states
     assert trace_distance(plus, zero) == pytest.approx(math.sqrt(2) / 2)
     assert trace_distance(plus, plus) == pytest.approx(0.0, abs=1e-15)
+
+
+# -- stacks: each slice equals the 2-D result, bit for bit -------------------
+
+
+def _random_matrices(rng, k, n):
+    return rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+
+
+def _random_states(rng, k, n):
+    m = _random_matrices(rng, k, n)
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_stacked_exponentials_equal_one_matrix_at_a_time(seed, n):
+    rng = np.random.default_rng(seed)
+    m = _random_matrices(rng, 6, n)
+    h = (m + m.conj().swapaxes(-1, -2)) / 2
+    times = rng.uniform(0.0, 10.0, size=6)
+    stacked = expm_hermitian(h, times)
+    shared = expm_hermitian(h[0], times)
+    one_time = expm_hermitian(h, times[0])
+    for k in range(6):
+        assert (stacked[k] == expm_hermitian(h[k], times[k])).all()
+        assert (shared[k] == expm_hermitian(h[0], times[k])).all()
+        assert (one_time[k] == expm_hermitian(h[k], times[0])).all()
+    assert (expm_hermitian(h.reshape(2, 3, n, n), times.reshape(2, 3)).reshape(6, n, n)
+            == stacked).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_stacked_norms_and_distances_equal_one_matrix_at_a_time(seed, n):
+    rng = np.random.default_rng(seed)
+    m = _random_matrices(rng, 8, n) * 10.0 ** rng.uniform(-16, 2, size=(8, 1, 1))
+    rho = _random_states(rng, 8, n)
+    norms = frobenius_norm(m)
+    distances = trace_distance(rho, rho[0])
+    for k in range(8):
+        assert norms[k] == np.linalg.norm(m[k]) == frobenius_norm(m[k])
+        assert distances[k] == trace_distance(rho[k], rho[0])
+    assert isinstance(frobenius_norm(m[0]), float)
+    assert isinstance(trace_distance(rho[1], rho[0]), float)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    ("dims", "keep"),
+    [((2, 2), (0,)), ((2, 2), (1,)), ((2, 3), (0,)), ((2, 8), (0,)), ((2, 8), (1,)),
+     ((2, 32), (0,)), ((2, 2, 2), (0, 2)), ((2, 2, 2), (1,))],
+)
+def test_stacked_partial_traces_equal_one_matrix_at_a_time(seed, dims, keep):
+    rng = np.random.default_rng(seed)
+    m = _random_matrices(rng, 5, math.prod(dims))
+    stacked = partial_trace(m, dims, keep)
+    for k in range(5):
+        assert (stacked[k] == partial_trace(m[k], dims, keep)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_bloch_vectors_equal_one_state_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    rho = _random_states(rng, 7, 2).reshape(7, 1, 2, 2)
+    stacked = bloch_vector(rho)
+    assert stacked.shape == (7, 1, 3)
+    for k in range(7):
+        assert (stacked[k, 0] == bloch_vector(rho[k, 0])).all()
+    assert_density_matrix(rho)
+
+
+def _invalid_states():
+    nonhermitian = qubit_state((0.0, 0.0, 0.2))
+    nonhermitian[0, 1] += 1e-3
+    return [
+        nonhermitian,
+        np.diag([0.7, 0.7]).astype(complex),
+        np.diag([1.5, -0.5]).astype(complex),
+    ]
+
+
+@pytest.mark.parametrize("index", [0, 3, 6])
+@pytest.mark.parametrize("bad", range(3))
+def test_stack_with_one_invalid_state_raises_that_states_error(index, bad):
+    state = _invalid_states()[bad]
+    with pytest.raises(ContractViolation) as alone:
+        assert_density_matrix(state)
+    stack = _random_states(np.random.default_rng(bad), 7, 2)
+    stack[index] = state
+    with pytest.raises(ContractViolation) as stacked:
+        assert_density_matrix(stack)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stack_with_one_non_hermitian_generator_raises_its_error():
+    rng = np.random.default_rng(4)
+    m = _random_matrices(rng, 5, 4)
+    h = (m + m.conj().swapaxes(-1, -2)) / 2
+    h[2, 0, 1] += 1e-6
+    with pytest.raises(ContractViolation) as alone:
+        expm_hermitian(h[2])
+    with pytest.raises(ContractViolation) as stacked:
+        expm_hermitian(h, np.arange(5.0))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stacked_shape_errors_match_one_matrix():
+    stack = np.stack([np.eye(4, dtype=complex)] * 3) / 4
+    for keep in ((), (2,)):
+        with pytest.raises(StructuralError) as alone:
+            partial_trace(stack[0], (2, 2), keep=keep)
+        with pytest.raises(StructuralError) as stacked:
+            partial_trace(stack, (2, 2), keep=keep)
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(StructuralError):
+        partial_trace(stack, (2, 3), keep=(0,))
+    with pytest.raises(ContractViolation):
+        assert_density_matrix(np.ones((3, 2, 4), dtype=complex))

@@ -37,7 +37,7 @@ from qwitness.homogenizer import (
     xi_coefficient,
 )
 
-from operator_helpers import cli_search_arguments, is_unitary
+from operator_helpers import cli_search_arguments, homogenize_rows_loop, is_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -352,6 +352,30 @@ def test_partial_swap_is_built_once_per_angle_and_read_only():
 
 def test_xi_coefficient_degenerate_reservoir_state():
     assert math.isnan(xi_coefficient(qubit_state((0, 0, 1)), np.eye(2) / 2))
+    stacked = xi_coefficient(np.stack([RHO0, XI, RHO0]), np.eye(2) / 2)
+    assert stacked.shape == (3,) and np.isnan(stacked).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_xi_coefficients_equal_one_state_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(9, 3))
+    vecs *= rng.uniform(0.0, 1.0, size=(9, 1)) / np.linalg.norm(vecs, axis=1, keepdims=True)
+    states = np.array([qubit_state(tuple(v)) for v in vecs])
+    xi = states[0]
+    stacked = xi_coefficient(states.reshape(3, 3, 2, 2), xi).reshape(9)
+    for k in range(9):
+        assert stacked[k] == xi_coefficient(states[k], xi)
+
+
+@pytest.mark.parametrize(
+    "config", [{}, {"eta": 1.3, "n_steps": 3}, {"eta": 0.2, "n_steps": 1}, {"n_steps": 40}]
+)
+def test_homogenize_rows_equal_the_per_state_loop(config):
+    cfg = RunConfig(budget=0, **config)
+    _checks, files = experiment_homogenize(cfg)
+    _header, rows = files["homogenizer_trajectory.csv"]
+    assert rows == homogenize_rows_loop(cfg)
 
 
 def test_admissibility_predicate():

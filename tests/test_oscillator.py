@@ -16,6 +16,8 @@ from qwitness.oscillator import (
 )
 from qwitness.paulis import OperatorExpr
 
+from operator_helpers import oscillator_run_loop
+
 
 def test_fock_ops_two_levels():
     a, number = fock_ops(2)
@@ -166,6 +168,11 @@ def test_oscillator_witness_run_matches_joint_matrix_reference(d_b):
         assert [t for t, _ in got[level]] == [t for t, _ in ref[level]]
         diffs = [abs(c - r) for (_, c), (_, r) in zip(got[level], ref[level])]
         assert len(diffs) == 64 and max(diffs) <= 1e-12
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4, 8, 32, 33])
+def test_oscillator_witness_run_equals_the_per_time_loop(d_b):
+    assert oscillator_witness_run(d_b) == oscillator_run_loop(d_b)
 
 
 def test_reduced_states_stay_physical_along_trajectories():

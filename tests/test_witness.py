@@ -35,7 +35,12 @@ from qwitness.witness import (
     real_axis_roots,
 )
 
-from operator_helpers import cli_search_arguments, is_zero
+from operator_helpers import (
+    cli_search_arguments,
+    exchange_trajectory_loop,
+    is_zero,
+    random_member,
+)
 
 GEN = {"x": PAULI_MATS["X"], "y": PAULI_MATS["Y"], "z": PAULI_MATS["Z"]}
 
@@ -227,7 +232,7 @@ def oracle_equations(generator, image):
 def solve_then_drop_complex(eqs):
     """Oracle: every root from ``sympy.solve``, then the non-real ones dropped."""
     roots = set()
-    for sol in sympy.solve(eqs, list(AXIS), dict=True):
+    for sol in sympy.solve(eqs, list(AXIS), dict=True, check=False, simplify=False):
         vals = [complex(sympy.N(sol.get(v, 0))) for v in AXIS]
         if all(abs(v.imag) <= 1e-10 for v in vals):
             roots.add(tuple(round(v.real, 12) + 0.0 for v in vals))
@@ -908,7 +913,7 @@ def test_classical_family_members_never_move_the_mediator():
     rng = np.random.default_rng(29)
     z_m = OperatorExpr.from_label("IZ")
     for _ in range(50):
-        member, _vec = family.random_member(rng)
+        member, _vec = random_member(family, rng)
         assert is_zero(commutator(member, z_m))
 
 
@@ -924,6 +929,11 @@ def test_quantum_demo_swap():
     assert report.all_passed()
     assert np.allclose(report.findings["bloch_plus"], [1, 0, 0], atol=1e-12)
     assert np.allclose(report.findings["bloch_minus"], [-1, 0, 0], atol=1e-12)
+
+
+def test_exchange_trajectory_equals_the_per_time_loop():
+    _, report = quantum_demo()
+    assert report.findings["trajectory"] == exchange_trajectory_loop()
 
 
 def test_quantum_demo_exchange():

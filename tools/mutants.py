@@ -37,6 +37,8 @@ _CERTIFICATE_TIES = (
     "tests/test_witness.py::test_search_scan_keeps_rows_whose_certificate_ties_the_optimum"
 )
 _CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_every_kernel_cell"
+_OSCILLATOR_LOOP = "tests/test_oscillator.py::test_oscillator_witness_run_equals_the_per_time_loop"
+_MEMBER_LOOP = "tests/test_conservation.py::test_constrained_member_check_equals_the_per_member_loop"
 
 #: name, file under src/qwitness, old string, new string, tests that must fail
 MUTANTS = [
@@ -95,6 +97,18 @@ MUTANTS = [
     ("failed-check-exits-2", "cli.py",
      "return (0 if passed else 1), checks", "return (0 if passed else 2), checks",
      ["tests/test_cli.py::test_cli_failed_check_exits_1_and_writes_every_artifact"]),
+    ("oscillator-coherence-np-abs", "oscillator.py",
+     "coherence = 2 * np.hypot(rho_01.real, rho_01.imag)", "coherence = 2 * np.abs(rho_01)",
+     [_OSCILLATOR_LOOP]),
+    ("frobenius-norm-by-axis", "dense.py",
+     "norm = np.sqrt(squares[..., 0, 0])", "norm = np.linalg.norm(mat, axis=(-2, -1))",
+     [_MEMBER_LOOP]),
+    ("site-product-phase-flipped", "paulis.py",
+     '("X", "Y"): (1j, "Z"),', '("X", "Y"): (-1j, "Z"),',
+     ["tests/test_paulis.py::test_single_site_group_table_matches_dense_products"]),
+    ("format-float-15-digits", "reports.py",
+     "return repr(float(x))", 'return f"{float(x):.15g}"',
+     ["tests/test_reports.py::test_format_float_is_the_shortest_round_trip_text"]),
     ("config-error-exits-1", "cli.py",
      'print(f"config error: {exc}", file=sys.stderr)\n        return 2',
      'print(f"config error: {exc}", file=sys.stderr)\n        return 1',
