@@ -325,9 +325,9 @@ def box_grid(n_free: int, grid_points: int, param_range: float) -> np.ndarray:
 
 #: Cells both classical-mediator searches hold per block.  A cell is one
 #: float of a sample's working state: one per time point in the impossibility
-#: search, four (the probe amplitudes psi0 and psi1) in the reservoir scan.
-#: At 2^14 cells a block's (block, T) or (block,) complex arrays stay at most
-#: 128 KiB each.
+#: search's kernel, 16 in its certificate pass, four (psi0 and psi1) in the
+#: reservoir scan.  At 2^14 cells a block's (block, T) or (block,) complex
+#: arrays stay at most 128 KiB each.
 _BLOCK_CELLS = 2**14
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .circuit import swap
 from .conservation import (
-    _BLOCK_CELLS,
     ConservedQuantity,
     _search_report,
     _sector_blocks,
@@ -229,6 +228,19 @@ def axis_constraint_report() -> WitnessReport:
 # -- bounded classical-mediator search --------------------------------------
 
 
+def _sector_axes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Length r, (B,), and unit axis u = n / r, (B, 3), of each sector axis n.
+
+    Below r = 1e-100 (exact zeros included; the cut avoids denormal blowup)
+    u is e_z: there sin^2(r t) < 1e-198, the identity for any unit axis.
+    """
+    r = np.linalg.norm(axes, axis=-1)
+    degenerate = r < 1e-100
+    unit = axes / np.where(degenerate, 1.0, r)[:, None]
+    unit[degenerate] = _E["z"]
+    return r, unit
+
+
 def _sector_kernel(
     axes: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -246,10 +258,7 @@ def _sector_kernel(
     ``u_x^2 + u_y^2 = 0``, where the coherence is exactly 0.  The callers
     apply the factor 8 to the entries they keep.
     """
-    r = np.linalg.norm(axes, axis=-1)
-    degenerate = r < 1e-100  # includes exact zeros; avoids denormal blowup
-    unit = axes / np.where(degenerate, 1.0, r)[:, None]
-    unit[degenerate] = _E["z"]  # s < 1e-198 there: the identity for any unit axis
+    r, unit = _sector_axes(axes)
     ux, uy, uz = unit.T[:, :, None]
     phase = r[:, None] * times[None, :]
     cos2 = np.cos(phase)
@@ -283,17 +292,16 @@ _COS2_SLACK = 2.0**-48
 _POP_SLACK = 2.0**-44
 
 
-def _sector_certificates(
-    blocks: np.ndarray, times: np.ndarray, out: np.ndarray, work: np.ndarray
-) -> None:
+def _sector_certificates(blocks: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     """Per-row bounds over all times of one block (2, B, 4), written to ``out`` (4, B).
 
     ``out[0:3]`` are floors ``sqrt(8 lb)`` of the row's joint, plus and minus
     residuals and ``out[3]`` is minus a ceiling on its coherence in either
-    sector, each as the scan compares them.  ``work`` is scratch space of at
-    least (2, 2 B T) floats.  r, u, A = (u_x + u_z)^2, B = (u_x - u_z)^2 +
-    2 u_y^2 and T = u_x^2 + u_y^2 are computed as :func:`_sector_kernel`
-    computes them; the time axis sees no trig.  With y = r t / pi and
+    sector, each as the scan compares them.  r and u come from
+    :func:`_sector_axes`, as in :func:`_sector_kernel`, and A = (u_x + u_z)^2,
+    B = (u_x - u_z)^2 + 2 u_y^2 and T = u_x^2 + u_y^2 are computed as the
+    kernel computes them; the time axis sees no trig, only two running
+    extrema over the times of a (2 B,) vector each.  With y = r t / pi and
     f = |y - rint(y)|, the phase phi = r t lies pi f from pi Z.
 
     * Residual: |cos phi| = sin(dist(phi, pi/2 + pi Z)), so cos^2 >= sin^2(x)
@@ -307,26 +315,26 @@ def _sector_certificates(
       ``m >= T sin(d) sin(max(d, g - d))``, which grows with d.
     """
     n_rows = out.shape[1]
-    axes = blocks[..., 1:].reshape(-1, 3)  # the plus rows, then the minus rows
-    r = np.linalg.norm(axes, axis=-1)
-    degenerate = r < 1e-100
-    unit = axes / np.where(degenerate, 1.0, r)[:, None]
-    unit[degenerate] = _E["z"]
+    r, unit = _sector_axes(blocks[..., 1:].reshape(-1, 3))  # plus rows, then minus rows
     ux, uy, uz = unit.T
-    f, dist = work[:, : len(times) * len(r)].reshape(2, len(times), len(r))
-    np.multiply.outer(times / math.pi, r, out=f)
-    np.subtract(f, np.rint(f, out=dist), out=f)
-    np.abs(f, out=f)
+    transverse = ux * ux + uy * uy
+    alpha = np.arcsin(np.sqrt(0.5 / np.maximum(transverse, 0.5)))
+    lattice = alpha / math.pi
+    f_max, dist_min = np.zeros_like(r), np.full_like(r, np.inf)
+    f, dist = np.empty((2, len(r)))
+    for y in times / math.pi:
+        np.multiply(y, r, out=f)
+        np.subtract(f, np.rint(f, out=dist), out=f)
+        np.maximum(f_max, np.abs(f, out=f), out=f_max)
+        np.subtract(f, lattice, out=dist)
+        np.minimum(dist_min, np.abs(dist, out=dist), out=dist_min)
     slack = _PHASE_SLACK * (1.0 + np.abs(times).max() * r)
-    x = np.maximum(math.pi * (0.5 - f.max(axis=0)) - slack, 0.0)
+    x = np.maximum(math.pi * (0.5 - f_max) - slack, 0.0)
     floor = np.sin(x) ** 2 * (1.0 - _COS2_SLACK)
     lb = floor * (ux + uz) ** 2 + ((ux - uz) ** 2 + 2.0 * uy * uy)
     np.sqrt(8.0 * (lb[:n_rows] + lb[n_rows:]), out=out[0])
     out[1:3] = np.sqrt(8.0 * lb).reshape(2, n_rows)
-    transverse = ux * ux + uy * uy
-    alpha = np.arcsin(np.sqrt(0.5 / np.maximum(transverse, 0.5)))
-    np.subtract(f, alpha / math.pi, out=dist)
-    d = np.maximum(math.pi * np.abs(dist, out=dist).min(axis=0) - slack, 0.0)
+    d = np.maximum(math.pi * dist_min - slack, 0.0)
     g = np.minimum(2.0 * alpha, math.pi - 2.0 * alpha) - slack
     m = np.where(
         transverse < 0.5,
@@ -384,30 +392,22 @@ def _search_scan(
     ``joint``, ``sector_plus`` and ``sector_minus`` are minimal residuals,
     ``state_level`` the maximal coherence of U_m |0><0| U_m† over both
     sectors (diagonal mediator mixtures cannot beat their best pure
-    sector).  The sources stream through :func:`_sector_blocks` at one cell
-    per time point, twice.  The first pass writes each row's
-    :func:`_sector_certificates` into one (4, rows) array and keeps the row
-    with the best certificate of each target; the kernel then runs on those
-    rows alone, and their values are the incumbents.  The second pass runs
-    :func:`_scan_block` on the rows of each block whose certificate reaches
-    or ties the better of the incumbent and the running best of some target,
-    and on the first row of the first block, and skips a block without one.
+    sector).  One pass over :func:`_sector_blocks`, at 16 cells per sample
+    for the certificates' (2 B,) vectors, writes every row's
+    :func:`_sector_certificates`.  The kernel runs on the best-certificate
+    row of each target, whose values are the incumbents, and then, through
+    :func:`_scan_block` in blocks of one cell per time point, on the first
+    row and the rows whose certificate reaches or ties some incumbent.
     Every cell that attains a final optimum lies in a kept row, and the kept
     rows keep their order, so the result, with its tie-break to the first
     occurrence in (sample, time) order, is that of evaluating every row.
+    Both passes see the same sector axes: the family's maps hold 0, +-1 and
+    +-2, at most two in a column, so ``rows @ maps`` rounds alike in any block.
     """
-    time_points = len(times)
     certificates = np.empty((4, sum(map(len, sources.values()))))
-    # a block holds at most max(_BLOCK_CELLS, time_points) cells per sector
-    work = np.empty((2, 2 * max(_BLOCK_CELLS, time_points)))
-    probe = [(np.inf, None, None)] * 4  # (certificate, row, its sector blocks)
     start = 0
-    for _, rows, blocks in _sector_blocks(sources, maps, time_points):
-        block = certificates[:, start : start + len(rows)]
-        _sector_certificates(blocks, times, block, work)
-        for k, i in enumerate(block.argmin(axis=1)):
-            if block[k, i] < probe[k][0]:
-                probe[k] = (block[k, i], rows[i], blocks[:, i])
+    for _, rows, blocks in _sector_blocks(sources, maps, 16):
+        _sector_certificates(blocks, times, certificates[:, start : start + len(rows)])
         start += len(rows)
     best = {
         "joint": (np.inf, None, 0),
@@ -416,26 +416,16 @@ def _search_scan(
         "state_level": (-np.inf, None, 0),
     }
     incumbent = dict(best)
-    _scan_block(
-        incumbent,
-        np.array([row for _, row, _ in probe]),
-        np.stack([sector for _, _, sector in probe], axis=1),
-        times,
-    )
-    start = 0
-    for _, rows, blocks in _sector_blocks(sources, maps, time_points):
-        limits = [
-            min(incumbent[key][0], best[key][0])
-            for key in ("joint", "sector_plus", "sector_minus")
-        ]
-        limits.append(-max(incumbent["state_level"][0], best["state_level"][0]))
-        block = certificates[:, start : start + len(rows)]
-        keep = (block <= np.array(limits)[:, None]).any(axis=0)
-        # row 0 carries the pop-is-None rule: (0.0, first row, time 0)
-        keep[0] |= start == 0
-        start += len(rows)
-        if keep.any():
-            _scan_block(best, rows[keep], blocks[:, keep], times)
+    samples = np.concatenate(tuple(sources.values()))
+    probe = samples[certificates.argmin(axis=1)]
+    _scan_block(incumbent, probe, probe @ maps, times)
+    limits = np.array([val for val, _, _ in incumbent.values()]) * (1, 1, 1, -1)
+    keep = (certificates <= limits[:, None]).any(axis=0)
+    keep[0] = True  # row 0 carries the pop-is-None rule: (0.0, first row, time 0)
+    kept = samples[keep]
+    del samples, certificates  # the kernel's (B, T) temporaries peak without them
+    for _, rows, blocks in _sector_blocks({"kept": kept}, maps, len(times)):
+        _scan_block(best, rows, blocks, times)
     return best
 
 

@@ -1,5 +1,6 @@
 """Operator predicates, the stepwise descriptor reference, the CLI's search
-arguments and per-sample references for the stacked sites, shared by the tests.
+arguments, per-sample references for the stacked sites and the broadcast
+search certificates, shared by the tests.
 
 None of these is needed to run the CLI, so they live beside the tests that
 use them rather than in ``src/``.
@@ -25,6 +26,7 @@ from qwitness.dense import (
     trace_distance,
 )
 from qwitness.paulis import COEFF_TOL, OperatorExpr
+from qwitness.witness import _COS2_SLACK, _E, _PHASE_SLACK, _POP_SLACK
 
 #: The two systems of the witness network, in tensor order.
 SUBSYSTEMS = ("Q", "M")
@@ -228,3 +230,43 @@ def homogenize_rows_loop(cfg: "cli.RunConfig") -> list[tuple]:
             kappa = homogenizer.xi_coefficient(rho, homogenizer.XI)
             rows.append((eta, n, distances[n], kappa, 1.0 - math.cos(eta) ** (2 * n)))
     return rows
+
+
+def broadcast_certificates(
+    blocks: np.ndarray, times: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> None:
+    """Reference for :func:`qwitness.witness._sector_certificates`: the same
+    bounds from (T, 2 B) broadcasts over every (time, row) cell.
+
+    ``work`` is scratch space of at least (2, 2 B T) floats.  The extrema
+    over time are ``f.max(axis=0)`` and ``min |f - alpha/pi|`` over axis 0.
+    """
+    n_rows = out.shape[1]
+    axes = blocks[..., 1:].reshape(-1, 3)  # the plus rows, then the minus rows
+    r = np.linalg.norm(axes, axis=-1)
+    degenerate = r < 1e-100
+    unit = axes / np.where(degenerate, 1.0, r)[:, None]
+    unit[degenerate] = _E["z"]
+    ux, uy, uz = unit.T
+    f, dist = work[:, : len(times) * len(r)].reshape(2, len(times), len(r))
+    np.multiply.outer(times / math.pi, r, out=f)
+    np.subtract(f, np.rint(f, out=dist), out=f)
+    np.abs(f, out=f)
+    slack = _PHASE_SLACK * (1.0 + np.abs(times).max() * r)
+    x = np.maximum(math.pi * (0.5 - f.max(axis=0)) - slack, 0.0)
+    floor = np.sin(x) ** 2 * (1.0 - _COS2_SLACK)
+    lb = floor * (ux + uz) ** 2 + ((ux - uz) ** 2 + 2.0 * uy * uy)
+    np.sqrt(8.0 * (lb[:n_rows] + lb[n_rows:]), out=out[0])
+    out[1:3] = np.sqrt(8.0 * lb).reshape(2, n_rows)
+    transverse = ux * ux + uy * uy
+    alpha = np.arcsin(np.sqrt(0.5 / np.maximum(transverse, 0.5)))
+    np.subtract(f, alpha / math.pi, out=dist)
+    d = np.maximum(math.pi * np.abs(dist, out=dist).min(axis=0) - slack, 0.0)
+    g = np.minimum(2.0 * alpha, math.pi - 2.0 * alpha) - slack
+    m = np.where(
+        transverse < 0.5,
+        0.5 - transverse,
+        transverse * np.sin(d) * np.sin(np.maximum(d, g - d)),
+    )
+    ub = 2.0 * np.sqrt(0.25 - m * m + _POP_SLACK)
+    np.negative(np.maximum(ub[:n_rows], ub[n_rows:]), out=out[3])

@@ -18,7 +18,7 @@ from qwitness.circuit import evolve_descriptors, witness_circuit
 from qwitness.dense import PAULI_MATS
 from qwitness.errors import ContractViolation, StructuralError
 from qwitness import witness
-from qwitness.conservation import _sector_blocks
+from qwitness.conservation import _BLOCK_CELLS, _sector_blocks
 from qwitness.paulis import signed_single_label
 from qwitness.witness import (
     WITNESS_FRAME_MAP,
@@ -36,6 +36,7 @@ from qwitness.witness import (
 )
 
 from operator_helpers import (
+    broadcast_certificates,
     cli_search_arguments,
     exchange_trajectory_loop,
     is_zero,
@@ -682,7 +683,7 @@ def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape, keep=Tr
         pop = pops[int(axes[0, 1])]
         return np.ones((len(axes), len(times))), None if pop is None else pop[axes[:, 0].astype(int)]
 
-    def certificates(blocks, times, out, work):
+    def certificates(blocks, times, out):
         out[:] = -1e300 if keep else 1e300
 
     monkeypatch.setattr(witness, "_sector_kernel", kernel)
@@ -722,7 +723,8 @@ def test_impossibility_search_budget_zero_is_unproven():
 
 @pytest.mark.parametrize("seed", [3, 17, 2024])
 def test_impossibility_search_reports_positive_gap(seed):
-    # 625 grid points + 2000 draws at 32 time points span six 512-row blocks
+    # 625 grid points + 2000 draws at 32 time points span three certificate
+    # blocks of at most 1,024 rows
     report = classical_impossibility_search(
         **search_arguments(budget=2000, seed=seed, grid_points=5, time_points=32)
     )
@@ -752,10 +754,10 @@ def test_impossibility_search_is_deterministic():
     "kwargs",
     [
         {},  # the CLI's default search
-        dict(budget=1000, seed=5, grid_points=3),  # 1081 rows: a ragged last block
+        dict(budget=1000, seed=5, grid_points=3),  # 1081 rows: two part-filled blocks
         dict(budget=100, seed=6, grid_points=2),  # 116 rows: less than one block
         dict(budget=700, seed=9, grid_points=1),  # a single grid point
-        dict(budget=9000, seed=12, grid_points=3, time_points=2),  # 8192-row blocks
+        dict(budget=9000, seed=12, grid_points=3, time_points=2),  # 8192-row kernel blocks
         # 48 does not divide _BLOCK_CELLS: 341-row blocks of 16,368 cells
         dict(budget=1500, seed=13, grid_points=3, time_points=48),
         dict(seed=41),
@@ -764,6 +766,8 @@ def test_impossibility_search_is_deterministic():
         dict(param_range=1e3),  # phases up to about 4e4
         dict(time_points=1),  # the single time 0
         dict(budget=40_000),
+        # every row kept, so the kernel streams all 16,561 in 341-row blocks
+        dict(time_points=48, param_range=1e-9),
     ],
 )
 def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
@@ -777,20 +781,28 @@ def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
         assert streamed == classical_impossibility_search(**arguments).to_json_dict()
 
 
-def test_search_scan_ties_go_to_the_first_occurrence():
-    # a repeated sample set ties every extremum across blocks (256 rows at
-    # T = 64) and across sources; the first copy must win, as in the chunked
-    # oracle.  A fifth column, mapped to zero, tags each copy, so the
-    # winning row tells the copies apart.
+def test_search_scan_ties_go_to_the_first_occurrence(monkeypatch):
+    # a repeated sample set ties every extremum across kernel blocks (256
+    # kept rows at T = 64) and across sources; the first copy must win, as
+    # in the chunked oracle.  A fifth column, mapped to zero, tags each copy,
+    # so the winning row tells the copies apart.  The copies sit a kernel
+    # block apart: 256 rows of each have the plus axis (0, 0, gamma) with
+    # gamma t = pi/2 at times[16], so their plus certificate is the floor
+    # 2 sqrt(2) that their residual reaches, and every one is kept
     from qwitness.conservation import classical_filtered_family, zm_sector_maps
 
     maps = zm_sector_maps(classical_filtered_family())
     tagged_maps = np.concatenate((maps, np.zeros((2, 1, 4))), axis=1)
-    once = np.random.default_rng(31).uniform(-2.0, 2.0, (300, 4))
-    copy = [np.column_stack((once, np.full(len(once), k))) for k in range(3)]
     times = np.linspace(0.0, 2 * math.pi, 64)
+    rng = np.random.default_rng(31)
+    once = rng.uniform(-2.0, 2.0, (300, 4))
+    reach = np.column_stack((np.full(256, math.pi / 2 / times[16]), once[:256, 1:3], np.zeros(256)))
+    once = np.vstack((once, reach))
+    copy = [np.column_stack((once, np.full(len(once), k))) for k in range(3)]
     sources = {"grid": copy[0], "draws": np.vstack((copy[1], copy[2]))}
+    sizes = recorded_scan_blocks(monkeypatch)
     best = witness._search_scan(sources, times, tagged_maps)
+    assert sum(sizes[1:]) >= 3 * 256
     assert best == chunked_search_scan(sources, times, tagged_maps)
     assert best == witness._search_scan({"grid": copy[0]}, times, tagged_maps)
     assert all(row[-1] == 0.0 for _, row, _ in best.values())
@@ -812,17 +824,15 @@ def test_search_scan_keeps_rows_whose_certificate_ties_the_optimum():
     best = witness._search_scan(sources, times, maps)
     assert best == full_search_scan(sources, times, maps)
     certificates = np.empty((4, 1))
-    _sector_certificates(np.array([[tie], [tie]]), times, certificates, np.empty((2, 128)))
+    _sector_certificates(np.array([[tie], [tie]]), times, certificates)
     for k, key in enumerate(("joint", "sector_plus", "sector_minus")):
         assert best[key] == (certificates[k, 0], tie, 16)
     assert best["state_level"][1] == [0.0, 1.3, 0.0, 0.0]
 
 
-def test_sector_certificates_bound_every_kernel_cell():
-    # lb below every residual cell and ub above every coherence cell of the
-    # kernel, as the scan compares them (after the root), on random axes of
-    # every scale and on adversarial ones
-    times = np.linspace(0.0, 2 * math.pi, 64)
+def certificate_test_blocks(times):
+    """Sector blocks (2, n, 4) of random axes of every scale and of adversarial
+    ones; the minus sector holds the plus sector's axes in reverse order."""
     rng = np.random.default_rng(5)
 
     def transverse(axes):
@@ -870,12 +880,20 @@ def test_sector_certificates_bound_every_kernel_cell():
         tilted * alpha / times[16],
         tilted * (math.pi - alpha) / times[16],
     ])
-    n = len(axes)
-    blocks = np.zeros((2, n, 4))
+    blocks = np.zeros((2, len(axes), 4))
     blocks[0, :, 1:], blocks[1, :, 1:] = axes, axes[::-1]
+    return blocks
+
+
+def test_sector_certificates_bound_every_kernel_cell():
+    # lb below every residual cell and ub above every coherence cell of the
+    # kernel, as the scan compares them (after the root)
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    blocks = certificate_test_blocks(times)
+    n = blocks.shape[1]
     # written through a column slice, as the scan writes one block
     store = np.full((4, n + 2), np.nan)
-    _sector_certificates(blocks, times, store[:, 1:-1], np.empty((2, 2 * n * len(times))))
+    _sector_certificates(blocks, times, store[:, 1:-1])
     assert np.isnan(store[:, [0, -1]]).all()
     lb_joint, lb_plus, lb_minus, neg_ub = store[:, 1:-1]
     (res_plus, pop_plus), (res_minus, pop_minus) = (
@@ -887,6 +905,77 @@ def test_sector_certificates_bound_every_kernel_cell():
     coh = np.maximum(*(2.0 * np.sqrt(pop) for pop in (pop_plus, pop_minus)))
     assert coh.max() > 1.0  # rounding lifts some cells above the exact maximum
     assert np.all(-neg_ub >= coh.max(axis=1))
+
+
+def default_scan_inputs(monkeypatch):
+    """The (sources, times, maps) the CLI's default search hands ``_search_scan``."""
+    seen = []
+    scan = witness._search_scan
+    with monkeypatch.context() as mp:
+        mp.setattr(witness, "_search_scan", lambda *args: seen.append(args) or scan(*args))
+        classical_impossibility_search(**search_arguments())
+    return seen[0]
+
+
+def recorded_scan_blocks(monkeypatch):
+    """A list that collects the row count of every ``_scan_block`` call."""
+    sizes = []
+    scan_block = witness._scan_block
+
+    def recorded(best, rows, blocks, times):
+        sizes.append(len(rows))
+        scan_block(best, rows, blocks, times)
+
+    monkeypatch.setattr(witness, "_scan_block", recorded)
+    return sizes
+
+
+def test_sector_certificates_equal_the_broadcast_certificates(monkeypatch):
+    # the running extrema over time change no certificate: on the default
+    # search's 16,561 rows in the scan's 1,024-row blocks, and on the bound
+    # test's axes
+    sources, times, maps = default_scan_inputs(monkeypatch)
+    cases = [blocks for _, _, blocks in _sector_blocks(sources, maps, 16)]
+    assert sum(b.shape[1] for b in cases) == 16_561 and cases[0].shape[1] == 1024
+    cases.append(certificate_test_blocks(times))
+    for blocks in cases:
+        n = blocks.shape[1]
+        got, want = np.empty((4, n)), np.empty((4, n))
+        _sector_certificates(blocks, times, got)
+        broadcast_certificates(blocks, times, want, np.empty((2, 2 * n * len(times))))
+        assert np.array_equal(got, want)
+
+
+def test_search_scan_runs_the_kernel_on_the_incumbents_then_the_kept_rows(monkeypatch):
+    # the default search runs the kernel on its four incumbent rows, then on
+    # the 152 rows whose certificate reaches or ties an incumbent
+    sources, times, maps = default_scan_inputs(monkeypatch)
+    sizes = recorded_scan_blocks(monkeypatch)
+    witness._search_scan(sources, times, maps)
+    assert sizes == [4, 152]
+
+
+def test_search_scan_streams_every_kept_row_in_kernel_blocks(monkeypatch):
+    # worst case: each of the default search's 16,561 rows is the tie row of
+    # test_search_scan_keeps_rows_whose_certificate_ties_the_optimum, whose
+    # certificates equal its incumbents, so every row is kept.  The kept rows
+    # stream in 256-row kernel blocks at T = 64; one (T, 16,561) array would
+    # take 8.1 MiB
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    tie = [0.0, *(math.pi / 2 / times[16] * np.array([0.6, 0.0, 0.8]))]
+    sources = {"grid": np.tile(tie, (6561, 1)), "draws": np.tile(tie, (10_000, 1))}
+    maps = np.stack((np.eye(4), np.eye(4)))
+    assert witness._search_scan(sources, times, maps) == full_search_scan(sources, times, maps)
+    sizes = recorded_scan_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        witness._search_scan(sources, times, maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    step = _BLOCK_CELLS // len(times)
+    assert sizes == [4] + [step] * (16_561 // step) + [16_561 % step]
+    assert peak <= 4 * 2**20
 
 
 def test_impossibility_search_peak_memory_is_bounded():

@@ -63,9 +63,12 @@ MUTANTS = [
     ("search-state-level-best-ge", "witness.py",
      'if val > best["state_level"][0]:', 'if val >= best["state_level"][0]:', [_SEARCH_TIES]),
     ("search-certificate-keep-strict", "witness.py",
-     "keep = (block <= np.array(limits)", "keep = (block < np.array(limits)", [_CERTIFICATE_TIES]),
+     "keep = (certificates <= limits", "keep = (certificates < limits", [_CERTIFICATE_TIES]),
     ("search-certificate-first-row-dropped", "witness.py",
-     "keep[0] |= start == 0", "keep[0] |= False", [_ROOTED_ARGMAX]),
+     "keep[0] = True", "keep[0] |= False", [_ROOTED_ARGMAX]),
+    ("search-certificate-running-max-as-min", "witness.py",
+     "np.maximum(f_max, np.abs(f, out=f), out=f_max)",
+     "np.minimum(f_max, np.abs(f, out=f), out=f_max)", [_CERTIFICATE_BOUNDS]),
     ("search-certificate-phase-slack-dropped", "witness.py",
      "slack = _PHASE_SLACK * (", "slack = 0.0 * (", [_CERTIFICATE_BOUNDS]),
     ("search-certificate-pop-slack-dropped", "witness.py",
