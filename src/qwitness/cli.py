@@ -354,25 +354,27 @@ def experiment_homogenize(cfg: RunConfig) -> tuple[list[Check], dict]:
     law_worst = 0.0
     monotone_worst = 0.0
     recursion_worst = 0.0
-    for eta in dict.fromkeys((0.2, 0.5, 1.0, cfg.eta)):
-        states, used = homog.run(eta, cfg.n_steps)
-        stacked = np.array(states)
-        distances = trace_distance(stacked, homog.XI).tolist()
-        kappas = homog.xi_coefficient(stacked, homog.XI).tolist()
-        for n, kappa in enumerate(kappas):
+    etas = list(dict.fromkeys((0.2, 0.5, 1.0, cfg.eta)))
+    # one stacked run: state n of eta k is states[n][k]
+    states, used = homog.run(np.array(etas, dtype=float), cfg.n_steps)
+    stacked = np.array(states)
+    distances = trace_distance(stacked, homog.XI).T.tolist()
+    kappas = homog.xi_coefficient(stacked, homog.XI).T.tolist()
+    for k, eta in enumerate(etas):
+        for n, kappa in enumerate(kappas[k]):
             predicted = 1.0 - math.cos(eta) ** (2 * n)
-            rows.append((eta, n, distances[n], kappa, predicted))
+            rows.append((eta, n, distances[k][n], kappa, predicted))
             law_worst = max(law_worst, abs(kappa - predicted))
         monotone_worst = max(monotone_worst, max(
-            (b - a for a, b in zip(distances, distances[1:])), default=0.0
+            (b - a for a, b in zip(distances[k], distances[k][1:])), default=0.0
         ))
         # the closed form against the run's own first collisions
         for n in range(min(5, cfg.n_steps)):
-            closed = homog.step_recursion(states[n], homog.XI, eta)
+            closed = homog.step_recursion(states[n][k], homog.XI, eta)
             recursion_worst = max(
                 recursion_worst,
-                float(np.abs(states[n + 1] - closed[0]).max()),
-                float(np.abs(used[n] - closed[1]).max()),
+                float(np.abs(states[n + 1][k] - closed[0]).max()),
+                float(np.abs(used[n][k] - closed[1]).max()),
             )
     checks.append(Check.compare(
         "xi-coefficient-law", law_worst, "<", 1e-10,
@@ -387,7 +389,7 @@ def experiment_homogenize(cfg: RunConfig) -> tuple[list[Check], dict]:
         "closed-form collision step equals the partial-trace computation",
     ))
     eta_grid = np.linspace(math.pi / 32, math.pi / 2, cfg.eta_points)
-    conservation_worst = max(homog.nonadditive_conservation_residual(e) for e in eta_grid)
+    conservation_worst = float(homog.nonadditive_conservation_residual(eta_grid).max())
     checks.append(Check.compare(
         "partial-swap-conserves-nonadditive", conservation_worst, "<", 1e-12,
         "[P(eta), Z_Q + Z_M + Z_QZ_M] = 0 for all couplings",
@@ -532,16 +534,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qwitness",
         description="verification runs for conservation-constrained mediated dynamics",
     )
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", type=Path, help="JSON config file")
+    options.add_argument("--seed", type=int, help="RNG seed (>= 0)")
+    options.add_argument("--out", type=Path, help="output directory")
+    options.add_argument("--eta", type=float, help="coupling strength")
+    options.add_argument(
+        "--n", dest="n_steps", metavar="N", type=int, help="reservoir size / steps"
+    )
+    options.add_argument("--db", dest="d_b", metavar="DB", type=int, help="mediator truncation")
+    options.add_argument("--budget", type=int, help="random search draws")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} checks")
-        p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int, help="RNG seed (>= 0)")
-        p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--eta", type=float, help="coupling strength")
-        p.add_argument("--n", dest="n_steps", metavar="N", type=int, help="reservoir size / steps")
-        p.add_argument("--db", dest="d_b", metavar="DB", type=int, help="mediator truncation")
-        p.add_argument("--budget", type=int, help="random search draws")
+        sub.add_parser(name, parents=[options], help=f"run the {name} checks")
     return parser
 
 

@@ -54,10 +54,26 @@ def homogenize_step(
     return _collide(rho, xi, eta)
 
 
-def _collide(rho: np.ndarray, xi: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`homogenize_step` on states the caller has already validated."""
-    p = _partial_swap(eta)
-    joint = p @ np.kron(rho, xi) @ p.conj().T
+def _partial_swaps(eta: float | np.ndarray) -> np.ndarray:
+    """P(eta) per angle, as an ``eta.shape + (4, 4)`` stack (4 x 4 for a scalar)."""
+    etas = np.asarray(eta)
+    return np.array([_partial_swap(e) for e in etas.ravel().tolist()]).reshape(
+        etas.shape + (4, 4)
+    )
+
+
+def _collide(
+    rho: np.ndarray, xi: np.ndarray, eta: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`homogenize_step` on states the caller has already validated.
+
+    ``rho`` and ``xi`` may carry leading stack axes that broadcast against
+    ``eta``'s; each slice is the one-collision result bit for bit.  The
+    outer product below holds the products ``np.kron`` forms, in its order.
+    """
+    p = _partial_swaps(eta)
+    kron = rho[..., :, None, :, None] * xi[..., None, :, None, :]
+    joint = p @ kron.reshape(kron.shape[:-4] + (4, 4)) @ p.conj().swapaxes(-1, -2)
     return (
         partial_trace(joint, (2, 2), keep=(0,)),
         partial_trace(joint, (2, 2), keep=(1,)),
@@ -107,17 +123,20 @@ XI = qubit_state((1.0, 0.0, 0.0))
 
 
 def run(
-    eta: float, n_steps: int, rho0: np.ndarray = RHO0, xi: np.ndarray = XI
+    eta: float | np.ndarray, n_steps: int, rho0: np.ndarray = RHO0, xi: np.ndarray = XI
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Homogenise against n fresh reservoir qubits, one collision each.
 
     Returns ``(states, used)``: the system states rho_0 ... rho_n and the used
-    reservoir qubit after each collision.  ``rho0`` and ``xi`` are validated
-    once; every later state is a collision output, a state by construction.
+    reservoir qubit after each collision.  An array of etas runs one
+    trajectory per eta as one stack: each state is then ``eta.shape + (2, 2)``
+    and its slice k equals ``run(eta[k], n_steps)`` bit for bit.  ``rho0``
+    and ``xi`` are validated once; every later state is a collision output,
+    a state by construction.
     """
     assert_density_matrix(rho0)
     assert_density_matrix(xi)
-    states = [np.array(rho0, dtype=complex)]
+    states = [np.array(np.broadcast_to(rho0, np.shape(eta) + np.shape(rho0)), dtype=complex)]
     used: list[np.ndarray] = []
     for _ in range(n_steps):
         rho, xi_out = _collide(states[-1], xi, eta)
@@ -330,6 +349,9 @@ def classical_reservoir_check(
     )
 
 
-def nonadditive_conservation_residual(eta: float) -> float:
-    """|[P(eta), Z_Q + Z_M + Z_Q Z_M]|_F (zero: the coupling is allowed)."""
-    return conservation_residual(_partial_swap(eta), ConservedQuantity.nonadditive())
+def nonadditive_conservation_residual(eta: float | np.ndarray) -> float | np.ndarray:
+    """|[P(eta), Z_Q + Z_M + Z_Q Z_M]|_F (zero: the coupling is allowed).
+
+    An array of etas gives one residual per eta.
+    """
+    return conservation_residual(_partial_swaps(eta), ConservedQuantity.nonadditive())

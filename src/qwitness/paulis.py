@@ -45,7 +45,7 @@ _SITE_PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {
 
 
 def _check_label(label: str) -> str:
-    if not label or any(c not in PAULI_CHARS for c in label):
+    if not label or label.strip(PAULI_CHARS):
         raise StructuralError(f"invalid Pauli label {label!r}")
     return label
 

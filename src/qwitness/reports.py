@@ -74,7 +74,12 @@ class WitnessReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report's fields as a dict, for :func:`write_json`.
+
+        Payloads are shared with the report, not copied: ``_jsonable``
+        builds fresh containers when the dict is written.
+        """
+        return {**vars(self), "checks": [asdict(c) for c in self.checks]}
 
 
 def _jsonable(obj):

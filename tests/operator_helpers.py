@@ -221,10 +221,12 @@ def oscillator_run_loop(d_b: int) -> dict[int, list[tuple[float, float]]]:
 
 
 def homogenize_rows_loop(cfg: "cli.RunConfig") -> list[tuple]:
-    """``homogenizer_trajectory.csv`` rows, one state at a time."""
+    """``homogenizer_trajectory.csv`` rows, one collision and one state at a time."""
     rows = []
     for eta in dict.fromkeys((0.2, 0.5, 1.0, cfg.eta)):
-        states, _used = homogenizer.run(eta, cfg.n_steps)
+        states = [homogenizer.RHO0]
+        for _ in range(cfg.n_steps):
+            states.append(homogenizer.homogenize_step(states[-1], homogenizer.XI, eta)[0])
         distances = [trace_distance(rho, homogenizer.XI) for rho in states]
         for n, rho in enumerate(states):
             kappa = homogenizer.xi_coefficient(rho, homogenizer.XI)

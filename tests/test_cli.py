@@ -139,6 +139,64 @@ def test_cli_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+_TOP_HELP = """\
+usage: qwitness [-h]
+                {table1,conservation,witness,homogenize,oscillator,all} ...
+
+verification runs for conservation-constrained mediated dynamics
+
+positional arguments:
+  {table1,conservation,witness,homogenize,oscillator,all}
+    table1              run the table1 checks
+    conservation        run the conservation checks
+    witness             run the witness checks
+    homogenize          run the homogenize checks
+    oscillator          run the oscillator checks
+    all                 run the all checks
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+_SUBCOMMAND_USAGE = """\
+usage: qwitness {name} [-h] [--config CONFIG] [--seed SEED] [--out OUT]
+{indent}[--eta ETA] [--n N] [--db DB] [--budget BUDGET]
+"""
+
+_SUBCOMMAND_OPTIONS = """
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON config file
+  --seed SEED      RNG seed (>= 0)
+  --out OUT        output directory
+  --eta ETA        coupling strength
+  --n N            reservoir size / steps
+  --db DB          mediator truncation
+  --budget BUDGET  random search draws
+"""
+
+
+def _parse_output(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_cli_help_and_usage_error_texts(monkeypatch, capsys):
+    # argparse's text at 80 columns (Python 3.11), for the top level and
+    # every subcommand, and one usage error
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_output(["--help"], capsys) == (0, _TOP_HELP, "")
+    for name in EXPERIMENTS:
+        usage = _SUBCOMMAND_USAGE.format(name=name, indent=" " * len(f"usage: qwitness {name} "))
+        assert _parse_output([name, "--help"], capsys) == (0, usage + _SUBCOMMAND_OPTIONS, "")
+    usage = _SUBCOMMAND_USAGE.format(name="all", indent=" " * len("usage: qwitness all "))
+    assert _parse_output(["all", "--seed", "x"], capsys) == (
+        2, "", usage + "qwitness all: error: argument --seed: invalid int value: 'x'\n"
+    )
+
+
 def test_cli_bad_config_returns_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"bogus_key": 1}')

@@ -221,9 +221,31 @@ def test_partial_swap_is_unitary_and_exchange_symmetric():
 
 
 def test_partial_swap_conserves_nonadditive_charge():
-    for eta in np.linspace(0.0, math.pi / 2, 16):
+    grid = np.linspace(0.0, math.pi / 2, 16)
+    for eta in grid:
         assert nonadditive_conservation_residual(eta) < 1e-12
     assert nonadditive_conservation_residual(0.3) < 1e-12
+    # an eta array gives the scalar residuals, one per eta
+    for etas in (grid, np.array([0.3, 1.7, 0.3]), np.linspace(-2.0, 9.0, 7)):
+        stacked = nonadditive_conservation_residual(etas)
+        assert stacked.shape == etas.shape
+        assert stacked.tolist() == [nonadditive_conservation_residual(e) for e in etas.tolist()]
+
+
+def test_conservation_check_reports_the_grid_maximum(monkeypatch):
+    # one residual call on the whole eta grid; the check takes its largest
+    seen = []
+
+    def residual(etas):
+        seen.append(etas)
+        return np.asarray(etas) * 1e-14
+
+    monkeypatch.setattr(homogenizer, "nonadditive_conservation_residual", residual)
+    checks, _ = experiment_homogenize(RunConfig(eta_points=5, budget=0))
+    grid = np.linspace(math.pi / 32, math.pi / 2, 5)
+    assert len(seen) == 1 and np.array_equal(seen[0], grid)
+    (check,) = [c for c in checks if c.name == "partial-swap-conserves-nonadditive"]
+    assert check.value == grid.max() * 1e-14
 
 
 def test_homogenize_step_limits():
@@ -325,20 +347,38 @@ def test_fresh_ancilla_steps_match_full_joint_simulation():
     "eta, n_steps, calls", [(0.4, 20, 80), (0.5, 20, 60), (0.4, 3, 12)]
 )
 def test_experiment_steps_each_collision_once(monkeypatch, eta, n_steps, calls):
-    # one run per distinct eta in (0.2, 0.5, 1.0, eta); the recursion check
-    # reuses the run's own collisions instead of stepping again
-    count = 0
+    # one trajectory per distinct eta in (0.2, 0.5, 1.0, eta), all advanced
+    # by one stacked collision per step; ``calls`` counts the eta slices the
+    # collisions advance.  The recursion check reuses the run's own
+    # collisions instead of stepping again
+    slices = []
     collide = homogenizer._collide
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return collide(*args)
+    def counted(rho, xi, eta):
+        slices.append(np.size(eta))
+        return collide(rho, xi, eta)
 
     monkeypatch.setattr(homogenizer, "_collide", counted)
     checks, _ = experiment_homogenize(RunConfig(eta=eta, n_steps=n_steps, budget=0))
-    assert count == calls
+    assert sum(slices) == calls
+    assert len(slices) == n_steps
     assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 20, 40])
+@pytest.mark.parametrize("eta", [0.4, 0.5, 1.0, 2.7])
+def test_stacked_run_equals_the_per_eta_runs(eta, n_steps):
+    # the CLI's eta list: 0.5 and 1.0 repeat a fixed eta, so three trajectories
+    etas = list(dict.fromkeys((0.2, 0.5, 1.0, eta)))
+    rho0 = qubit_state((0.3, -0.5, 0.6))
+    for start in (RHO0, rho0):
+        states, used = run(np.array(etas), n_steps, rho0=start)
+        assert len(states) == n_steps + 1 and len(used) == n_steps
+        assert all(s.shape == (len(etas), 2, 2) for s in (*states, *used))
+        for k, e in enumerate(etas):
+            one_states, one_used = run(e, n_steps, rho0=start)
+            assert all(np.array_equal(a[k], b) for a, b in zip(states, one_states))
+            assert all(np.array_equal(a[k], b) for a, b in zip(used, one_used))
 
 
 def test_partial_swap_is_built_once_per_angle_and_read_only():

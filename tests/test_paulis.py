@@ -145,8 +145,12 @@ def test_signed_single_label():
 
 
 def test_structural_errors():
-    with pytest.raises(StructuralError):
-        OperatorExpr.from_label("Q")
+    # a bad letter between good ones, lower case and the empty label
+    for label in ("Q", "XQX", "xi", ""):
+        with pytest.raises(StructuralError, match="invalid Pauli label"):
+            OperatorExpr.from_label(label)
+    for label in ("I", "Z", "XYZ", "ZIZ", "ZZZZ"):  # every letter, at either end
+        assert OperatorExpr.from_label(label).labels() == [label]
     with pytest.raises(StructuralError):
         OperatorExpr({"XI": 1.0, "X": 1.0})
     with pytest.raises(StructuralError):

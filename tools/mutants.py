@@ -106,6 +106,17 @@ MUTANTS = [
     ("frobenius-norm-by-axis", "dense.py",
      "norm = np.sqrt(squares[..., 0, 0])", "norm = np.linalg.norm(mat, axis=(-2, -1))",
      [_MEMBER_LOOP]),
+    ("homogenizer-stack-kron-transposed", "homogenizer.py",
+     "kron = rho[..., :, None, :, None] * xi[..., None, :, None, :]",
+     "kron = rho[..., None, :, None, :] * xi[..., :, None, :, None]",
+     ["tests/test_homogenizer.py::test_homogenize_step_matches_closed_recursion"]),
+    ("homogenizer-grid-residual-min", "cli.py",
+     "homog.nonadditive_conservation_residual(eta_grid).max()",
+     "homog.nonadditive_conservation_residual(eta_grid).min()",
+     ["tests/test_homogenizer.py::test_conservation_check_reports_the_grid_maximum"]),
+    ("pauli-label-strip-drops-z", "paulis.py",
+     "label.strip(PAULI_CHARS)", 'label.strip("IXY")',
+     ["tests/test_paulis.py::test_structural_errors"]),
     ("site-product-phase-flipped", "paulis.py",
      '("X", "Y"): (1j, "Z"),', '("X", "Y"): (-1j, "Z"),',
      ["tests/test_paulis.py::test_single_site_group_table_matches_dense_products"]),
