@@ -74,12 +74,15 @@ class WitnessReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        """The report's fields as a dict, for :func:`write_json`.
+        """The report's fields as JSON types (:func:`_jsonable`), for :func:`write_json`.
 
-        Payloads are shared with the report, not copied: ``_jsonable``
-        builds fresh containers when the dict is written.
+        The payloads are walked once, into fresh containers, without the
+        deep copy of ``asdict``.  The result shares no container with the
+        report, so the report's own payloads are freed with it: keeping them
+        alive until the artifacts are written raised the peak RSS of
+        ``qwitness all``.
         """
-        return {**vars(self), "checks": [asdict(c) for c in self.checks]}
+        return _jsonable({**vars(self), "checks": [asdict(c) for c in self.checks]})
 
 
 def _jsonable(obj):

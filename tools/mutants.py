@@ -120,6 +120,10 @@ MUTANTS = [
     ("site-product-phase-flipped", "paulis.py",
      '("X", "Y"): (1j, "Z"),', '("X", "Y"): (-1j, "Z"),',
      ["tests/test_paulis.py::test_single_site_group_table_matches_dense_products"]),
+    ("report-json-dict-shares-payloads", "reports.py",
+     'return _jsonable({**vars(self), "checks": [asdict(c) for c in self.checks]})',
+     'return {**vars(self), "checks": [asdict(c) for c in self.checks]}',
+     ["tests/test_reports.py::test_report_json_dict_is_json_types_in_fresh_containers"]),
     ("format-float-15-digits", "reports.py",
      "return repr(float(x))", 'return f"{float(x):.15g}"',
      ["tests/test_reports.py::test_format_float_is_the_shortest_round_trip_text"]),
