@@ -11,20 +11,19 @@ follows the closed law ``1 - cos(eta)**(2n)``; the weight is extracted from
 the simulated state by a least-squares split described at
 :func:`xi_coefficient`.  The classical-reservoir search is exact on 2x2 Z_M
 sectors: the reservoir enters as the diagonal |0><0| and every classical H is
-block diagonal in Z_M, so the probe only meets the Z_M = +1 block.
+block diagonal in Z_M, so the probe only meets the Z_M = +1 block, which is
+(gamma + c) Z for every admissible member: the probe's walk is diagonal.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from functools import lru_cache
 
 import numpy as np
 
 from .circuit import partial_swap
 from .conservation import (
-    _BLOCK_CELLS,
     ConservedQuantity,
     _search_report,
     _sector_blocks,
@@ -34,50 +33,23 @@ from .conservation import (
     zm_sector_maps,
 )
 from .dense import assert_density_matrix, partial_trace, qubit_state, to_dense
+from .errors import StructuralError
 from .reports import WitnessReport
-
-
-@lru_cache(maxsize=64)
-def _partial_swap(eta: float) -> np.ndarray:
-    """The read-only unitary P(eta), built once per angle."""
-    p = to_dense(partial_swap(eta))
-    p.flags.writeable = False
-    return p
 
 
 def homogenize_step(
     rho: np.ndarray, xi: np.ndarray, eta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One collision: reduced states of P (rho x xi) P† on each side."""
-    assert_density_matrix(rho)
-    assert_density_matrix(xi)
-    return _collide(rho, xi, eta)
+    states, used = run(eta, 1, rho, xi)
+    return states[1], used[0]
 
 
 def _partial_swaps(eta: float | np.ndarray) -> np.ndarray:
     """P(eta) per angle, as an ``eta.shape + (4, 4)`` stack (4 x 4 for a scalar)."""
     etas = np.asarray(eta)
-    return np.array([_partial_swap(e) for e in etas.ravel().tolist()]).reshape(
-        etas.shape + (4, 4)
-    )
-
-
-def _collide(
-    rho: np.ndarray, xi: np.ndarray, eta: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`homogenize_step` on states the caller has already validated.
-
-    ``rho`` and ``xi`` may carry leading stack axes that broadcast against
-    ``eta``'s; each slice is the one-collision result bit for bit.  The
-    outer product below holds the products ``np.kron`` forms, in its order.
-    """
-    p = _partial_swaps(eta)
-    kron = rho[..., :, None, :, None] * xi[..., None, :, None, :]
-    joint = p @ kron.reshape(kron.shape[:-4] + (4, 4)) @ p.conj().swapaxes(-1, -2)
-    return (
-        partial_trace(joint, (2, 2), keep=(0,)),
-        partial_trace(joint, (2, 2), keep=(1,)),
-    )
+    p = np.array([to_dense(partial_swap(e)) for e in etas.ravel().tolist()])
+    return p.reshape(etas.shape + (4, 4))
 
 
 def step_recursion(
@@ -132,16 +104,20 @@ def run(
     trajectory per eta as one stack: each state is then ``eta.shape + (2, 2)``
     and its slice k equals ``run(eta[k], n_steps)`` bit for bit.  ``rho0``
     and ``xi`` are validated once; every later state is a collision output,
-    a state by construction.
+    a state by construction.  P(eta) and P† are built once; each collision's
+    outer product holds the products ``np.kron`` forms, in its order.
     """
     assert_density_matrix(rho0)
     assert_density_matrix(xi)
+    p = _partial_swaps(eta)
+    p_dag = p.conj().swapaxes(-1, -2)
     states = [np.array(np.broadcast_to(rho0, np.shape(eta) + np.shape(rho0)), dtype=complex)]
     used: list[np.ndarray] = []
     for _ in range(n_steps):
-        rho, xi_out = _collide(states[-1], xi, eta)
-        states.append(rho)
-        used.append(xi_out)
+        kron = states[-1][..., :, None, :, None] * xi[..., None, :, None, :]
+        joint = p @ kron.reshape(kron.shape[:-4] + (4, 4)) @ p_dag
+        states.append(partial_trace(joint, (2, 2), keep=(0,)))
+        used.append(partial_trace(joint, (2, 2), keep=(1,)))
     return states, used
 
 
@@ -195,54 +171,28 @@ def _final_distances(
 
     U (rho x |0><0|) U^dag = U_+ rho U_+^dag x |0><0|, so the probe state is
     psi = U_+^N |+> with U_+ = cos(eta) I + i sin(eta) H_+, and the traceless
-    rho_N - |0><0| has trace distance sqrt(d00^2 + |d01|^2).  Yields one (B,)
-    row per eta; the eta-free parts of U_+ are built once.
+    rho_N - |0><0| has trace distance sqrt(d00^2 + |d01|^2).  Every
+    admissible member of the classical family has H_+ = (gamma + c) Z, so
+    U_+ is diagonal and each amplitude walks its own scalar recurrence; a
+    block with an X or Y part raises :class:`StructuralError`.  Yields one
+    (B,) row per eta; the eta-free parts of U_+ are built once.
     """
     c, nx, ny, nz = plus.T
+    if nx.any() or ny.any():
+        raise StructuralError("Z_M = +1 block with an X or Y part: U_+ is not diagonal")
     c_plus, c_minus = c + nz, c - nz
-    off_up, off_down = ny + 1j * nx, -ny + 1j * nx
     for eta in eta_grid:
         cos, sin = math.cos(eta), math.sin(eta)
         u00 = cos + 1j * sin * c_plus
-        u01 = sin * off_up
-        u10 = sin * off_down
         u11 = cos + 1j * sin * c_minus
         psi0 = np.full(len(plus), 1 / math.sqrt(2), dtype=complex)
         psi1 = psi0.copy()
         for _ in range(n_steps):
-            psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
+            np.multiply(u00, psi0, out=psi0)
+            np.multiply(u11, psi1, out=psi1)
         d00 = psi0.real**2 + psi0.imag**2 - 1.0
         d01 = psi0 * psi1.conj()
         yield np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
-
-
-def _admissible_blocks(
-    sources: dict[str, np.ndarray], maps: np.ndarray, skipped: dict[str, int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Admissible samples (H^2 = I in both Z_M sectors) with their sector blocks.
-
-    The sources pass through :func:`_sector_blocks` at four cells (the
-    complex probe amplitudes psi0, psi1) per sample.  The admissible rows of
-    a block are held, across blocks and sources, until at least
-    ``_BLOCK_CELLS // 4`` rows are held; those are yielded as one block, in
-    source and row order, and what is held at the end as a last one.  Each
-    source's inadmissible count is added to ``skipped``.
-    """
-    held = ()
-    for name, rows, blocks in _sector_blocks(sources, maps, 4):
-        mask = _sector_involution_residual(blocks) <= 1e-7
-        skipped[name] += len(rows) - int(np.count_nonzero(mask))
-        rows, blocks = rows[mask], blocks[:, mask]
-        if held:
-            rows = np.concatenate((held[0], rows))
-            blocks = np.concatenate((held[1], blocks), axis=1)
-        held = ()
-        if len(rows) >= _BLOCK_CELLS // 4:
-            yield rows, blocks
-        elif len(rows):
-            held = rows, blocks
-    if held:
-        yield held
 
 
 def _reservoir_scan(
@@ -253,15 +203,17 @@ def _reservoir_scan(
 
     ``maps`` is :func:`zm_sector_maps` of that family, whose free parameters
     (gamma, a, b, c) the surface draws are drawn in.  The grid, then the
-    surface draws, pass through :func:`_admissible_blocks`.  Each block of
-    admissible samples updates one best (value, eta index, free parameters)
-    of the final trace distance and one (value, free parameters) of the
-    operator-image gap.  ``argmin`` takes the first minimum of a block's eta
-    row, and the distance best moves only when ``(value, eta index)`` is
-    strictly smaller, so it is the first occurrence in (eta, sample) order
-    whatever the blocks; the gap best is the first in sample order.
-    Returns the skipped count per source, the admissible count and the two
-    bests, with value inf and no row until an admissible sample arrives.
+    surface draws, pass through :func:`_sector_blocks` at four cells (the
+    probe amplitudes psi0, psi1) per sample.  A block's inadmissible samples
+    (H^2 != I in a Z_M sector) are counted as skipped; its admissible ones
+    update one best (value, eta index, free parameters) of the final trace
+    distance and one (value, free parameters) of the operator-image gap.
+    ``argmin`` takes the first minimum of a block's eta row, and the distance
+    best moves only when ``(value, eta index)`` is strictly smaller, so it is
+    the first occurrence in (eta, sample) order whatever the blocks; the gap
+    best is the first in sample order.  Returns the skipped count per source,
+    the admissible count and the two bests, with value inf and no row until
+    an admissible sample arrives.
     """
     sources = {
         # no uniform box draws: H^2 = I has measure zero in the box
@@ -271,8 +223,14 @@ def _reservoir_scan(
     skipped, admissible = dict.fromkeys(sources, 0), 0
     dist_best = (math.inf, 0, None)
     gap_best = (math.inf, None)
-    for rows, blocks in _admissible_blocks(sources, maps, skipped):
-        admissible += len(rows)
+    for name, rows, blocks in _sector_blocks(sources, maps, 4):
+        mask = _sector_involution_residual(blocks) <= 1e-7
+        kept = int(np.count_nonzero(mask))
+        skipped[name] += len(rows) - kept
+        if not kept:
+            continue
+        rows, blocks = rows[mask], blocks[:, mask]
+        admissible += kept
         for k, dist in enumerate(_final_distances(blocks[0], eta_grid, n_steps)):
             i = int(np.argmin(dist))
             if (dist[i], k) < dist_best[:2]:

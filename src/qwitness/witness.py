@@ -193,26 +193,28 @@ def axis_constraint_report() -> WitnessReport:
         task="single-axis realisation of the witness frame map",
         parameters={"theta": _THETA},
     )
-    roots, equations, residual = report.root_sets, {}, {}
-    for system, generator, image in (
-        ("z", "z", WITNESS_FRAME_MAP[:, 2]),
-        ("x", "x", WITNESS_FRAME_MAP[:, 0]),
-        ("y_target", "y", WITNESS_FRAME_MAP[:, 1]),
-        ("y_sign_flipped", "y", -WITNESS_FRAME_MAP[:, 1]),
-    ):
+    roots, equations = report.root_sets, {}
+    systems = {
+        "z": ("z", WITNESS_FRAME_MAP[:, 2]),
+        "x": ("x", WITNESS_FRAME_MAP[:, 0]),
+        "y_target": ("y", WITNESS_FRAME_MAP[:, 1]),
+        "y_sign_flipped": ("y", -WITNESS_FRAME_MAP[:, 1]),
+    }
+    for system, (generator, image) in systems.items():
         roots[system] = sorted(tuple(map(float, r)) for r in real_axis_roots(generator, image))
         equations[system] = [_format_equation(e) for e in _axis_equations(generator, image)]
-        residual[system] = max(
-            (np.abs(conjugation_image(np.array(r), _THETA, generator) - image).max()
-             for r in roots[system]),
-            default=0.0,
-        )
     report.findings["equations"] = equations
     common = [r for r in roots["z"] if r in roots["x"] and r in roots["y_target"]]
     roots["intersection"] = common
     for g, target in (("z", "x"), ("x", "z")):
+        generator, image = systems[g]
+        residual = max(
+            (np.abs(conjugation_image(np.array(r), _THETA, generator) - image).max()
+             for r in roots[g]),
+            default=0.0,  # an empty root set has no residual
+        )
         report.add_check(
-            f"{g}-system-residual", residual[g], "<", 1e-10, f"roots satisfy R† q_{g} R = q_{target}"
+            f"{g}-system-residual", residual, "<", 1e-10, f"roots satisfy R† q_{g} R = q_{target}"
         )
     report.add_check(
         "no-common-axis",

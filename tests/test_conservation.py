@@ -244,6 +244,26 @@ def test_zm_sector_maps_reproduce_dense_blocks():
 
 
 @pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({"XZI": 1.0}, "two-system"),  # a three-site family
+        ({"XZ": 1.0, "ZI": 1.0}, "single Pauli products"),  # a two-term basis element
+        ({"ZX": 1.0}, "not classical"),  # an X on the mediator
+        ({"XZ": 1 + 1.5e-13j}, "Hermitian"),  # past the 1e-13 Hermiticity cut
+    ],
+)
+def test_zm_sector_maps_rejects_each_malformed_basis(terms, message):
+    family = HamiltonianFamily(basis=[OperatorExpr(terms)], params=("p",))
+    with pytest.raises(StructuralError, match=message):
+        zm_sector_maps(family)
+
+
+def test_zm_sector_maps_accepts_an_imaginary_part_within_the_cut():
+    family = HamiltonianFamily(basis=[OperatorExpr({"XZ": 1 + 0.5e-13j})], params=("p",))
+    assert zm_sector_maps(family).tolist() == [[[0.0, 1.0, 0.0, 0.0]], [[0.0, -1.0, 0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
     "cells_per_sample, step",
     [(4, 4096), (48, 341), (64, 256), (_BLOCK_CELLS + 1, 1)],
 )

@@ -20,7 +20,7 @@ from qwitness.dense import (
     to_dense,
     trace_distance,
 )
-from qwitness.errors import ContractViolation
+from qwitness.errors import ContractViolation, StructuralError
 from qwitness.homogenizer import (
     RHO0,
     XI,
@@ -348,20 +348,21 @@ def test_fresh_ancilla_steps_match_full_joint_simulation():
 )
 def test_experiment_steps_each_collision_once(monkeypatch, eta, n_steps, calls):
     # one trajectory per distinct eta in (0.2, 0.5, 1.0, eta), all advanced
-    # by one stacked collision per step; ``calls`` counts the eta slices the
-    # collisions advance.  The recursion check reuses the run's own
+    # by one stacked collision per step, which takes two partial traces (the
+    # system and the used reservoir qubit); ``calls`` counts the eta slices
+    # the collisions advance.  The recursion check reuses the run's own
     # collisions instead of stepping again
     slices = []
-    collide = homogenizer._collide
+    trace = homogenizer.partial_trace
 
-    def counted(rho, xi, eta):
-        slices.append(np.size(eta))
-        return collide(rho, xi, eta)
+    def counted(joint, dims, keep):
+        slices.append(math.prod(joint.shape[:-2]))
+        return trace(joint, dims, keep=keep)
 
-    monkeypatch.setattr(homogenizer, "_collide", counted)
+    monkeypatch.setattr(homogenizer, "partial_trace", counted)
     checks, _ = experiment_homogenize(RunConfig(eta=eta, n_steps=n_steps, budget=0))
-    assert sum(slices) == calls
-    assert len(slices) == n_steps
+    assert sum(slices) == 2 * calls
+    assert len(slices) == 2 * n_steps
     assert all(c.passed for c in checks)
 
 
@@ -381,13 +382,27 @@ def test_stacked_run_equals_the_per_eta_runs(eta, n_steps):
             assert all(np.array_equal(a[k], b) for a, b in zip(used, one_used))
 
 
-def test_partial_swap_is_built_once_per_angle_and_read_only():
-    p = homogenizer._partial_swap(0.4)
-    assert homogenizer._partial_swap(0.4) is p
-    assert np.array_equal(p, to_dense(partial_swap(0.4)))
-    assert not p.flags.writeable
-    with pytest.raises(ValueError):
-        p[0, 0] = 0.0
+def test_run_builds_each_partial_swap_once(monkeypatch):
+    # P(eta) is built once per eta, before the first collision, whatever
+    # the number of steps
+    built = []
+
+    def counted(eta):
+        built.append(eta)
+        return partial_swap(eta)
+
+    monkeypatch.setattr(homogenizer, "partial_swap", counted)
+    etas = [0.2, 0.5, 1.0, 0.4]
+    for n_steps in (0, 1, 5, 40):
+        built.clear()
+        run(0.4, n_steps)
+        assert built == [0.4]
+        built.clear()
+        run(np.array(etas), n_steps)
+        assert built == etas
+    built.clear()
+    homogenize_step(RHO0, XI, 0.7)
+    assert built == [0.7]
 
 
 def test_xi_coefficient_degenerate_reservoir_state():
@@ -651,20 +666,34 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
         assert report.findings["argmin_image_distance"] == dict(zip(names, free[9].tolist()))
 
 
-def test_reservoir_scan_runs_the_kernels_on_full_blocks(monkeypatch):
-    # the grid's 12 admissible points (of 6,561) are held and join the first
-    # surface block, so the distance kernel runs on three blocks, not five
+def test_reservoir_scan_runs_the_kernels_on_each_admissible_block(monkeypatch):
+    # both kernels run once per source block on its admissible rows: the
+    # grid's 12 admissible points (of 6,561) sit 11 and 1 in its two blocks;
+    # a block without one is skipped
     sizes = []
-    distances = homogenizer._final_distances
+    distances, image_gap = homogenizer._final_distances, homogenizer._sector_image_gap
 
-    def recorded(plus, eta_grid, n_steps):
+    def recorded_distances(plus, eta_grid, n_steps):
         sizes.append(len(plus))
         return distances(plus, eta_grid, n_steps)
 
-    monkeypatch.setattr(homogenizer, "_final_distances", recorded)
+    def recorded_gap(blocks):
+        assert blocks.shape[1] == sizes[-1]
+        return image_gap(blocks)
+
+    monkeypatch.setattr(homogenizer, "_final_distances", recorded_distances)
+    monkeypatch.setattr(homogenizer, "_sector_image_gap", recorded_gap)
+    rows = _BLOCK_CELLS // 4
     skipped, admissible, _, _ = _reservoir_scan(_default_maps(), **reservoir_arguments())
     assert (skipped, admissible) == ({"grid": 6549, "surface": 0}, 10012)
-    assert sizes == [12 + _BLOCK_CELLS // 4, _BLOCK_CELLS // 4, 10000 - _BLOCK_CELLS // 2]
+    assert sizes == [11, 1, rows, rows, 10000 - 2 * rows]
+    # the one grid point (-2, -2, -2, -2) is inadmissible: its block is skipped
+    sizes.clear()
+    skipped, admissible, _, _ = _reservoir_scan(
+        _default_maps(), **reservoir_arguments(budget=rows + 5, grid_points=1)
+    )
+    assert (skipped, admissible) == ({"grid": 1, "surface": 0}, rows + 5)
+    assert sizes == [rows, 5]
 
 
 def test_reservoir_check_peak_memory_is_bounded():
@@ -699,10 +728,24 @@ def test_sector_kernels_match_dense_on_generic_blocks():
     invol = np.concatenate([np.zeros((2, 60, 1)), axes], axis=-1)
     invol[:, :2] = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
     assert (_sector_involution_residual(invol) <= 1e-7).all()
-    h = _dense_from_blocks(invol)
     etas = (0.3, 1.1, 2.9)
+    # the distance walk is diagonal: it takes the diagonal plus involutions
+    # +-I and +-Z, beside any minus involution, and refuses any other
+    for bad in (invol[0], blocks[0]):
+        with pytest.raises(StructuralError):
+            list(_final_distances(bad, etas, 1))
+    diagonal = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0, 0, -1.0]])
+    invol[0] = diagonal[np.arange(60) % 4]
+    assert (_sector_involution_residual(invol) <= 1e-7).all()
+    h = _dense_from_blocks(invol)
     for n_steps in (0, 1, 3, 8):
         got = list(_final_distances(invol[0], etas, n_steps))
         assert len(got) == len(etas)
         for eta, row in zip(etas, got):
             assert np.abs(row - _dense_collisions(h, eta, n_steps)).max() <= 1e-13
+    # one X part or one Y part, however small, is enough
+    for part in (1, 2):
+        plus = invol[0].copy()
+        plus[7, part] = 1e-300
+        with pytest.raises(StructuralError):
+            list(_final_distances(plus, etas, 1))

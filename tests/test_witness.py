@@ -484,6 +484,16 @@ def test_axis_constraint_report_verdict():
     assert report.all_passed()
 
 
+def test_axis_residual_of_an_empty_root_set_is_zero(monkeypatch):
+    # only the z and x residuals are checked; with no root there is nothing
+    # to miss, so each reads 0.0 instead of raising on an empty maximum
+    monkeypatch.setattr(witness, "real_axis_roots", lambda generator, image: [])
+    report = axis_constraint_report()
+    assert all(report.root_sets[s] == [] for s in ("z", "x", "y_target", "y_sign_flipped"))
+    residuals = {c.name: c.value for c in report.checks if c.name.endswith("-residual")}
+    assert residuals == {"z-system-residual": 0.0, "x-system-residual": 0.0}
+
+
 def test_batched_rotations_match_dense_conjugation():
     rng = np.random.default_rng(23)
     axes = rng.normal(size=(8, 3))

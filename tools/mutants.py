@@ -39,6 +39,7 @@ _CERTIFICATE_TIES = (
 _CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_every_kernel_cell"
 _OSCILLATOR_LOOP = "tests/test_oscillator.py::test_oscillator_witness_run_equals_the_per_time_loop"
 _MEMBER_LOOP = "tests/test_conservation.py::test_constrained_member_check_equals_the_per_member_loop"
+_DIAGONAL_WALK = "tests/test_homogenizer.py::test_sector_kernels_match_dense_on_generic_blocks"
 
 #: name, file under src/qwitness, old string, new string, tests that must fail
 MUTANTS = [
@@ -73,6 +74,13 @@ MUTANTS = [
      "slack = _PHASE_SLACK * (", "slack = 0.0 * (", [_CERTIFICATE_BOUNDS]),
     ("search-certificate-pop-slack-dropped", "witness.py",
      "0.25 - m * m + _POP_SLACK", "0.25 - m * m", [_CERTIFICATE_BOUNDS]),
+    ("search-certificate-cos2-slack-dropped", "witness.py",
+     "floor = np.sin(x) ** 2 * (1.0 - _COS2_SLACK)", "floor = np.sin(x) ** 2",
+     ["tests/test_witness.py::test_sector_certificates_equal_the_broadcast_certificates"]),
+    ("axis-residual-empty-default-one", "witness.py",
+     "default=0.0,  # an empty root set has no residual",
+     "default=1.0,  # an empty root set has no residual",
+     ["tests/test_witness.py::test_axis_residual_of_an_empty_root_set_is_zero"]),
     ("search-kernel-cross-term-sign", "witness.py",
      "res = cos2 * (ux + uz) ** 2", "res = cos2 * (ux - uz) ** 2",
      ["tests/test_witness.py::test_sector_kernel_matches_rotation_tensor"]),
@@ -83,6 +91,9 @@ MUTANTS = [
     ("rref-pivot-among-reduced-rows", "conservation.py",
      "for i in range(r, len(rows)) if rows[i][j]", "for i in range(len(rows)) if rows[i][j]",
      ["tests/test_conservation.py::test_rref_matches_sympy_on_small_integer_matrices"]),
+    ("sector-map-hermiticity-cut-doubled", "conservation.py",
+     "if abs(coeff.imag) > 1e-13:", "if abs(coeff.imag) > 2e-13:",
+     ["tests/test_conservation.py::test_zm_sector_maps_rejects_each_malformed_basis"]),
     ("sector-map-sign", "conservation.py",
      '-coeff.real if label[1] == "Z" else coeff.real',
      'coeff.real if label[1] == "Z" else -coeff.real',
@@ -107,9 +118,13 @@ MUTANTS = [
      "norm = np.sqrt(squares[..., 0, 0])", "norm = np.linalg.norm(mat, axis=(-2, -1))",
      [_MEMBER_LOOP]),
     ("homogenizer-stack-kron-transposed", "homogenizer.py",
-     "kron = rho[..., :, None, :, None] * xi[..., None, :, None, :]",
-     "kron = rho[..., None, :, None, :] * xi[..., :, None, :, None]",
+     "kron = states[-1][..., :, None, :, None] * xi[..., None, :, None, :]",
+     "kron = states[-1][..., None, :, None, :] * xi[..., :, None, :, None]",
      ["tests/test_homogenizer.py::test_homogenize_step_matches_closed_recursion"]),
+    ("homogenizer-plus-guard-x-only", "homogenizer.py",
+     "if nx.any() or ny.any():", "if nx.any():", [_DIAGONAL_WALK]),
+    ("homogenizer-plus-guard-y-only", "homogenizer.py",
+     "if nx.any() or ny.any():", "if ny.any():", [_DIAGONAL_WALK]),
     ("homogenizer-grid-residual-min", "cli.py",
      "homog.nonadditive_conservation_residual(eta_grid).max()",
      "homog.nonadditive_conservation_residual(eta_grid).min()",
