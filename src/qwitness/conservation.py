@@ -108,18 +108,6 @@ class HamiltonianFamily:
                     expand[free.index(name), self.params.index(pivot)] = -coeff / lead
         return expand
 
-    def member(self, values: dict[str, float]) -> OperatorExpr:
-        """Expression for a parameter assignment; constraints must hold to 1e-9."""
-        vec = np.array([values[p] for p in self.params], dtype=float)
-        if self.constraints:
-            resid = np.abs(self.constraint_matrix() @ vec).max()
-            if resid > 1e-9:
-                raise StructuralError(f"parameters violate constraints (residual {resid:.3g})")
-        out = OperatorExpr.zero(self.basis[0].n_sites)
-        for c, b in zip(vec, self.basis):
-            out = out + float(c) * b
-        return out
-
     def member_directions(self) -> np.ndarray:
         """Orthonormal basis (columns) of the parameter vectors the constraints allow."""
         return _null_space(self.constraint_matrix())
@@ -127,9 +115,10 @@ class HamiltonianFamily:
     def dense_members(self, vecs: np.ndarray) -> np.ndarray:
         """Dense members for the parameter vectors ``vecs`` (..., n_params), stacked.
 
-        Each slice equals ``to_dense(self.member(...))`` of its vector bit for
-        bit: with a basis of distinct single Pauli products, that is each
-        term of magnitude at least ``COEFF_TOL`` added to zero in label order.
+        Each slice equals the dense matrix of the summed expression (the test
+        oracle ``tests/operator_helpers.member``) bit for bit: with a basis of
+        distinct single Pauli products, that is each term of magnitude at
+        least ``COEFF_TOL`` added to zero in label order.
         """
         terms = [list(b) for b in self.basis]
         if any(len(t) != 1 for t in terms) or len({t[0][0] for t in terms}) != len(terms):

@@ -243,9 +243,7 @@ def _sector_axes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, unit
 
 
-def _sector_kernel(
-    axes: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _sector_kernel(axes: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled frame-map residual and coherence of one sector, (B, T) each.
 
     Q rotates by theta = 2 r t about the unit axis u = n / r.  W is symmetric
@@ -256,9 +254,8 @@ def _sector_kernel(
     ``res = cos^2(r t) (u_x + u_z)^2 + (u_x - u_z)^2 + 2 u_y^2``: no
     cancellation where it reaches 0.  R |0> has coherence ``2 sqrt(pop)``
     with ``pop = p (1 - p)``, ``p = s (u_x^2 + u_y^2)`` and
-    ``1 - p = cos^2(r t) + s u_z^2``.  ``pop`` is None when every row has
-    ``u_x^2 + u_y^2 = 0``, where the coherence is exactly 0.  The callers
-    apply the factor 8 to the entries they keep.
+    ``1 - p = cos^2(r t) + s u_z^2``; a z axis (u_x^2 + u_y^2 = 0) gives
+    ``pop`` exactly 0.  The callers apply the factor 8 to the entries they keep.
     """
     r, unit = _sector_axes(axes)
     ux, uy, uz = unit.T[:, :, None]
@@ -268,8 +265,6 @@ def _sector_kernel(
     res = cos2 * (ux + uz) ** 2
     res += (ux - uz) ** 2 + 2.0 * uy * uy
     transverse = ux * ux + uy * uy
-    if not transverse.any():
-        return res, None
     sin2 = np.sin(phase, out=phase)
     sin2 *= sin2
     pop = sin2 * (uz * uz)
@@ -312,8 +307,8 @@ def _sector_certificates(blocks: np.ndarray, times: np.ndarray, out: np.ndarray)
     * Coherence: ``2 sqrt(1/4 - m^2)`` with m = |p - 1/2|, p = sin^2(phi) T.
       For T < 1/2, m >= 1/2 - T.  Otherwise ``p - 1/2 = T sin(phi - alpha)
       sin(phi + alpha)`` with alpha = arcsin sqrt(1/(2T)); with d the smallest
-      distance to +-alpha + pi Z (min |pi f - alpha|) and g = min(2 alpha,
-      pi - 2 alpha) the gap between those lattices,
+      distance to +-alpha + pi Z (min |pi f - alpha|) and g = pi - 2 alpha
+      the gap between those lattices (at most 2 alpha, as T >= 1/2),
       ``m >= T sin(d) sin(max(d, g - d))``, which grows with d.
     """
     n_rows = out.shape[1]
@@ -337,7 +332,9 @@ def _sector_certificates(blocks: np.ndarray, times: np.ndarray, out: np.ndarray)
     np.sqrt(8.0 * (lb[:n_rows] + lb[n_rows:]), out=out[0])
     out[1:3] = np.sqrt(8.0 * lb).reshape(2, n_rows)
     d = np.maximum(math.pi * dist_min - slack, 0.0)
-    g = np.minimum(2.0 * alpha, math.pi - 2.0 * alpha) - slack
+    # T >= 1/2 gives pi - 2 alpha <= 2 alpha; where T rounds above 1 it exceeds
+    # 2 alpha by a few ulps of pi/2, far below the slack (at least 2^-44)
+    g = math.pi - 2.0 * alpha - slack
     m = np.where(
         transverse < 0.5,
         0.5 - transverse,
@@ -355,7 +352,8 @@ def _scan_block(
 
     A block's first extremum (``argmin`` on the residual before its root,
     ``argmax`` on the rooted coherence) replaces a best only when strictly
-    better, so a tie goes to the first occurrence in (sample, time) order.
+    better, so a tie goes to the first occurrence in (sample, time) order;
+    a sector of z axes has coherence 0 everywhere, so (first row, time 0).
     """
     time_points = len(times)
     (res_plus, pop_plus), (res_minus, pop_minus) = (
@@ -373,14 +371,11 @@ def _scan_block(
             i, j = divmod(flat, time_points)
             best[key] = (val, rows[i].tolist(), j)
     for pop in (pop_plus, pop_minus):
-        if pop is None:
-            val, flat = 0.0, 0
-        else:
-            # sqrt sends neighbouring doubles to one value, so the first
-            # maximum is taken after the root, not on pop
-            coh = 2.0 * np.sqrt(pop)
-            flat = int(np.argmax(coh))
-            val = float(coh.flat[flat])
+        # sqrt sends neighbouring doubles to one value, so the first maximum
+        # is taken after the root, not on pop
+        coh = 2.0 * np.sqrt(pop)
+        flat = int(np.argmax(coh))
+        val = float(coh.flat[flat])
         if val > best["state_level"][0]:
             i, j = divmod(flat, time_points)
             best["state_level"] = (val, rows[i].tolist(), j)
@@ -423,7 +418,7 @@ def _search_scan(
     _scan_block(incumbent, probe, probe @ maps, times)
     limits = np.array([val for val, _, _ in incumbent.values()]) * (1, 1, 1, -1)
     keep = (certificates <= limits[:, None]).any(axis=0)
-    keep[0] = True  # row 0 carries the pop-is-None rule: (0.0, first row, time 0)
+    keep[0] = True  # an all-zero coherence goes to the first sample at time 0
     kept = samples[keep]
     del samples, certificates  # the kernel's (B, T) temporaries peak without them
     for _, rows, blocks in _sector_blocks({"kept": kept}, maps, len(times)):

@@ -1,6 +1,7 @@
-"""Operator predicates, the stepwise descriptor reference, the CLI's search
-arguments, per-sample references for the stacked sites and the broadcast
-search certificates, shared by the tests.
+"""Operator predicates, the summed family member, the stepwise descriptor
+reference, the CLI's search arguments, per-sample references for the stacked
+sites, the two-recurrence reservoir walk and the broadcast search
+certificates, shared by the tests.
 
 None of these is needed to run the CLI, so they live beside the tests that
 use them rather than in ``src/``.
@@ -13,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from qwitness import cli, conservation, homogenizer, oscillator, witness
 from qwitness.circuit import composite_unitary, witness_circuit
@@ -25,6 +26,7 @@ from qwitness.dense import (
     to_dense,
     trace_distance,
 )
+from qwitness.errors import StructuralError
 from qwitness.paulis import COEFF_TOL, OperatorExpr
 from qwitness.witness import _COS2_SLACK, _E, _PHASE_SLACK, _POP_SLACK
 
@@ -131,6 +133,23 @@ def cli_search_arguments(**config) -> MappingProxyType:
 # tests hold each stacked site equal to its loop with ==, not allclose.
 
 
+def member(family: conservation.HamiltonianFamily, values: dict[str, float]) -> OperatorExpr:
+    """Expression of ``family`` at a parameter assignment, summed term by term.
+
+    The constraints must hold to 1e-9.  Reference for
+    :meth:`~qwitness.conservation.HamiltonianFamily.dense_members`.
+    """
+    vec = np.array([values[p] for p in family.params], dtype=float)
+    if family.constraints:
+        resid = np.abs(family.constraint_matrix() @ vec).max()
+        if resid > 1e-9:
+            raise StructuralError(f"parameters violate constraints (residual {resid:.3g})")
+    out = OperatorExpr.zero(family.basis[0].n_sites)
+    for c, b in zip(vec, family.basis):
+        out = out + float(c) * b
+    return out
+
+
 def random_member(
     family: conservation.HamiltonianFamily, rng: np.random.Generator
 ) -> tuple[OperatorExpr, np.ndarray]:
@@ -140,7 +159,7 @@ def random_member(
     """
     dirs = family.member_directions()
     vec = dirs @ rng.uniform(-2.0, 2.0, size=dirs.shape[1])
-    return family.member(dict(zip(family.params, vec))), vec
+    return member(family, dict(zip(family.params, vec))), vec
 
 
 def member_residual_loop(seed: int) -> float:
@@ -234,6 +253,33 @@ def homogenize_rows_loop(cfg: "cli.RunConfig") -> list[tuple]:
     return rows
 
 
+def two_recurrence_distances(
+    plus: np.ndarray, eta_grid: np.ndarray, n_steps: int
+) -> Iterator[np.ndarray]:
+    """Reference for :func:`qwitness.homogenizer._final_distances`: the walk of
+    psi0 and psi1 as two scalar recurrences, with u11 = cos + i sin (c - n_z)
+    built from the block's I and Z parts, copied from the code it replaced.
+
+    It refuses X and Y parts only, so it also walks plus blocks with an I part.
+    """
+    c, nx, ny, nz = plus.T
+    if nx.any() or ny.any():
+        raise StructuralError("Z_M = +1 block with an X or Y part: U_+ is not diagonal")
+    c_plus, c_minus = c + nz, c - nz
+    for eta in eta_grid:
+        cos, sin = math.cos(eta), math.sin(eta)
+        u00 = cos + 1j * sin * c_plus
+        u11 = cos + 1j * sin * c_minus
+        psi0 = np.full(len(plus), 1 / math.sqrt(2), dtype=complex)
+        psi1 = psi0.copy()
+        for _ in range(n_steps):
+            np.multiply(u00, psi0, out=psi0)
+            np.multiply(u11, psi1, out=psi1)
+        d00 = psi0.real**2 + psi0.imag**2 - 1.0
+        d01 = psi0 * psi1.conj()
+        yield np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
+
+
 def broadcast_certificates(
     blocks: np.ndarray, times: np.ndarray, out: np.ndarray, work: np.ndarray
 ) -> None:
@@ -264,7 +310,7 @@ def broadcast_certificates(
     alpha = np.arcsin(np.sqrt(0.5 / np.maximum(transverse, 0.5)))
     np.subtract(f, alpha / math.pi, out=dist)
     d = np.maximum(math.pi * np.abs(dist, out=dist).min(axis=0) - slack, 0.0)
-    g = np.minimum(2.0 * alpha, math.pi - 2.0 * alpha) - slack
+    g = math.pi - 2.0 * alpha - slack
     m = np.where(
         transverse < 0.5,
         0.5 - transverse,

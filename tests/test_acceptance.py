@@ -29,7 +29,7 @@ from qwitness.oscillator import hp_hamiltonian
 from qwitness.paulis import OperatorExpr
 from qwitness.witness import axis_constraint_report, quantum_demo
 
-from operator_helpers import cli_search_arguments
+from operator_helpers import cli_search_arguments, member
 
 # first computation of the classical-reservoir search minimum (seed 7, full
 # documented grid); the analytic sector argument puts it at 1/sqrt(2)
@@ -109,7 +109,8 @@ def test_criterion_05_classical_mediator_never_evolves():
         family = classical_filtered_family()
         for _ in range(100):
             alpha, beta, gamma, c = rng.uniform(-2, 2, size=4)
-            h = family.member(
+            h = member(
+                family,
                 {"alpha": alpha, "beta": beta, "gamma": gamma, "a": -alpha, "b": -beta, "c": c}
             )
             u = expm_hermitian(to_dense(h), rng.uniform(0, 2 * math.pi))

@@ -37,7 +37,12 @@ from qwitness.homogenizer import (
     xi_coefficient,
 )
 
-from operator_helpers import cli_search_arguments, homogenize_rows_loop, is_unitary
+from operator_helpers import (
+    cli_search_arguments,
+    homogenize_rows_loop,
+    is_unitary,
+    two_recurrence_distances,
+)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -194,15 +199,13 @@ def _default_maps():
 
 def _bests_of_matrix(masks, free_params, distances, image_gap):
     """``_reservoir_scan``'s return read off the one-pass matrices: the skipped
-    counts, the admissible count, the first minimum (value, eta index, free
-    parameters) of the (eta, sample) distances in row-major order, and the
-    first minimum (value, free parameters) of the image gaps."""
-    eta_idx, i = np.unravel_index(np.argmin(distances), distances.shape)
+    counts, the admissible count, the minimum of the (eta, sample) distances
+    and the first minimum (value, free parameters) of the image gaps."""
     j = int(np.argmin(image_gap))
     return (
         {name: int((~m).sum()) for name, m in masks.items()},
         len(free_params),
-        (float(distances[eta_idx, i]), int(eta_idx), free_params[i].tolist()),
+        float(distances.min()),
         (float(image_gap[j]), free_params[j].tolist()),
     )
 
@@ -520,8 +523,7 @@ def test_reservoir_check_deterministic():
     kwargs = reservoir_arguments(budget=100, seed=9, n_steps=3)
     a = classical_reservoir_check(**kwargs)
     b = classical_reservoir_check(**kwargs)
-    assert a.findings["min_final_trace_distance"] == b.findings["min_final_trace_distance"]
-    assert a.findings["argmin_trace_distance"] == b.findings["argmin_trace_distance"]
+    assert a.to_json_dict() == b.to_json_dict()
 
 
 @pytest.mark.parametrize(
@@ -548,14 +550,14 @@ def test_sector_kernel_matches_dense_reference(seed, budget, grid_points, eta_gr
     assert dist.shape == ref_dist.shape == (len(eta_grid), len(free))
     assert np.abs(dist - ref_dist).max() <= 1e-13
     assert np.abs(gap - ref_gap).max() <= 1e-13
-    skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), **kwargs)
+    skipped, admissible, dist_min, gap_best = _reservoir_scan(_default_maps(), **kwargs)
     assert skipped == {name: int((~m).sum()) for name, m in ref_masks.items()}
     assert admissible == len(ref_free)
-    assert abs(dist_best[0] - ref_dist.min()) <= 1e-13
+    assert abs(dist_min - ref_dist.min()) <= 1e-13
     assert abs(gap_best[0] - ref_gap.min()) <= 1e-13
     for k in range(len(eta_grid)):  # each eta's minimum, one eta per scan
         one_eta = {**kwargs, "eta_grid": eta_grid[k : k + 1]}
-        assert abs(_reservoir_scan(_default_maps(), **one_eta)[2][0] - ref_dist[k].min()) <= 1e-13
+        assert abs(_reservoir_scan(_default_maps(), **one_eta)[2] - ref_dist[k].min()) <= 1e-13
     report = classical_reservoir_check(**kwargs)
     assert report.findings["skipped"] == skipped
     assert report.findings["admissible_samples"] == len(ref_free)
@@ -589,10 +591,10 @@ def test_default_reservoir_search_sits_on_the_closed_form():
     ],
 )
 def test_streamed_reservoir_check_matches_matrix_oracle(monkeypatch, kwargs):
-    # exact equality: blocks and the single running best change no value,
-    # argument or tie-break of the one-pass (eta, sample) matrix, whose
-    # unravel_index(argmin) is the first occurrence in (eta, sample) order;
-    # only the scan is swapped; ``kwargs`` override the CLI's default check
+    # exact equality: blocks, the running distance minimum and the single
+    # gap best change no value, argument or tie-break of the one-pass
+    # (eta, sample) matrix; only the scan is swapped; ``kwargs`` override the
+    # CLI's default check
     arguments = reservoir_arguments(**kwargs)
     streamed = classical_reservoir_check(**arguments)
     seen = {}
@@ -614,9 +616,8 @@ def test_streamed_reservoir_check_matches_matrix_oracle(monkeypatch, kwargs):
 
 
 def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
-    # crafted kernels: the first (eta, sample) occurrence of the smallest
-    # distance wins, as unravel_index(argmin) picks, and the first sample of
-    # the smallest image gap
+    # a crafted image-gap kernel: the first sample of the smallest gap wins,
+    # across three blocks; the distance keeps no argument, so it has no tie
     eta_grid = np.array([0.3, 0.9])
     rows = _BLOCK_CELLS // 4
     budget = 2 * rows + 100  # three surface blocks; the one grid point is inadmissible
@@ -627,43 +628,20 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
     gap[[9, rows + 2, 2 * rows + 50]] = 2.0
     served = {}
 
-    def crafted_distances(plus, etas, n_steps):
-        assert np.array_equal(etas, eta_grid)
-        start = served.get("dist", 0)
-        served["dist"] = start + len(plus)
-        return iter(served["matrix"][:, start : start + len(plus)])
-
     def crafted_gap(blocks):
         start = served.get("gap", 0)
         served["gap"] = start + blocks.shape[1]
         return gap[start : start + blocks.shape[1]]
 
-    monkeypatch.setattr(homogenizer, "_final_distances", crafted_distances)
     monkeypatch.setattr(homogenizer, "_sector_image_gap", crafted_gap)
-    names = classical_filtered_family().free_params()
-    for minima, (eta_idx, idx) in (
-        # equal minima in all three blocks of each eta: the first block of eta 0
-        ([[5, rows + 7, 2 * rows + 1], [3, 40, 2 * rows + 9]], (0, 5)),
-        # eta 1 holds the minimum a block before eta 0 does; eta 0 still wins
-        ([[rows + 7, 2 * rows + 1], [3, 40]], (0, rows + 7)),
-    ):
-        dist = 1.0 + np.arange(2 * budget, dtype=float).reshape(2, budget) / budget
-        for k, samples in enumerate(minima):
-            dist[k, samples] = 0.25
-        served.clear()
-        served["matrix"] = dist
-        skipped, admissible, dist_best, gap_best = _reservoir_scan(_default_maps(), **kwargs)
-        assert (skipped, admissible) == ({"grid": 1, "surface": 0}, budget)
-        assert dist_best == (0.25, eta_idx, free[idx].tolist())
-        assert gap_best == (2.0, free[9].tolist())
+    skipped, admissible, _, gap_best = _reservoir_scan(_default_maps(), **kwargs)
+    assert (skipped, admissible) == ({"grid": 1, "surface": 0}, budget)
+    assert gap_best == (2.0, free[9].tolist())
 
-        served.clear()
-        served["matrix"] = dist
-        report = classical_reservoir_check(**kwargs)
-        assert report.findings["argmin_trace_distance"] == {
-            **dict(zip(names, free[idx].tolist())), "eta": float(eta_grid[eta_idx])
-        }
-        assert report.findings["argmin_image_distance"] == dict(zip(names, free[9].tolist()))
+    served.clear()
+    report = classical_reservoir_check(**kwargs)
+    names = classical_filtered_family().free_params()
+    assert report.findings["argmin_image_distance"] == dict(zip(names, free[9].tolist()))
 
 
 def test_reservoir_scan_runs_the_kernels_on_each_admissible_block(monkeypatch):
@@ -712,7 +690,7 @@ def test_reservoir_check_peak_memory_is_bounded():
 
 
 def test_sector_kernels_match_dense_on_generic_blocks():
-    # the family's Z_M = +1 block is always +-Z; exercise every block entry
+    # the family's Z_M = +1 block is always n_z Z; exercise every block entry
     rng = np.random.default_rng(17)
     blocks = rng.uniform(-1.5, 1.5, size=(2, 200, 4))
     h = _dense_from_blocks(blocks)
@@ -729,13 +707,15 @@ def test_sector_kernels_match_dense_on_generic_blocks():
     invol[:, :2] = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
     assert (_sector_involution_residual(invol) <= 1e-7).all()
     etas = (0.3, 1.1, 2.9)
-    # the distance walk is diagonal: it takes the diagonal plus involutions
-    # +-I and +-Z, beside any minus involution, and refuses any other
+    # the distance walk takes plus blocks n_z Z, beside any minus
+    # involution, and refuses any other: the involutions +-I and generic ones
     for bad in (invol[0], blocks[0]):
         with pytest.raises(StructuralError):
             list(_final_distances(bad, etas, 1))
-    diagonal = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0, 0, -1.0]])
-    invol[0] = diagonal[np.arange(60) % 4]
+    # (U is unitary only for an involution, so the plus block is +-Z here;
+    # other n_z meet the two-recurrence walk in the bitwise test below)
+    z_axis = np.array([[0, 0, 0, 1.0], [0, 0, 0, -1.0]])
+    invol[0] = z_axis[np.arange(60) % 2]
     assert (_sector_involution_residual(invol) <= 1e-7).all()
     h = _dense_from_blocks(invol)
     for n_steps in (0, 1, 3, 8):
@@ -743,9 +723,33 @@ def test_sector_kernels_match_dense_on_generic_blocks():
         assert len(got) == len(etas)
         for eta, row in zip(etas, got):
             assert np.abs(row - _dense_collisions(h, eta, n_steps)).max() <= 1e-13
-    # one X part or one Y part, however small, is enough
-    for part in (1, 2):
-        plus = invol[0].copy()
-        plus[7, part] = 1e-300
-        with pytest.raises(StructuralError):
-            list(_final_distances(plus, etas, 1))
+
+
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_final_distances_refuse_a_plus_block_with_an_i_x_or_y_part(part):
+    # one I, X or Y entry, however small, is enough
+    plus = np.zeros((8, 4))
+    plus[:, 3] = 1.0
+    plus[5, part] = 1e-300
+    with pytest.raises(StructuralError, match="I, X or Y part"):
+        list(_final_distances(plus, (0.3, 1.1), 1))
+
+
+@pytest.mark.parametrize("n_steps", [1, 8, 20])
+def test_final_distances_equal_the_two_recurrence_walk_bit_for_bit(n_steps):
+    # psi1 = conj(psi0) bit for bit, so d01 = psi0 * psi0 loses nothing: the
+    # one-recurrence walk equals the two-recurrence one with == and signbit,
+    # on the CLI's admissible blocks and on pure n_z Z blocks, signed zeros
+    # included
+    kwargs = reservoir_arguments()
+    etas = np.concatenate([kwargs["eta_grid"], [0.3, 1.1, 2.9, -0.7]])
+    default = _matrix_reservoir_scan(**kwargs)[1] @ _default_maps()[0]
+    pure = np.zeros((12, 4))
+    pure[:, 3] = np.tile([0.3, -2.7, 1.0, -1.0, 0.0, -0.0], 2)
+    pure[6:, :3] = -0.0
+    for plus in (default, pure):
+        got = np.array(list(_final_distances(plus, etas, n_steps)))
+        want = np.array(list(two_recurrence_distances(plus, etas, n_steps)))
+        assert got.shape == want.shape == (len(etas), len(plus))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

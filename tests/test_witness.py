@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -40,6 +41,7 @@ from operator_helpers import (
     cli_search_arguments,
     exchange_trajectory_loop,
     is_zero,
+    member,
     random_member,
 )
 
@@ -527,7 +529,7 @@ def test_sector_reduction_matches_joint_evolution():
         free_vals = rng.uniform(-2, 2, size=len(free))
         t = rng.uniform(0, 2 * math.pi)
         full = free_vals @ expand
-        h = family.member(dict(zip(family.params, full)))
+        h = member(family, dict(zip(family.params, full)))
         u = expm_hermitian(to_dense(h), t)
         rots = [
             _batched_rotations((free_vals @ maps[m])[None, 1:], np.array([t]))[0, 0]
@@ -626,12 +628,9 @@ def full_search_scan(sources, times, maps):
                 i, j = divmod(flat, time_points)
                 best[key] = (val, rows[i].tolist(), j)
         for pop in (pop_plus, pop_minus):
-            if pop is None:
-                val, flat = 0.0, 0
-            else:
-                coh = 2.0 * np.sqrt(pop)
-                flat = int(np.argmax(coh))
-                val = float(coh.flat[flat])
+            coh = 2.0 * np.sqrt(pop)
+            flat = int(np.argmax(coh))
+            val = float(coh.flat[flat])
             if val > best["state_level"][0]:
                 i, j = divmod(flat, time_points)
                 best["state_level"] = (val, rows[i].tolist(), j)
@@ -670,11 +669,13 @@ def test_sector_kernel_matches_rotation_tensor():
 
 
 def test_sector_kernel_skips_coherence_of_z_axes():
-    # z axes (and the degenerate ones, which stand for e_z) keep |0> sharp
+    # z axes (and the degenerate ones, which stand for e_z) keep |0> sharp:
+    # their coherence is exactly +0, with no shortcut
     times = np.linspace(0.0, 2 * math.pi, 64)
     axes = np.array([[0.0, 0.0, 1.3], [-0.0, 0.0, -0.7], [0.0, 0.0, 0.0]])
     res, pop = _sector_kernel(axes, times)
-    assert pop is None
+    assert pop.shape == (3, 64)
+    assert np.all(pop == 0.0) and not np.signbit(pop).any()
     expected, coh = chunked_sector_kernel(axes, times)
     assert np.array_equal(8.0 * res, expected)
     assert np.all(coh == 0.0)
@@ -682,7 +683,7 @@ def test_sector_kernel_skips_coherence_of_z_axes():
 
 def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape, keep=True):
     """``_search_scan``'s state-level best over one block of ``shape`` cells
-    whose two sectors return the given ``pop`` arrays (None: all z axes).
+    whose two sectors return the given ``pop`` arrays (zeros: all z axes).
     Sample k is the row [k, 1], which the sector maps send to the axis
     (k, m, 0) of sector m, so the crafted kernel reads the sector and the
     samples from the axes it gets.  The crafted certificate keeps every row,
@@ -691,7 +692,7 @@ def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape, keep=Tr
 
     def kernel(axes, times):
         pop = pops[int(axes[0, 1])]
-        return np.ones((len(axes), len(times))), None if pop is None else pop[axes[:, 0].astype(int)]
+        return np.ones((len(axes), len(times))), pop[axes[:, 0].astype(int)]
 
     def certificates(blocks, times, out):
         out[:] = -1e300 if keep else 1e300
@@ -711,17 +712,18 @@ def test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence(mon
     above = np.nextafter(0.25, 1.0)  # sqrt rounds it to 0.5, the root of 0.25
     assert above > 0.25 and np.sqrt(above) == 0.5
     pop = np.array([[0.1, 0.25], [above, 0.25]])
+    z2, z3, z13 = np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 3))
     # plain argmax(pop) would take `above` at (sample 1, time 0)
-    assert state_level_of_crafted_pops(monkeypatch, None, pop, (2, 2)) == (1.0, [0.0, 1.0], 1)
+    assert state_level_of_crafted_pops(monkeypatch, z2, pop, (2, 2)) == (1.0, [0.0, 1.0], 1)
     assert state_level_of_crafted_pops(monkeypatch, pop, pop, (2, 2)) == (1.0, [0.0, 1.0], 1)
-    assert state_level_of_crafted_pops(monkeypatch, None, None, (2, 3)) == (0.0, [0.0, 1.0], 0)
+    assert state_level_of_crafted_pops(monkeypatch, z3, z3, (2, 3)) == (0.0, [0.0, 1.0], 0)
     assert state_level_of_crafted_pops(
-        monkeypatch, np.array([[0.3, 0.2, 0.3]]), None, (1, 3)
+        monkeypatch, np.array([[0.3, 0.2, 0.3]]), z13, (1, 3)
     ) == (2.0 * math.sqrt(0.3), [0.0, 1.0], 0)
     # the first row of the first block is evaluated even when no certificate
     # keeps it, so an all-z search still reports its first sample at time 0
     assert state_level_of_crafted_pops(
-        monkeypatch, None, None, (2, 3), keep=False
+        monkeypatch, z3, z3, (2, 3), keep=False
     ) == (0.0, [0.0, 1.0], 0)
 
 
@@ -917,6 +919,72 @@ def test_sector_certificates_bound_every_kernel_cell():
     assert np.all(-neg_ub >= coh.max(axis=1))
 
 
+class _RecordedMaximum:
+    """Stands in for the numpy module and records every ``maximum`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return np.maximum(*args, **kwargs)
+
+
+def test_certificate_lattice_gap_is_below_its_50_digit_value(monkeypatch):
+    # g = pi - 2 alpha - slack stands for min(2 alpha, pi - 2 alpha) - slack:
+    # for T >= 1/2 the minimum is pi - 2 alpha, and where the float T rounds
+    # above 1 the two differ by far less than the slack (at least 2^-44).
+    # The referee is min(2 alpha, pi - 2 alpha) at 50 digits, from the exact
+    # squares of the unit axis that the certificates use.
+    rng = np.random.default_rng(8)
+    theta = np.linspace(math.pi / 4, math.pi / 2, 42)[1:-1]  # T = sin^2(theta) in (1/2, 1)
+    spread = np.column_stack([np.sin(theta), np.zeros(40), np.cos(theta)])
+    spread *= rng.uniform(0.2, 3.0, size=(40, 1))
+    planar = np.column_stack([rng.normal(size=(100_000, 2)), np.zeros(100_000)])
+    _, unit = witness._sector_axes(planar)
+    above = planar[np.argsort(unit[:, 0] * unit[:, 0] + unit[:, 1] * unit[:, 1])[-300:]]
+    axes = np.vstack([
+        [[0.5, 0.5, 0.7071067811865476], [-0.5, 0.5, -0.7071067811865477]],  # T = 1/2
+        [[1.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.25, 0.0], [-2.0, 0.0, 0.0]],  # T = 1
+        spread,
+        above,
+    ])
+    r, unit = witness._sector_axes(axes)
+    transverse = unit[:, 0] * unit[:, 0] + unit[:, 1] * unit[:, 1]
+    assert (transverse[:2] == 0.5).all() and (transverse[2:6] == 1.0).all()
+    assert (transverse[-300:] > 1.0).all()
+    with mpmath.workdps(50):
+        exact_t = [mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2 for x, y in unit[:, :2].tolist()]
+        assert min(exact_t) >= 0.5
+        exact_alpha = [mpmath.asin(mpmath.sqrt(1 / (2 * t))) for t in exact_t]
+        referee = [min(2 * a, mpmath.pi - 2 * a) for a in exact_alpha]
+    # one time per row puts a phase on that row's lattice +-alpha + pi Z, so
+    # its distance d is 0 and the recorded np.maximum(d, g - d) reads g
+    times = np.array([float(a) for a in exact_alpha]) / r
+    blocks = np.stack([np.column_stack([np.zeros(len(axes)), axes])] * 2)
+    recorder = _RecordedMaximum()
+    monkeypatch.setattr(witness, "np", recorder)
+    _sector_certificates(blocks, times, np.empty((4, len(axes))))
+    monkeypatch.undo()
+    # the one call on two (2 B,) vectors that writes no out= buffer
+    (d, g), = [
+        args for args, kwargs in recorder.calls
+        if not kwargs and np.shape(args[1]) == (2 * len(axes),)
+    ]
+    assert (d == 0.0).all()
+    with mpmath.workdps(50):
+        assert all(mpmath.mpf(x) <= ref for x, ref in zip(g.tolist(), referee * 2))
+    # in float, min(2 alpha, pi - 2 alpha) is 2 alpha only on rows whose T
+    # rounds above 1, and there by a few ulps of pi/2 at most
+    alpha = np.arcsin(np.sqrt(0.5 / np.maximum(transverse, 0.5)))
+    excess = (math.pi - 2.0 * alpha) - 2.0 * alpha
+    assert (excess[: -300] <= 0.0).all()
+    assert 0.0 < excess.max() <= 2.0**-49
+
+
 def default_scan_inputs(monkeypatch):
     """The (sources, times, maps) the CLI's default search hands ``_search_scan``."""
     seen = []
@@ -1012,8 +1080,8 @@ def test_classical_family_members_never_move_the_mediator():
     rng = np.random.default_rng(29)
     z_m = OperatorExpr.from_label("IZ")
     for _ in range(50):
-        member, _vec = random_member(family, rng)
-        assert is_zero(commutator(member, z_m))
+        h, _vec = random_member(family, rng)
+        assert is_zero(commutator(h, z_m))
 
 
 def test_exchange_hamiltonian_is_twice_xx_plus_yy():

@@ -39,7 +39,9 @@ _CERTIFICATE_TIES = (
 _CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_every_kernel_cell"
 _OSCILLATOR_LOOP = "tests/test_oscillator.py::test_oscillator_witness_run_equals_the_per_time_loop"
 _MEMBER_LOOP = "tests/test_conservation.py::test_constrained_member_check_equals_the_per_member_loop"
-_DIAGONAL_WALK = "tests/test_homogenizer.py::test_sector_kernels_match_dense_on_generic_blocks"
+_PLUS_GUARD = (
+    "tests/test_homogenizer.py::test_final_distances_refuse_a_plus_block_with_an_i_x_or_y_part"
+)
 
 #: name, file under src/qwitness, old string, new string, tests that must fail
 MUTANTS = [
@@ -53,10 +55,6 @@ MUTANTS = [
      "eta_points: int = 16", "eta_points: int = 8", [_CONFIG_PIN]),
     ("reservoir-fed-n-steps", "cli.py",
      "n_steps=cfg.reservoir_steps", "n_steps=cfg.n_steps", [_WIRING_PIN]),
-    ("reservoir-distance-best-by-value-only", "homogenizer.py",
-     "if (dist[i], k) < dist_best[:2]:", "if dist[i] < dist_best[0]:", [_RESERVOIR_TIES]),
-    ("reservoir-distance-best-le", "homogenizer.py",
-     "if (dist[i], k) < dist_best[:2]:", "if (dist[i], k) <= dist_best[:2]:", [_RESERVOIR_TIES]),
     ("reservoir-gap-best-le", "homogenizer.py",
      "if gap[i] < gap_best[0]:", "if gap[i] <= gap_best[0]:", [_RESERVOIR_TIES]),
     ("search-residual-best-le", "witness.py",
@@ -74,6 +72,9 @@ MUTANTS = [
      "slack = _PHASE_SLACK * (", "slack = 0.0 * (", [_CERTIFICATE_BOUNDS]),
     ("search-certificate-pop-slack-dropped", "witness.py",
      "0.25 - m * m + _POP_SLACK", "0.25 - m * m", [_CERTIFICATE_BOUNDS]),
+    ("search-certificate-gap-slack-dropped", "witness.py",
+     "g = math.pi - 2.0 * alpha - slack", "g = math.pi - 2.0 * alpha",
+     ["tests/test_witness.py::test_certificate_lattice_gap_is_below_its_50_digit_value"]),
     ("search-certificate-cos2-slack-dropped", "witness.py",
      "floor = np.sin(x) ** 2 * (1.0 - _COS2_SLACK)", "floor = np.sin(x) ** 2",
      ["tests/test_witness.py::test_sector_certificates_equal_the_broadcast_certificates"]),
@@ -121,10 +122,13 @@ MUTANTS = [
      "kron = states[-1][..., :, None, :, None] * xi[..., None, :, None, :]",
      "kron = states[-1][..., None, :, None, :] * xi[..., :, None, :, None]",
      ["tests/test_homogenizer.py::test_homogenize_step_matches_closed_recursion"]),
-    ("homogenizer-plus-guard-x-only", "homogenizer.py",
-     "if nx.any() or ny.any():", "if nx.any():", [_DIAGONAL_WALK]),
-    ("homogenizer-plus-guard-y-only", "homogenizer.py",
-     "if nx.any() or ny.any():", "if ny.any():", [_DIAGONAL_WALK]),
+    ("homogenizer-plus-guard-skips-i", "homogenizer.py",
+     "if plus[:, :3].any():", "if plus[:, 1:3].any():", [f"{_PLUS_GUARD}[0]"]),
+    ("homogenizer-plus-guard-i-only", "homogenizer.py",
+     "if plus[:, :3].any():", "if plus[:, :1].any():", [f"{_PLUS_GUARD}[1]"]),
+    ("homogenizer-walk-d01-conjugated", "homogenizer.py",
+     "d01 = psi0 * psi0", "d01 = psi0 * psi0.conj()",
+     ["tests/test_homogenizer.py::test_final_distances_equal_the_two_recurrence_walk_bit_for_bit"]),
     ("homogenizer-grid-residual-min", "cli.py",
      "homog.nonadditive_conservation_residual(eta_grid).max()",
      "homog.nonadditive_conservation_residual(eta_grid).min()",
