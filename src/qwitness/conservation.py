@@ -9,7 +9,7 @@ problem on the (purely imaginary) commutator coefficients.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -314,26 +314,34 @@ def box_grid(n_free: int, grid_points: int, param_range: float) -> np.ndarray:
 
 #: Cells both classical-mediator searches hold per block.  A cell is one
 #: float of a sample's working state: one per time point in the impossibility
-#: search's kernel, 16 in its certificate pass, four (psi0 and psi1) in the
-#: reservoir scan.  At 2^14 cells a block's (block, T) or (block,) complex
-#: arrays stay at most 128 KiB each.
+#: search's kernel, 16 in its certificate pass, four in the reservoir scan,
+#: whose blocks hold the drawn rows, their sector blocks and the image gaps;
+#: its distance walk runs once after the stream, over the distinct n_z.  At
+#: 2^14 cells a block's (block, T) arrays stay at 128 KiB each.
 _BLOCK_CELLS = 2**14
 
 
 def _sector_blocks(
-    sources: dict[str, np.ndarray], maps: np.ndarray, cells_per_sample: int
+    sources: dict[str, np.ndarray | Callable[[int], Iterable[np.ndarray]]],
+    maps: np.ndarray,
+    cells_per_sample: int,
 ) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
     """Search samples with their Z_M-sector blocks, source by source.
 
     Yields ``(name, rows, rows @ maps)`` for each source of free-parameter
     rows, in source and row order, in blocks of
-    ``max(1, _BLOCK_CELLS // cells_per_sample)`` rows; ``maps`` is
+    ``step = max(1, _BLOCK_CELLS // cells_per_sample)`` rows; ``maps`` is
     :func:`zm_sector_maps` of the family, so the sector blocks are (2, B, 4).
+    A source is an array of rows, or a function of ``step`` that yields its
+    rows in blocks of at most ``step``, so that they need not exist at once.
     """
     step = max(1, _BLOCK_CELLS // cells_per_sample)
     for name, samples in sources.items():
-        for start in range(0, len(samples), step):
-            rows = samples[start : start + step]
+        if callable(samples):
+            blocks = samples(step)
+        else:
+            blocks = (samples[start : start + step] for start in range(0, len(samples), step))
+        for rows in blocks:
             yield name, rows, rows @ maps
 
 

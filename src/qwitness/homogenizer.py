@@ -124,17 +124,26 @@ def run(
 # -- classical-reservoir impossibility check --------------------------------
 
 
-def _admissible_surface_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+def _admissible_surface_draws(
+    rng: np.random.Generator, count: int, step: int
+) -> Iterator[np.ndarray]:
     """Random free parameters (gamma, a, b, c) drawn directly on the H^2 = I surface.
 
     Per Z_M sector: (gamma + c)^2 = 1 and 4 a^2 + 4 b^2 + (gamma - c)^2 = 1.
+    Yields blocks of at most ``step`` rows.  Every sign is drawn first, then
+    the normals block by block: successive ``rng.normal`` calls continue one
+    stream, so the rows are those of one ``(count, 3)`` draw.
     """
     sign = rng.choice([-1.0, 1.0], size=count)           # gamma + c
-    vec = rng.normal(size=(count, 3))
-    vec /= np.linalg.norm(vec, axis=1, keepdims=True)     # (-2a, -2b, gamma - c)
-    return np.column_stack(
-        [(sign + vec[:, 2]) / 2, -vec[:, 0] / 2, -vec[:, 1] / 2, (sign - vec[:, 2]) / 2]
-    )
+    for start in range(0, count, step):
+        s = sign[start : start + step]
+        vec = rng.normal(size=(len(s), 3))
+        vec /= np.linalg.norm(vec, axis=1, keepdims=True)  # (-2a, -2b, gamma - c)
+        rows = np.column_stack(
+            [(s + vec[:, 2]) / 2, -vec[:, 0] / 2, -vec[:, 1] / 2, (s - vec[:, 2]) / 2]
+        )
+        del vec  # the scan's kernels peak without the normals
+        yield rows
 
 
 def _sector_involution_residual(blocks: np.ndarray) -> np.ndarray:
@@ -164,33 +173,37 @@ def _sector_image_gap(blocks: np.ndarray) -> np.ndarray:
     return np.sqrt(sq.sum(axis=0))
 
 
-def _final_distances(
-    plus: np.ndarray, eta_grid: np.ndarray, n_steps: int
-) -> Iterator[np.ndarray]:
-    """D(rho_N, |0><0|) after N collisions, from Z_M = +1 blocks (B, 4).
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array (-0.0 and 0.0 are one value).
+
+    A sort and a difference mask: plain ``np.unique`` imports ``numpy.ma``.
+    """
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _final_distances(nz: np.ndarray, eta_grid: np.ndarray, n_steps: int) -> np.ndarray:
+    """D(rho_N, |0><0|) after N collisions, (E, U), per eta and Z_M = +1 block n_z Z.
 
     U (rho x |0><0|) U^dag = U_+ rho U_+^dag x |0><0|, so the probe state is
-    psi = U_+^N |+> with U_+ = cos(eta) I + i sin(eta) H_+, and the traceless
-    rho_N - |0><0| has trace distance sqrt(d00^2 + |d01|^2).  Every
-    admissible member of the classical family has H_+ = n_z Z (n_z = +-1),
-    so U_+ = exp(i eta n_z Z) is diagonal with u11 = conj(u00): one
-    recurrence walks psi0, psi1 = conj(psi0) bit for bit (negation is exact
-    and the complex product sign-symmetric), and d01 = psi0 psi1^* = psi0^2.
-    A block with an I, X or Y part raises :class:`StructuralError`.  Yields
-    one (B,) row per eta.
+    psi = U_+^N |+> with U_+ = cos(eta) I + i sin(eta) n_z Z = exp(i eta n_z Z)
+    (n_z = +-1 for every admissible member), diagonal with u11 = conj(u00):
+    one recurrence walks psi0, psi1 = conj(psi0) bit for bit (negation is
+    exact and the complex product sign-symmetric), and the traceless
+    rho_N - |0><0| has trace distance sqrt(d00^2 + |d01|^2) with
+    d01 = psi0 psi1^* = psi0^2.  The (E, U) walk does per element what a walk
+    of one eta does: u00 from ``math.cos`` and ``math.sin`` of that eta.
     """
-    if plus[:, :3].any():
-        raise StructuralError("Z_M = +1 block with an I, X or Y part: U_+ is not diagonal")
-    nz = plus[:, 3]
-    for eta in eta_grid:
+    u00 = np.empty((len(eta_grid), len(nz)), dtype=complex)
+    for k, eta in enumerate(eta_grid):
         cos, sin = math.cos(eta), math.sin(eta)
-        u00 = cos + 1j * sin * nz
-        psi0 = np.full(len(plus), 1 / math.sqrt(2), dtype=complex)
-        for _ in range(n_steps):
-            np.multiply(u00, psi0, out=psi0)
-        d00 = psi0.real**2 + psi0.imag**2 - 1.0
-        d01 = psi0 * psi0
-        yield np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
+        u00[k] = cos + 1j * sin * nz
+    psi0 = np.full(u00.shape, 1 / math.sqrt(2), dtype=complex)
+    for _ in range(n_steps):
+        np.multiply(u00, psi0, out=psi0)
+    d00 = psi0.real**2 + psi0.imag**2 - 1.0
+    d01 = psi0 * psi0
+    return np.sqrt(d00**2 + d01.real**2 + d01.imag**2)
 
 
 def _reservoir_scan(
@@ -201,23 +214,28 @@ def _reservoir_scan(
 
     ``maps`` is :func:`zm_sector_maps` of that family, whose free parameters
     (gamma, a, b, c) the surface draws are drawn in.  The grid, then the
-    surface draws, pass through :func:`_sector_blocks` at four cells (the
-    floats of psi0 and of d01) per sample.  A block's inadmissible
-    samples (H^2 != I in a Z_M sector) are counted as skipped; its admissible
-    ones update one running minimum of the final trace distance, which has
-    no argument to report (every sample sits at 1/sqrt(2) up to rounding),
-    and one (value, free parameters) of the operator-image gap, the first
-    minimum in sample order.  Returns the skipped count per source, the
-    admissible count and the two minima, inf (with no row) until an
-    admissible sample arrives.
+    surface draws, pass through :func:`_sector_blocks` at four cells per
+    sample (a block holds its rows and their (2, B, 4) sector blocks); the
+    draws are made block by block.  A block's inadmissible samples
+    (H^2 != I in a Z_M sector) are counted as skipped.  Its admissible ones
+    update one (value, free parameters) of the operator-image gap, the first
+    minimum in sample order, and add their n_z to the sorted distinct n_z:
+    a Z_M = +1 block with an I, X or Y part raises :class:`StructuralError`,
+    since only n_z Z makes U_+ diagonal.  After the stream the walk runs once
+    over the distinct n_z (two, +-1, for the family), since the final trace
+    distance depends on a sample only through n_z; it has no argument to
+    report (every sample sits at 1/sqrt(2) up to rounding).  Returns the
+    skipped count per source, the admissible count and the two minima, inf
+    (with no row) until an admissible sample arrives.
     """
+    rng = np.random.default_rng(seed)
     sources = {
         # no uniform box draws: H^2 = I has measure zero in the box
         "grid": box_grid(maps.shape[1], grid_points, param_range),
-        "surface": _admissible_surface_draws(np.random.default_rng(seed), budget),
+        "surface": lambda step: _admissible_surface_draws(rng, budget, step),
     }
     skipped, admissible = dict.fromkeys(sources, 0), 0
-    dist_min = math.inf
+    nz = np.empty(0)
     gap_best = (math.inf, None)
     for name, rows, blocks in _sector_blocks(sources, maps, 4):
         mask = _sector_involution_residual(blocks) <= 1e-7
@@ -225,14 +243,17 @@ def _reservoir_scan(
         skipped[name] += len(rows) - kept
         if not kept:
             continue
-        rows, blocks = rows[mask], blocks[:, mask]
+        if kept < len(rows):  # the surface draws are all admissible: no copies
+            rows, blocks = rows[mask], blocks[:, mask]
         admissible += kept
-        for dist in _final_distances(blocks[0], eta_grid, n_steps):
-            dist_min = min(dist_min, float(dist.min()))
+        if blocks[0, :, :3].any():
+            raise StructuralError("Z_M = +1 block with an I, X or Y part: U_+ is not diagonal")
+        nz = _distinct(np.concatenate((nz, blocks[0, :, 3])))
         gap = _sector_image_gap(blocks)
         i = int(np.argmin(gap))
         if gap[i] < gap_best[0]:
             gap_best = (float(gap[i]), rows[i].tolist())
+    dist_min = float(_final_distances(nz, eta_grid, n_steps).min(initial=math.inf))
     return skipped, admissible, dist_min, gap_best
 
 

@@ -236,7 +236,8 @@ def _sector_axes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Below r = 1e-100 (exact zeros included; the cut avoids denormal blowup)
     u is e_z: there sin^2(r t) < 1e-198, the identity for any unit axis.
     """
-    r = np.linalg.norm(axes, axis=-1)
+    x, y, z = axes.T
+    r = np.sqrt(x * x + y * y + z * z)  # np.linalg.norm(axes, axis=-1), bit for bit
     degenerate = r < 1e-100
     unit = axes / np.where(degenerate, 1.0, r)[:, None]
     unit[degenerate] = _E["z"]
@@ -381,6 +382,17 @@ def _scan_block(
             best["state_level"] = (val, rows[i].tolist(), j)
 
 
+def _rows_at(sources: dict[str, np.ndarray], index: np.ndarray) -> np.ndarray:
+    """The rows at ``index`` (flat positions) of the sources taken in order."""
+    rows = np.empty((len(index), next(iter(sources.values())).shape[1]))
+    start = 0
+    for samples in sources.values():
+        inside = (index >= start) & (index < start + len(samples))
+        rows[inside] = samples[index[inside] - start]
+        start += len(samples)
+    return rows
+
+
 def _search_scan(
     sources: dict[str, np.ndarray], times: np.ndarray, maps: np.ndarray
 ) -> dict[str, tuple[float, list, int]]:
@@ -393,11 +405,13 @@ def _search_scan(
     for the certificates' (2 B,) vectors, writes every row's
     :func:`_sector_certificates`.  The kernel runs on the best-certificate
     row of each target, whose values are the incumbents, and then, through
-    :func:`_scan_block` in blocks of one cell per time point, on the first
-    row and the rows whose certificate reaches or ties some incumbent.
+    :func:`_scan_block` in blocks of one cell per time point, on the rows
+    whose certificate reaches or ties some incumbent, read from each source.
     Every cell that attains a final optimum lies in a kept row, and the kept
     rows keep their order, so the result, with its tie-break to the first
-    occurrence in (sample, time) order, is that of evaluating every row.
+    occurrence in (sample, time) order, is that of evaluating every row.  A
+    coherence ceiling is at least ``2 sqrt(_POP_SLACK) > 0``, so an all-zero
+    coherence keeps every row and goes to the first sample at time 0.
     Both passes see the same sector axes: the family's maps hold 0, +-1 and
     +-2, at most two in a column, so ``rows @ maps`` rounds alike in any block.
     """
@@ -413,14 +427,12 @@ def _search_scan(
         "state_level": (-np.inf, None, 0),
     }
     incumbent = dict(best)
-    samples = np.concatenate(tuple(sources.values()))
-    probe = samples[certificates.argmin(axis=1)]
+    probe = _rows_at(sources, certificates.argmin(axis=1))
     _scan_block(incumbent, probe, probe @ maps, times)
     limits = np.array([val for val, _, _ in incumbent.values()]) * (1, 1, 1, -1)
     keep = (certificates <= limits[:, None]).any(axis=0)
-    keep[0] = True  # an all-zero coherence goes to the first sample at time 0
-    kept = samples[keep]
-    del samples, certificates  # the kernel's (B, T) temporaries peak without them
+    del certificates  # the kernel's (B, T) temporaries peak without them
+    kept = _rows_at(sources, np.flatnonzero(keep))
     for _, rows, blocks in _sector_blocks({"kept": kept}, maps, len(times)):
         _scan_block(best, rows, blocks, times)
     return best

@@ -253,6 +253,18 @@ def homogenize_rows_loop(cfg: "cli.RunConfig") -> list[tuple]:
     return rows
 
 
+def one_call_surface_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Reference for :func:`qwitness.homogenizer._admissible_surface_draws`:
+    every sign, then every normal in one call, copied from the code it
+    replaced."""
+    sign = rng.choice([-1.0, 1.0], size=count)           # gamma + c
+    vec = rng.normal(size=(count, 3))
+    vec /= np.linalg.norm(vec, axis=1, keepdims=True)     # (-2a, -2b, gamma - c)
+    return np.column_stack(
+        [(sign + vec[:, 2]) / 2, -vec[:, 0] / 2, -vec[:, 1] / 2, (sign - vec[:, 2]) / 2]
+    )
+
+
 def two_recurrence_distances(
     plus: np.ndarray, eta_grid: np.ndarray, n_steps: int
 ) -> Iterator[np.ndarray]:

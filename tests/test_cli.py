@@ -388,15 +388,18 @@ def test_full_run_summary_structure(tmp_path):
 @pytest.fixture(scope="module")
 def modules_loaded_by_import_and_run(tmp_path_factory):
     # numpy is the only runtime dependency: sympy, and mpmath with it, is a
-    # test-only dependency and scipy is not used at all.  One fresh interpreter,
+    # test-only dependency and scipy is not used at all; numpy.ma is not used
+    # either, and plain np.unique would import it.  One fresh interpreter,
     # because this test process may have loaded them already; it lists the
-    # loaded scipy, sympy and mpmath modules after the import and after the
-    # run.  Budget 200 runs both searches and the reservoir scan, which 0 skips.
+    # loaded scipy, sympy, mpmath and numpy.ma modules after the import and
+    # after the run.  Budget 200 runs both searches and the reservoir scan,
+    # which 0 skips.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     argv = ["all", "--budget", "200", "--db", "32", "--out", str(tmp_path_factory.mktemp("run"))]
     listing = (
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))"
+        "if m.split('.')[0] in ('scipy', 'sympy', 'mpmath') "
+        "or m.split('.')[:2] == ['numpy', 'ma']))"
     )
     code = (
         f"import sys, qwitness.cli; {listing}; "
@@ -423,6 +426,13 @@ def test_cli_import_loads_no_scipy(modules_loaded_by_import_and_run):
 def test_cli_import_and_run_load_no_sympy(prefix, modules_loaded_by_import_and_run):
     assert loaded_under(modules_loaded_by_import_and_run["import"], prefix) == []
     assert loaded_under(modules_loaded_by_import_and_run["run"], prefix) == []
+
+
+def test_cli_import_and_run_load_no_numpy_ma(modules_loaded_by_import_and_run):
+    # numpy.ma costs 10-16 ms and about 1.6 MB of peak RSS in a cold process
+    for phase in ("import", "run"):
+        modules = modules_loaded_by_import_and_run[phase]
+        assert [m for m in modules if m.split(".")[:2] == ["numpy", "ma"]] == [], phase
 
 
 def test_write_json_converts_known_types_and_rejects_the_rest(tmp_path):

@@ -41,6 +41,7 @@ from operator_helpers import (
     cli_search_arguments,
     homogenize_rows_loop,
     is_unitary,
+    one_call_surface_draws,
     two_recurrence_distances,
 )
 
@@ -50,6 +51,11 @@ SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=
 def reservoir_arguments(**overrides):
     """The CLI's default reservoir-check arguments, with ``overrides``."""
     return {**cli_search_arguments()["classical_reservoir_check"], **overrides}
+
+
+def surface_rows(rng, count):
+    """All ``count`` surface draws as one array, from the scan's blocks."""
+    return np.concatenate(list(_admissible_surface_draws(rng, count, _BLOCK_CELLS // 4)))
 
 
 # -- dense 4x4 reference for the reservoir search ----------------------------
@@ -146,7 +152,7 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
         .T
     )
     sources = {"grid": grid}
-    gamma, a, b, c = _admissible_surface_draws(rng, budget).T
+    gamma, a, b, c = surface_rows(rng, budget).T
     assert family.params == ("alpha", "beta", "gamma", "a", "b", "c")
     full = np.column_stack([-a, -b, gamma, a, b, c])
     sources["surface"] = full[:, [family.params.index(n) for n in free_names]]
@@ -180,16 +186,14 @@ def _matrix_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_r
     family = classical_filtered_family()
     to_sectors = zm_sector_maps(family)
     grid = box_grid(len(family.free_params()), grid_points, param_range)
-    surface = _admissible_surface_draws(np.random.default_rng(seed), budget)
+    surface = surface_rows(np.random.default_rng(seed), budget)
     masks, kept = {}, []
     for name, block in (("grid", grid), ("surface", surface)):
         masks[name] = _sector_involution_residual(block @ to_sectors) <= 1e-7
         kept.append(block[masks[name]])
     free_params = np.vstack(kept)
     blocks = free_params @ to_sectors
-    distances = np.array(list(_final_distances(blocks[0], eta_grid, n_steps))).reshape(
-        len(eta_grid), len(free_params)
-    )
+    distances = _final_distances(blocks[0, :, 3], eta_grid, n_steps)
     return masks, free_params, distances, _sector_image_gap(blocks)
 
 
@@ -454,7 +458,7 @@ def test_admissibility_predicate():
 
 def test_surface_draws_are_always_admissible():
     rng = np.random.default_rng(13)
-    draws = _admissible_surface_draws(rng, 500)
+    draws = surface_rows(rng, 500)
     assert draws.shape == (500, 4)
     assert _admissible(_from_free(draws)).all()
     # the same rows as free parameters of the family the search maps
@@ -462,12 +466,27 @@ def test_surface_draws_are_always_admissible():
     assert (_sector_involution_residual(blocks) <= 1e-7).all()
 
 
+@pytest.mark.parametrize("budget", [1, 3000, 4097, 10_000, 40_000])
+def test_surface_draws_in_blocks_equal_the_one_call_draws(budget):
+    # the signs first, then the normals block by block: the blocks continue
+    # one normal stream, so they hold the one-call rows bit for bit
+    step = _BLOCK_CELLS // 4
+    blocks = list(_admissible_surface_draws(np.random.default_rng(7), budget, step))
+    assert [len(b) for b in blocks] == [step] * (budget // step) + [budget % step] * (
+        budget % step > 0
+    )
+    got = np.concatenate(blocks)
+    want = one_call_surface_draws(np.random.default_rng(7), budget)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_involution_mask_agrees_with_closed_form():
     rng = np.random.default_rng(21)
     params = np.vstack(
         [
             rng.uniform(-2, 2, size=(200, 4)),
-            _from_free(_admissible_surface_draws(rng, 200)),
+            _from_free(surface_rows(rng, 200)),
             np.array([[0.5, 0.0, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0]]),
         ]
     )
@@ -485,7 +504,7 @@ def test_reservoir_check_budget_zero_is_unproven():
 def test_reservoir_check_without_an_admissible_sample_is_unproven(monkeypatch):
     # H = 0 is no involution, and neither is the one grid point (-2, -2, -2, -2)
     monkeypatch.setattr(
-        homogenizer, "_admissible_surface_draws", lambda rng, count: np.zeros((count, 4))
+        homogenizer, "_admissible_surface_draws", lambda rng, count, step: [np.zeros((count, 4))]
     )
     report = classical_reservoir_check(**reservoir_arguments(budget=50, grid_points=1))
     assert report.verdict == "UNPROVEN"
@@ -645,18 +664,19 @@ def test_reservoir_scan_ties_go_to_the_first_occurrence(monkeypatch):
 
 
 def test_reservoir_scan_runs_the_kernels_on_each_admissible_block(monkeypatch):
-    # both kernels run once per source block on its admissible rows: the
+    # the gap kernel runs once per source block on its admissible rows: the
     # grid's 12 admissible points (of 6,561) sit 11 and 1 in its two blocks;
-    # a block without one is skipped
-    sizes = []
+    # a block without one is skipped.  The distance walk runs once, after the
+    # stream, on the distinct n_z of every admissible row: -1 and +1
+    sizes, walks = [], []
     distances, image_gap = homogenizer._final_distances, homogenizer._sector_image_gap
 
-    def recorded_distances(plus, eta_grid, n_steps):
-        sizes.append(len(plus))
-        return distances(plus, eta_grid, n_steps)
+    def recorded_distances(nz, eta_grid, n_steps):
+        walks.append(nz.tolist())
+        return distances(nz, eta_grid, n_steps)
 
     def recorded_gap(blocks):
-        assert blocks.shape[1] == sizes[-1]
+        sizes.append(blocks.shape[1])
         return image_gap(blocks)
 
     monkeypatch.setattr(homogenizer, "_final_distances", recorded_distances)
@@ -665,28 +685,44 @@ def test_reservoir_scan_runs_the_kernels_on_each_admissible_block(monkeypatch):
     skipped, admissible, _, _ = _reservoir_scan(_default_maps(), **reservoir_arguments())
     assert (skipped, admissible) == ({"grid": 6549, "surface": 0}, 10012)
     assert sizes == [11, 1, rows, rows, 10000 - 2 * rows]
+    assert walks == [[-1.0, 1.0]]
     # the one grid point (-2, -2, -2, -2) is inadmissible: its block is skipped
     sizes.clear()
+    walks.clear()
     skipped, admissible, _, _ = _reservoir_scan(
         _default_maps(), **reservoir_arguments(budget=rows + 5, grid_points=1)
     )
     assert (skipped, admissible) == ({"grid": 1, "surface": 0}, rows + 5)
     assert sizes == [rows, 5]
+    assert walks == [[-1.0, 1.0]]
+    # every n_z of a block counts, not only its first: one block of draws
+    # ordered with n_z = +1 first, then -1
+    walks.clear()
+    draws = surface_rows(np.random.default_rng(3), 40)
+    ordered = draws[np.argsort(-(draws[:, 0] + draws[:, 3]), kind="stable")]
+    monkeypatch.setattr(
+        homogenizer, "_admissible_surface_draws", lambda rng, count, step: [ordered]
+    )
+    _reservoir_scan(_default_maps(), **reservoir_arguments(budget=40, grid_points=1))
+    assert walks == [[-1.0, 1.0]]
 
 
 def test_reservoir_check_peak_memory_is_bounded():
-    # blocks of _BLOCK_CELLS // 4 samples and a single running best keep the
-    # check's temporaries small; the one-pass (16, 10012) distance matrix of
-    # the CLI's default check and its masks peak at about 4.7 MiB
-    kwargs = reservoir_arguments()
-    classical_reservoir_check(**kwargs)
-    tracemalloc.start()
-    try:
+    # blocks of _BLOCK_CELLS // 4 samples, drawn block by block, a single
+    # running best and one walk over the distinct n_z keep the check's
+    # temporaries small; the one-pass (16, 10012) distance matrix of the
+    # CLI's default check and its masks peak at about 4.7 MiB, and sources
+    # drawn at full size at about 9.4 MiB at budget 100,000
+    for budget in (10_000, 100_000):
+        kwargs = reservoir_arguments(budget=budget)
         classical_reservoir_check(**kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 2**20
+        tracemalloc.start()
+        try:
+            classical_reservoir_check(**kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, budget
 
 
 def test_sector_kernels_match_dense_on_generic_blocks():
@@ -707,11 +743,8 @@ def test_sector_kernels_match_dense_on_generic_blocks():
     invol[:, :2] = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
     assert (_sector_involution_residual(invol) <= 1e-7).all()
     etas = (0.3, 1.1, 2.9)
-    # the distance walk takes plus blocks n_z Z, beside any minus
-    # involution, and refuses any other: the involutions +-I and generic ones
-    for bad in (invol[0], blocks[0]):
-        with pytest.raises(StructuralError):
-            list(_final_distances(bad, etas, 1))
+    # the distance walk takes the n_z of plus blocks n_z Z, beside any minus
+    # involution; the scan refuses any other plus block (the guard test below)
     # (U is unitary only for an involution, so the plus block is +-Z here;
     # other n_z meet the two-recurrence walk in the bitwise test below)
     z_axis = np.array([[0, 0, 0, 1.0], [0, 0, 0, -1.0]])
@@ -719,36 +752,44 @@ def test_sector_kernels_match_dense_on_generic_blocks():
     assert (_sector_involution_residual(invol) <= 1e-7).all()
     h = _dense_from_blocks(invol)
     for n_steps in (0, 1, 3, 8):
-        got = list(_final_distances(invol[0], etas, n_steps))
-        assert len(got) == len(etas)
+        got = _final_distances(invol[0, :, 3], etas, n_steps)
+        assert got.shape == (len(etas), 60)
         for eta, row in zip(etas, got):
             assert np.abs(row - _dense_collisions(h, eta, n_steps)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("part", [0, 1, 2])
-def test_final_distances_refuse_a_plus_block_with_an_i_x_or_y_part(part):
-    # one I, X or Y entry, however small, is enough
-    plus = np.zeros((8, 4))
-    plus[:, 3] = 1.0
-    plus[5, part] = 1e-300
-    with pytest.raises(StructuralError, match="I, X or Y part"):
-        list(_final_distances(plus, (0.3, 1.1), 1))
+def test_reservoir_scan_refuses_a_plus_block_with_an_i_x_or_y_part(part):
+    # sector maps that send gamma to an I, X or Y part of the plus block keep
+    # it an involution, so the admissible rows reach the guard: a whole part
+    # (the plus block +-I, +-X or +-Y) and one of 1e-300 per unit of gamma,
+    # whose square underflows, both raise
+    kwargs = reservoir_arguments(budget=300, seed=4)
+    whole, tiny = _default_maps(), _default_maps()
+    whole[0, :, [part, 3]] = whole[0, :, [3, part]]
+    tiny[0, 0, part] = 1e-300
+    for maps in (whole, tiny):
+        with pytest.raises(StructuralError, match="I, X or Y part"):
+            _reservoir_scan(maps, **kwargs)
 
 
 @pytest.mark.parametrize("n_steps", [1, 8, 20])
 def test_final_distances_equal_the_two_recurrence_walk_bit_for_bit(n_steps):
-    # psi1 = conj(psi0) bit for bit, so d01 = psi0 * psi0 loses nothing: the
-    # one-recurrence walk equals the two-recurrence one with == and signbit,
-    # on the CLI's admissible blocks and on pure n_z Z blocks, signed zeros
-    # included
+    # psi1 = conj(psi0) bit for bit, so d01 = psi0 * psi0 loses nothing, and
+    # the distance depends on a row only through n_z: each row's distance,
+    # read from one walk over the distinct n_z, equals the two-recurrence
+    # walk of that row with == and signbit, on the CLI's admissible blocks
+    # and on pure n_z Z blocks, signed zeros included
     kwargs = reservoir_arguments()
     etas = np.concatenate([kwargs["eta_grid"], [0.3, 1.1, 2.9, -0.7]])
     default = _matrix_reservoir_scan(**kwargs)[1] @ _default_maps()[0]
     pure = np.zeros((12, 4))
     pure[:, 3] = np.tile([0.3, -2.7, 1.0, -1.0, 0.0, -0.0], 2)
     pure[6:, :3] = -0.0
-    for plus in (default, pure):
-        got = np.array(list(_final_distances(plus, etas, n_steps)))
+    for plus, distinct in ((default, [-1.0, 1.0]), (pure, [-2.7, -1.0, 0.0, 0.3, 1.0])):
+        nz = homogenizer._distinct(plus[:, 3])
+        assert nz.tolist() == distinct
+        got = _final_distances(nz, etas, n_steps)[:, np.searchsorted(nz, plus[:, 3])]
         want = np.array(list(two_recurrence_distances(plus, etas, n_steps)))
         assert got.shape == want.shape == (len(etas), len(plus))
         assert np.array_equal(got, want)

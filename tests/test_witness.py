@@ -681,13 +681,16 @@ def test_sector_kernel_skips_coherence_of_z_axes():
     assert np.all(coh == 0.0)
 
 
-def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape, keep=True):
+def state_level_of_crafted_pops(
+    monkeypatch, pop_plus, pop_minus, shape, crafted_certificates=True
+):
     """``_search_scan``'s state-level best over one block of ``shape`` cells
     whose two sectors return the given ``pop`` arrays (zeros: all z axes).
     Sample k is the row [k, 1], which the sector maps send to the axis
     (k, m, 0) of sector m, so the crafted kernel reads the sector and the
-    samples from the axes it gets.  The crafted certificate keeps every row,
-    or none with ``keep=False``."""
+    samples from the axes it gets.  The crafted certificate keeps every row;
+    with ``crafted_certificates=False`` the real certificates of those axes
+    decide."""
     pops = (pop_plus, pop_minus)
 
     def kernel(axes, times):
@@ -695,10 +698,13 @@ def state_level_of_crafted_pops(monkeypatch, pop_plus, pop_minus, shape, keep=Tr
         return np.ones((len(axes), len(times))), pop[axes[:, 0].astype(int)]
 
     def certificates(blocks, times, out):
-        out[:] = -1e300 if keep else 1e300
+        out[:] = -1e300
 
     monkeypatch.setattr(witness, "_sector_kernel", kernel)
-    monkeypatch.setattr(witness, "_sector_certificates", certificates)
+    monkeypatch.setattr(
+        witness, "_sector_certificates",
+        certificates if crafted_certificates else _sector_certificates,
+    )
     rows, time_points = shape
     samples = np.column_stack((np.arange(rows, dtype=float), np.ones(rows)))
     maps = np.zeros((2, 2, 4))
@@ -720,11 +726,35 @@ def test_search_scan_takes_the_first_entry_with_the_maximal_rooted_coherence(mon
     assert state_level_of_crafted_pops(
         monkeypatch, np.array([[0.3, 0.2, 0.3]]), z13, (1, 3)
     ) == (2.0 * math.sqrt(0.3), [0.0, 1.0], 0)
-    # the first row of the first block is evaluated even when no certificate
-    # keeps it, so an all-z search still reports its first sample at time 0
+    # the real certificates of those axes keep every row of a zero coherence
+    # (each ceiling is at least 2 sqrt(_POP_SLACK) > 0), so an all-z search
+    # still reports its first sample at time 0
     assert state_level_of_crafted_pops(
-        monkeypatch, z3, z3, (2, 3), keep=False
+        monkeypatch, z3, z3, (2, 3), crafted_certificates=False
     ) == (0.0, [0.0, 1.0], 0)
+
+
+def test_search_scan_keeps_every_row_of_an_all_zero_coherence(monkeypatch):
+    # rows (gamma, 0, 0, c) of the family put a z axis in both sectors, so
+    # every coherence is exactly +0 and the state-level incumbent is 0.0; the
+    # real coherence certificates all lie below -0.0, so every row is kept
+    # and the first sample at time 0 carries the state-level best
+    from qwitness.conservation import classical_filtered_family, zm_sector_maps
+
+    maps = zm_sector_maps(classical_filtered_family())
+    times = np.linspace(0.0, 2 * math.pi, 64)
+    rows = np.zeros((300, 4))
+    rows[:, [0, 3]] = np.random.default_rng(37).uniform(-2.0, 2.0, (300, 2))
+    rows[5] = 0.0  # both axes zero: the degenerate e_z
+    sources = {"grid": rows[:100], "draws": rows[100:]}
+    certificates = np.empty((4, 300))
+    _sector_certificates(rows @ maps, times, certificates)
+    assert (certificates[3] < 0.0).all()
+    sizes = recorded_scan_blocks(monkeypatch)
+    best = witness._search_scan(sources, times, maps)
+    assert sizes == [4, 256, 44]
+    assert best["state_level"] == (0.0, rows[0].tolist(), 0)
+    assert best == full_search_scan(sources, times, maps)
 
 
 def test_impossibility_search_budget_zero_is_unproven():
@@ -1026,11 +1056,11 @@ def test_sector_certificates_equal_the_broadcast_certificates(monkeypatch):
 
 def test_search_scan_runs_the_kernel_on_the_incumbents_then_the_kept_rows(monkeypatch):
     # the default search runs the kernel on its four incumbent rows, then on
-    # the 152 rows whose certificate reaches or ties an incumbent
+    # the 151 rows whose certificate reaches or ties an incumbent
     sources, times, maps = default_scan_inputs(monkeypatch)
     sizes = recorded_scan_blocks(monkeypatch)
     witness._search_scan(sources, times, maps)
-    assert sizes == [4, 152]
+    assert sizes == [4, 151]
 
 
 def test_search_scan_streams_every_kept_row_in_kernel_blocks(monkeypatch):

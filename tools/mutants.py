@@ -40,7 +40,7 @@ _CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_eve
 _OSCILLATOR_LOOP = "tests/test_oscillator.py::test_oscillator_witness_run_equals_the_per_time_loop"
 _MEMBER_LOOP = "tests/test_conservation.py::test_constrained_member_check_equals_the_per_member_loop"
 _PLUS_GUARD = (
-    "tests/test_homogenizer.py::test_final_distances_refuse_a_plus_block_with_an_i_x_or_y_part"
+    "tests/test_homogenizer.py::test_reservoir_scan_refuses_a_plus_block_with_an_i_x_or_y_part"
 )
 
 #: name, file under src/qwitness, old string, new string, tests that must fail
@@ -63,8 +63,6 @@ MUTANTS = [
      'if val > best["state_level"][0]:', 'if val >= best["state_level"][0]:', [_SEARCH_TIES]),
     ("search-certificate-keep-strict", "witness.py",
      "keep = (certificates <= limits", "keep = (certificates < limits", [_CERTIFICATE_TIES]),
-    ("search-certificate-first-row-dropped", "witness.py",
-     "keep[0] = True", "keep[0] |= False", [_ROOTED_ARGMAX]),
     ("search-certificate-running-max-as-min", "witness.py",
      "np.maximum(f_max, np.abs(f, out=f), out=f_max)",
      "np.minimum(f_max, np.abs(f, out=f), out=f_max)", [_CERTIFICATE_BOUNDS]),
@@ -123,9 +121,22 @@ MUTANTS = [
      "kron = states[-1][..., None, :, None, :] * xi[..., :, None, :, None]",
      ["tests/test_homogenizer.py::test_homogenize_step_matches_closed_recursion"]),
     ("homogenizer-plus-guard-skips-i", "homogenizer.py",
-     "if plus[:, :3].any():", "if plus[:, 1:3].any():", [f"{_PLUS_GUARD}[0]"]),
+     "if blocks[0, :, :3].any():", "if blocks[0, :, 1:3].any():", [f"{_PLUS_GUARD}[0]"]),
     ("homogenizer-plus-guard-i-only", "homogenizer.py",
-     "if plus[:, :3].any():", "if plus[:, :1].any():", [f"{_PLUS_GUARD}[1]"]),
+     "if blocks[0, :, :3].any():", "if blocks[0, :, :1].any():", [f"{_PLUS_GUARD}[1]"]),
+    ("reservoir-distinct-first-nz-only", "homogenizer.py",
+     "nz = _distinct(np.concatenate((nz, blocks[0, :, 3])))",
+     "nz = _distinct(np.concatenate((nz, blocks[0, :1, 3])))",
+     ["tests/test_homogenizer.py::test_reservoir_scan_runs_the_kernels_on_each_admissible_block"]),
+    ("surface-normals-before-signs", "homogenizer.py",
+     "    sign = rng.choice([-1.0, 1.0], size=count)           # gamma + c\n"
+     "    for start in range(0, count, step):\n"
+     "        s = sign[start : start + step]\n"
+     "        vec = rng.normal(size=(len(s), 3))\n",
+     "    for start in range(0, count, step):\n"
+     "        vec = rng.normal(size=(min(step, count - start), 3))\n"
+     "        s = rng.choice([-1.0, 1.0], size=len(vec))\n",
+     ["tests/test_homogenizer.py::test_surface_draws_in_blocks_equal_the_one_call_draws"]),
     ("homogenizer-walk-d01-conjugated", "homogenizer.py",
      "d01 = psi0 * psi0", "d01 = psi0 * psi0.conj()",
      ["tests/test_homogenizer.py::test_final_distances_equal_the_two_recurrence_walk_bit_for_bit"]),
