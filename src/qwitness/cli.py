@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -337,10 +337,10 @@ def experiment_witness(cfg: RunConfig) -> tuple[list[Check], dict]:
     checks.append(circuit_mod.mediator_independence_check(cfg.seed))
     return checks, {
         "axis_roots.csv": (("system", "index", "n_x", "n_y", "n_z"), root_rows),
-        "axis_systems.json": axis_report.to_json_dict(),
-        "impossibility_search.json": search.to_json_dict(),
-        "quantum_demo_swap.json": swap_demo.to_json_dict(),
-        "quantum_demo_exchange.json": exchange_demo.to_json_dict(),
+        "axis_systems.json": axis_report,
+        "impossibility_search.json": search,
+        "quantum_demo_swap.json": swap_demo,
+        "quantum_demo_exchange.json": exchange_demo,
         "exchange_trajectory.csv": (
             ("time", "bloch_x", "bloch_y", "bloch_z"), exchange_demo.findings["trajectory"],
         ),
@@ -405,7 +405,7 @@ def experiment_homogenize(cfg: RunConfig) -> tuple[list[Check], dict]:
             ("eta", "step", "trace_distance", "xi_coefficient", "predicted_coefficient"),
             rows,
         ),
-        "classical_reservoir.json": reservoir.to_json_dict(),
+        "classical_reservoir.json": reservoir,
     }
 
 
@@ -465,7 +465,8 @@ def experiment_oscillator(cfg: RunConfig) -> tuple[list[Check], dict]:
     rows = []
     maxima = {}
     for level, points in trajectories.items():
-        maxima[level] = max(c for _, c in points)
+        # str keys: json sorts int keys numerically, the artifact sorts them as text
+        maxima[str(level)] = max(c for _, c in points)
         for t, c in points:
             rows.append((t, level, c))
     checks.append(Check.compare(
@@ -515,8 +516,8 @@ def run_experiment(cfg: RunConfig) -> tuple[int, list[Check]]:
     passed = all(c.passed for c in checks)
     files["summary.json"] = {
         "schema_version": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "checks": [asdict(c) for c in checks],
+        "config": cfg,
+        "checks": checks,
         "n_passed": sum(c.passed for c in checks),
         "n_failed": sum(not c.passed for c in checks),
         "verdict": "PASS" if passed else "FAIL",

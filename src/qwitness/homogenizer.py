@@ -152,8 +152,9 @@ def _sector_involution_residual(blocks: np.ndarray) -> np.ndarray:
     (c I + n.sigma)^2 - I = (c^2 + |n|^2 - 1) I + 2c n.sigma, and a 2x2 block
     a I + b.sigma has squared Frobenius norm 2(a^2 + |b|^2).
     """
-    c2 = blocks[..., 0] ** 2
-    n2 = (blocks[..., 1:] ** 2).sum(axis=-1)
+    c, x, y, z = np.moveaxis(blocks, -1, 0)
+    c2 = c * c
+    n2 = x * x + y * y + z * z  # no (2, B, 3) temporary
     return np.sqrt((2 * ((c2 + n2 - 1) ** 2 + 4 * c2 * n2)).sum(axis=0))
 
 

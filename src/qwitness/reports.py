@@ -2,16 +2,16 @@
 
 Every numeric verdict is stored as a :class:`Check` carrying the measured
 value, its threshold, the comparison direction and an ``anchor`` string that
-names the identity or law being checked.  Floats are serialised with
-``repr`` (17 significant digits) so repeated runs with equal configs produce
-byte-identical files.
+names the identity or law being checked.  Floats are written as the shortest
+text that reads back to the same double (``0.1``, not ``0.10000000000000001``),
+so repeated runs with equal configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -73,62 +73,22 @@ class WitnessReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        """The report's fields as JSON types (:func:`_jsonable`), for :func:`write_json`.
-
-        The payloads are walked once, into fresh containers, without the
-        deep copy of ``asdict``.  The result shares no container with the
-        report, so the report's own payloads are freed with it: keeping them
-        alive until the artifacts are written raised the peak RSS of
-        ``qwitness all``.
-        """
-        return _jsonable({**vars(self), "checks": [asdict(c) for c in self.checks]})
-
-
-def _jsonable(obj):
-    """Recursively convert a payload to JSON types.
-
-    numpy scalars and arrays become numbers and lists, tuples become lists,
-    complex numbers ``[re, im]`` and dict keys ``str``; other values pass
-    through unchanged.
-    """
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
-
-
-def format_float(x: float) -> str:
-    """Full-precision decimal text ('.' separator, 17 significant digits)."""
-    return repr(float(x))
-
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows deterministically, formatting floats at full precision."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    """Write rows deterministically; ``str`` of a float is its shortest round-trip text."""
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as sorted, indented JSON after :func:`_jsonable`.
+def _json_default(obj):
+    """A complex as ``[re, im]``, a dataclass instance as its fields, else ``TypeError``."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} is not written to JSON")
 
-    A value of any other type raises ``TypeError``, never a silent string.
-    """
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+
+def write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as sorted JSON with a two-space indent; see :func:`_json_default`."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")

@@ -85,6 +85,12 @@ def test_artifacts_keep_their_ledger_bytes(tmp_path):
     assert differing == []
 
 
+def test_ci_installs_the_numpy_the_ledger_records():
+    numpy = json.loads(LEDGER.read_text())["environment"]["numpy"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert f'numpy: "numpy=={numpy}"' in workflow
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         payload = {"environment": environment(), "configs": artifact_hashes(Path(work))}

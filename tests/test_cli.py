@@ -437,12 +437,20 @@ def test_cli_import_and_run_load_no_numpy_ma(modules_loaded_by_import_and_run):
 
 def test_write_json_converts_known_types_and_rejects_the_rest(tmp_path):
     path = tmp_path / "out.json"
-    write_json(path, {"c": 1.5 - 2j, "f": np.float64(0.25), "i": np.int64(3), "m": {2: "two"}})
-    assert json.loads(path.read_text()) == {
-        "c": [1.5, -2.0], "f": 0.25, "i": 3, "m": {"2": "two"},
-    }
-    with pytest.raises(TypeError):
-        write_json(path, {"x": object()})
+    write_json(path, {"c": 1.5 - 2j, "f": np.float64(0.25), "m": {2: "two"}})
+    assert json.loads(path.read_text()) == {"c": [1.5, -2.0], "f": 0.25, "m": {"2": "two"}}
+    # no artifact payload holds a numpy integer or array
+    for value in (object(), np.int64(3), np.zeros(2)):
+        with pytest.raises(TypeError):
+            write_json(path, {"x": value})
+
+
+def test_oscillator_maxima_keys_are_written_in_text_order(tmp_path):
+    _, files = cli.experiment_oscillator(RunConfig(d_b=12))
+    path = tmp_path / "maxima.json"
+    write_json(path, files["oscillator_coherence_maxima.json"])
+    keys = list(json.loads(path.read_text()))
+    assert keys == ["0", "1", "10", "11", "2", "3", "4", "5", "6", "7", "8", "9"]
 
 
 def test_benchmark_span_names_are_public_functions():

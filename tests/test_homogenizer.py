@@ -542,7 +542,7 @@ def test_reservoir_check_deterministic():
     kwargs = reservoir_arguments(budget=100, seed=9, n_steps=3)
     a = classical_reservoir_check(**kwargs)
     b = classical_reservoir_check(**kwargs)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a == b
 
 
 @pytest.mark.parametrize(
@@ -624,7 +624,7 @@ def test_streamed_reservoir_check_matches_matrix_oracle(monkeypatch, kwargs):
         return _bests_of_matrix(*_matrix_reservoir_scan(*args))
 
     monkeypatch.setattr(homogenizer, "_reservoir_scan", matrix_scan)
-    assert streamed.to_json_dict() == classical_reservoir_check(**arguments).to_json_dict()
+    assert streamed == classical_reservoir_check(**arguments)
     assert streamed.verdict == "POSITIVE-GAP"
     # the check hands the scan its own arguments, in the scan's order
     eta_grid, *rest = seen["args"]

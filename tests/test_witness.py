@@ -789,7 +789,7 @@ def test_impossibility_search_is_deterministic():
     kwargs = search_arguments(budget=5000, seed=11, grid_points=3, time_points=16)
     a = classical_impossibility_search(**kwargs)
     b = classical_impossibility_search(**kwargs)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a == b
 
 
 @pytest.mark.parametrize(
@@ -817,10 +817,10 @@ def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
     # change no value, argument or tie-break; ``kwargs`` override the CLI's
     # default search
     arguments = search_arguments(**kwargs)
-    streamed = classical_impossibility_search(**arguments).to_json_dict()
+    streamed = classical_impossibility_search(**arguments)
     for oracle in (full_search_scan, chunked_search_scan):
         monkeypatch.setattr(witness, "_search_scan", oracle)
-        assert streamed == classical_impossibility_search(**arguments).to_json_dict()
+        assert streamed == classical_impossibility_search(**arguments)
 
 
 def test_search_scan_ties_go_to_the_first_occurrence(monkeypatch):

@@ -39,6 +39,7 @@ _CERTIFICATE_TIES = (
 _CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_every_kernel_cell"
 _OSCILLATOR_LOOP = "tests/test_oscillator.py::test_oscillator_witness_run_equals_the_per_time_loop"
 _MEMBER_LOOP = "tests/test_conservation.py::test_constrained_member_check_equals_the_per_member_loop"
+_LEDGER = "tests/test_artifact_ledger.py::test_artifacts_keep_their_ledger_bytes"
 _PLUS_GUARD = (
     "tests/test_homogenizer.py::test_reservoir_scan_refuses_a_plus_block_with_an_i_x_or_y_part"
 )
@@ -150,13 +151,26 @@ MUTANTS = [
     ("site-product-phase-flipped", "paulis.py",
      '("X", "Y"): (1j, "Z"),', '("X", "Y"): (-1j, "Z"),',
      ["tests/test_paulis.py::test_single_site_group_table_matches_dense_products"]),
-    ("report-json-dict-shares-payloads", "reports.py",
-     'return _jsonable({**vars(self), "checks": [asdict(c) for c in self.checks]})',
-     'return {**vars(self), "checks": [asdict(c) for c in self.checks]}',
-     ["tests/test_reports.py::test_report_json_dict_is_json_types_in_fresh_containers"]),
-    ("format-float-15-digits", "reports.py",
-     "return repr(float(x))", 'return f"{float(x):.15g}"',
-     ["tests/test_reports.py::test_format_float_is_the_shortest_round_trip_text"]),
+    ("json-keys-unsorted", "reports.py",
+     "indent=2, sort_keys=True,", "indent=2, sort_keys=False,",
+     ["tests/test_reports.py::test_write_json_writes_a_report_with_its_checks"]),
+    ("json-complex-parts-swapped", "reports.py",
+     "return [obj.real, obj.imag]", "return [obj.imag, obj.real]",
+     ["tests/test_reports.py::test_write_json_writes_a_report_with_its_checks"]),
+    ("oscillator-maxima-int-keys", "cli.py",
+     "maxima[str(level)] = ", "maxima[level] = ",
+     ["tests/test_cli.py::test_oscillator_maxima_keys_are_written_in_text_order"]),
+    ("descriptor-worst-deviation-threshold-doubled", "cli.py",
+     '"descriptor-worst-deviation", worst, "<", 1e-12,',
+     '"descriptor-worst-deviation", worst, "<", 2e-12,', [_LEDGER]),
+    ("coherence-bounded-takes-the-min", "cli.py",
+     '"coherence-bounded", max(maxima.values())', '"coherence-bounded", min(maxima.values())',
+     [_LEDGER]),
+    ("oscillator-charge-zq-weight-two", "cli.py",
+     'OperatorExpr({"ZI": 1.0, "IZ": 1.0, "ZZ": 1.0}), d_b',
+     'OperatorExpr({"ZI": 2.0, "IZ": 1.0, "ZZ": 1.0}), d_b', [_LEDGER]),
+    ("axis-residual-min-over-entries", "witness.py",
+     "generator) - image).max()", "generator) - image).min()", [_LEDGER]),
     ("config-error-exits-1", "cli.py",
      'print(f"config error: {exc}", file=sys.stderr)\n        return 2',
      'print(f"config error: {exc}", file=sys.stderr)\n        return 1',
