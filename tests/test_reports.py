@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from qwitness.reports import WitnessReport, write_csv, write_json
 
 ROUND_TRIP = [0.1 + 0.2, 1 / 3, math.pi, 2.0**-1074, 1e300, -2.5e-16, 0.7071067811865475]
@@ -20,6 +22,12 @@ def test_csv_float_cells_are_the_shortest_round_trip_text(tmp_path):
 def test_csv_float_cells_read_back_exactly(tmp_path):
     cells = _csv_cells(tmp_path / "values.csv", ROUND_TRIP)
     assert [float(c) for c in cells] == ROUND_TRIP
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_format_float_writes_non_finite_values_as_python_does(tmp_path, x):
+    # write_csv formats each float cell; a non-finite one is written as repr writes it
+    assert _csv_cells(tmp_path / "values.csv", [x]) == [repr(x)]
 
 
 def test_csv_non_finite_and_signed_zero_cells_read_back(tmp_path):
