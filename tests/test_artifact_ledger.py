@@ -1,12 +1,14 @@
 """Every artifact of ``qwitness all`` keeps its recorded bytes at six configs.
 
 ``artifact_ledger.json`` holds the sha256 of each file that ``qwitness all``
-writes at each config in ``CONFIGS``, with ``summary.json`` canonicalised as
-``qbench/verify.canonical_artifacts`` does (``config.out_dir`` dropped).  The
-hashes hold for the environment recorded beside them: the Python minor
-version, the numpy version and the SIMD extensions numpy dispatches to at run
-time, since the dispatch can move a ``np.sin``/``np.cos`` result by an ulp.
-Elsewhere the test skips and names both environments.
+writes at each config in ``CONFIGS``, as written.  Config k runs with
+``--out k`` from a fresh working directory, so ``config.out_dir`` in
+``summary.json`` reads the same on every run, and the summary's indent and key
+order are hashed with the rest.  The hashes hold for the environment recorded
+beside them: the Python minor version, the numpy version and the SIMD
+extensions numpy dispatches to at run time, since the dispatch can move a
+``np.sin``/``np.cos`` result by an ulp.  Elsewhere the test skips and names
+both environments.
 
 A change that means to move bytes rewrites the ledger in the same commit:
 
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
+import os
 import platform
 import tempfile
 from pathlib import Path
@@ -37,13 +39,6 @@ CONFIGS = (
 )
 
 
-def _canonical_artifacts():
-    spec = importlib.util.spec_from_file_location("verify", ROOT / "qbench" / "verify.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.canonical_artifacts
-
-
 def environment() -> dict:
     try:
         from numpy._core import _multiarray_umath as umath
@@ -57,16 +52,23 @@ def environment() -> dict:
 
 
 def artifact_hashes(work: Path) -> dict:
-    """``{config: {file: sha256}}`` of ``qwitness all`` run in process at each config."""
-    canonical = _canonical_artifacts()
+    """``{config: {file: sha256}}`` of ``qwitness all`` run in process at each config.
+
+    Runs from ``work`` as the working directory, config k into ``--out k``.
+    """
     hashes = {}
-    for k, config in enumerate(CONFIGS):
-        out = work / str(k)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["all", *config.split(), "--out", str(out)]) == 0, config
-        hashes[config] = {
-            name: hashlib.sha256(data).hexdigest() for name, data in canonical(out).items()
-        }
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for k, config in enumerate(CONFIGS):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["all", *config.split(), "--out", str(k)]) == 0, config
+            hashes[config] = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(Path(str(k)).iterdir())
+            }
+    finally:
+        os.chdir(cwd)
     return hashes
 
 
