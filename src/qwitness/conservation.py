@@ -322,45 +322,53 @@ _BLOCK_CELLS = 2**14
 
 
 def _sector_blocks(
-    sources: dict[str, np.ndarray | Callable[[int], Iterable[np.ndarray]]],
+    samples: np.ndarray | Callable[[int], Iterable[np.ndarray]],
     maps: np.ndarray,
     cells_per_sample: int,
-) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """Search samples with their Z_M-sector blocks, source by source.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Search samples with their Z_M-sector blocks.
 
-    Yields ``(name, rows, rows @ maps)`` for each source of free-parameter
-    rows, in source and row order, in blocks of
-    ``step = max(1, _BLOCK_CELLS // cells_per_sample)`` rows; ``maps`` is
-    :func:`zm_sector_maps` of the family, so the sector blocks are (2, B, 4).
-    A source is an array of rows, or a function of ``step`` that yields its
-    rows in blocks of at most ``step``, so that they need not exist at once.
+    Yields ``(rows, rows @ maps)`` for the free-parameter rows of one source,
+    in row order, in blocks of ``step = max(1, _BLOCK_CELLS // cells_per_sample)``
+    rows; ``maps`` is :func:`zm_sector_maps` of the family, so the sector
+    blocks are (2, B, 4).  A source is an array of rows, or a function of
+    ``step`` that yields its rows in blocks of at most ``step``, so that they
+    need not exist at once.
     """
     step = max(1, _BLOCK_CELLS // cells_per_sample)
-    for name, samples in sources.items():
-        if callable(samples):
-            blocks = samples(step)
-        else:
-            blocks = (samples[start : start + step] for start in range(0, len(samples), step))
-        for rows in blocks:
-            yield name, rows, rows @ maps
+    if callable(samples):
+        blocks = samples(step)
+    else:
+        blocks = (samples[start : start + step] for start in range(0, len(samples), step))
+    for rows in blocks:
+        yield rows, rows @ maps
 
 
 def _search_report(
-    task: str, seed: int, parameters: dict, search: Callable[[WitnessReport], None]
+    task: str, search: Callable[[WitnessReport, np.ndarray, tuple[str, ...]], None], *,
+    seed: int, budget: int, grid_points: int, param_range: float, parameters: dict,
 ) -> WitnessReport:
     """Report skeleton of the classical-mediator searches.
 
-    ``search(report)`` runs only for a positive ``parameters["budget"]`` and
-    adds the findings, and the checks once a sample counts.  The verdict stays
-    unproven without checks, then tells whether every check passed.
+    Both search :func:`classical_filtered_family`; the report's parameters are
+    its free parameters, the sampling settings and the search's own
+    ``parameters``.  ``search(report, maps, names)`` gets the family's
+    :func:`zm_sector_maps` and free parameter names, runs only for a positive
+    ``budget`` and adds the findings, and the checks once a sample counts.
+    The verdict stays unproven without checks, then tells whether every check
+    passed.
     """
+    family = classical_filtered_family()
+    names = family.free_params()
+    parameters = {"free_params": list(names), "budget": budget, "grid_points": grid_points,
+                  "param_range": param_range, **parameters}
     report = WitnessReport(task=task, seed=seed, parameters=parameters)
     report.findings["note"] = (
         "bounded search: evidence only; the algebraic root systems carry the proof"
     )
     report.verdict = "UNPROVEN"
-    if parameters["budget"] > 0:
-        search(report)
+    if budget > 0:
+        search(report, zm_sector_maps(family), names)
     if report.checks:
         report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
     return report

@@ -28,9 +28,7 @@ from .conservation import (
     _search_report,
     _sector_blocks,
     box_grid,
-    classical_filtered_family,
     conservation_residual,
-    zm_sector_maps,
 )
 from .dense import assert_density_matrix, partial_trace, qubit_state, to_dense
 from .errors import StructuralError
@@ -238,22 +236,23 @@ def _reservoir_scan(
     skipped, admissible = dict.fromkeys(sources, 0), 0
     nz = np.empty(0)
     gap_best = (math.inf, None)
-    for name, rows, blocks in _sector_blocks(sources, maps, 4):
-        mask = _sector_involution_residual(blocks) <= 1e-7
-        kept = int(np.count_nonzero(mask))
-        skipped[name] += len(rows) - kept
-        if not kept:
-            continue
-        if kept < len(rows):  # the surface draws are all admissible: no copies
-            rows, blocks = rows[mask], blocks[:, mask]
-        admissible += kept
-        if blocks[0, :, :3].any():
-            raise StructuralError("Z_M = +1 block with an I, X or Y part: U_+ is not diagonal")
-        nz = _distinct(np.concatenate((nz, blocks[0, :, 3])))
-        gap = _sector_image_gap(blocks)
-        i = int(np.argmin(gap))
-        if gap[i] < gap_best[0]:
-            gap_best = (float(gap[i]), rows[i].tolist())
+    for name, samples in sources.items():
+        for rows, blocks in _sector_blocks(samples, maps, 4):
+            mask = _sector_involution_residual(blocks) <= 1e-7
+            kept = int(np.count_nonzero(mask))
+            skipped[name] += len(rows) - kept
+            if not kept:
+                continue
+            if kept < len(rows):  # the surface draws are all admissible: no copies
+                rows, blocks = rows[mask], blocks[:, mask]
+            admissible += kept
+            if blocks[0, :, :3].any():
+                raise StructuralError("Z_M = +1 block with an I, X or Y part: U_+ is not diagonal")
+            nz = _distinct(np.concatenate((nz, blocks[0, :, 3])))
+            gap = _sector_image_gap(blocks)
+            i = int(np.argmin(gap))
+            if gap[i] < gap_best[0]:
+                gap_best = (float(gap[i]), rows[i].tolist())
     dist_min = float(_final_distances(nz, eta_grid, n_steps).min(initial=math.inf))
     return skipped, admissible, dist_min, gap_best
 
@@ -282,12 +281,9 @@ def classical_reservoir_check(
     :func:`_reservoir_scan` in blocks.  The distance has no reported
     argument: every sample sits at 1/sqrt(2) up to rounding.
     """
-    family = classical_filtered_family()
-    free_names = family.free_params()
-
-    def search(report: WitnessReport) -> None:
+    def search(report: WitnessReport, maps: np.ndarray, names: tuple[str, ...]) -> None:
         skipped, admissible, min_dist, (min_gap, gap_row) = _reservoir_scan(
-            zm_sector_maps(family), eta_grid, n_steps, budget, seed, grid_points, param_range
+            maps, eta_grid, n_steps, budget, seed, grid_points, param_range
         )
         report.findings["skipped"] = skipped
         report.findings["admissible_samples"] = admissible
@@ -295,7 +291,7 @@ def classical_reservoir_check(
             return
         report.findings["min_final_trace_distance"] = min_dist
         report.findings["min_image_distance"] = min_gap
-        report.findings["argmin_image_distance"] = dict(zip(free_names, gap_row))
+        report.findings["argmin_image_distance"] = dict(zip(names, gap_row))
         report.add_check(
             "final-distance-gap", min_dist, ">", 0.5,
             "classical reservoir never drives |+> to |0>",
@@ -306,16 +302,9 @@ def classical_reservoir_check(
         )
 
     return _search_report(
-        "classical reservoir homogenisation of |+> towards |0>",
-        seed,
-        {
-            "free_params": list(free_names),
-            "n_steps": n_steps,
-            "budget": budget,
-            "grid_points": grid_points,
-            "param_range": param_range,
-        },
-        search,
+        "classical reservoir homogenisation of |+> towards |0>", search,
+        seed=seed, budget=budget, grid_points=grid_points, param_range=param_range,
+        parameters={"n_steps": n_steps},
     )
 
 

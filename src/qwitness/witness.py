@@ -24,13 +24,12 @@ import numpy as np
 
 from .circuit import swap
 from .conservation import (
+    NONADDITIVE,
     ConservedQuantity,
     _search_report,
     _sector_blocks,
     box_grid,
-    classical_filtered_family,
     conservation_residual,
-    zm_sector_maps,
 )
 from .dense import (
     PAULI_MATS,
@@ -382,19 +381,8 @@ def _scan_block(
             best["state_level"] = (val, rows[i].tolist(), j)
 
 
-def _rows_at(sources: dict[str, np.ndarray], index: np.ndarray) -> np.ndarray:
-    """The rows at ``index`` (flat positions) of the sources taken in order."""
-    rows = np.empty((len(index), next(iter(sources.values())).shape[1]))
-    start = 0
-    for samples in sources.values():
-        inside = (index >= start) & (index < start + len(samples))
-        rows[inside] = samples[index[inside] - start]
-        start += len(samples)
-    return rows
-
-
 def _search_scan(
-    sources: dict[str, np.ndarray], times: np.ndarray, maps: np.ndarray
+    samples: np.ndarray, times: np.ndarray, maps: np.ndarray
 ) -> dict[str, tuple[float, list, int]]:
     """Best (value, sample row, time index) of each search target.
 
@@ -406,7 +394,7 @@ def _search_scan(
     :func:`_sector_certificates`.  The kernel runs on the best-certificate
     row of each target, whose values are the incumbents, and then, through
     :func:`_scan_block` in blocks of one cell per time point, on the rows
-    whose certificate reaches or ties some incumbent, read from each source.
+    whose certificate reaches or ties some incumbent.
     Every cell that attains a final optimum lies in a kept row, and the kept
     rows keep their order, so the result, with its tie-break to the first
     occurrence in (sample, time) order, is that of evaluating every row.  A
@@ -415,9 +403,9 @@ def _search_scan(
     Both passes see the same sector axes: the family's maps hold 0, +-1 and
     +-2, at most two in a column, so ``rows @ maps`` rounds alike in any block.
     """
-    certificates = np.empty((4, sum(map(len, sources.values()))))
+    certificates = np.empty((4, len(samples)))
     start = 0
-    for _, rows, blocks in _sector_blocks(sources, maps, 16):
+    for rows, blocks in _sector_blocks(samples, maps, 16):
         _sector_certificates(blocks, times, certificates[:, start : start + len(rows)])
         start += len(rows)
     best = {
@@ -427,13 +415,12 @@ def _search_scan(
         "state_level": (-np.inf, None, 0),
     }
     incumbent = dict(best)
-    probe = _rows_at(sources, certificates.argmin(axis=1))
+    probe = samples[certificates.argmin(axis=1)]
     _scan_block(incumbent, probe, probe @ maps, times)
     limits = np.array([val for val, _, _ in incumbent.values()]) * (1, 1, 1, -1)
     keep = (certificates <= limits[:, None]).any(axis=0)
     del certificates  # the kernel's (B, T) temporaries peak without them
-    kept = _rows_at(sources, np.flatnonzero(keep))
-    for _, rows, blocks in _sector_blocks({"kept": kept}, maps, len(times)):
+    for rows, blocks in _sector_blocks(samples[keep], maps, len(times)):
         _scan_block(best, rows, blocks, times)
     return best
 
@@ -466,20 +453,16 @@ def classical_impossibility_search(
     still reach or tie an optimum; the reported values, arguments and
     tie-breaks are those of evaluating every sample at every time.
     """
-    family = classical_filtered_family()
-    free_names = family.free_params()
-
-    def search(report: WitnessReport) -> None:
-        # (c_m, n_m) per mediator sector m; the sector constants c_m drop out
-        # of conjugation and coherence
-        maps = zm_sector_maps(family)
-        n_free = len(free_names)
-        draws = np.random.default_rng(seed).uniform(-param_range, param_range, (budget, n_free))
-        sources = {"grid": box_grid(n_free, grid_points, param_range), "draws": draws}
+    def search(report: WitnessReport, maps: np.ndarray, names: tuple[str, ...]) -> None:
+        # (c_m, n_m) per mediator sector m in maps; the sector constants c_m
+        # drop out of conjugation and coherence
+        draws = np.random.default_rng(seed).uniform(-param_range, param_range, (budget, len(names)))
+        samples = np.concatenate((box_grid(len(names), grid_points, param_range), draws))
+        del draws  # the scan holds one copy of the samples
         times = np.linspace(0.0, 2 * math.pi, time_points)
         best = {
-            key: (val, {**dict(zip(free_names, row)), "time": float(times[j])})
-            for key, (val, row, j) in _search_scan(sources, times, maps).items()
+            key: (val, {**dict(zip(names, row)), "time": float(times[j])})
+            for key, (val, row, j) in _search_scan(samples, times, maps).items()
         }
         report.findings["min_residual_joint"] = best["joint"][0]
         report.findings["min_residual_mediator_plus"] = best["sector_plus"][0]
@@ -499,17 +482,9 @@ def classical_impossibility_search(
         )
 
     return _search_report(
-        "classical mediator, observable-level frame map",
-        seed,
-        {
-            "conserved": family.conserved.kind,
-            "free_params": list(free_names),
-            "budget": budget,
-            "grid_points": grid_points,
-            "param_range": param_range,
-            "time_points": time_points,
-        },
-        search,
+        "classical mediator, observable-level frame map", search,
+        seed=seed, budget=budget, grid_points=grid_points, param_range=param_range,
+        parameters={"conserved": NONADDITIVE, "time_points": time_points},
     )
 
 

@@ -277,24 +277,21 @@ def test_sector_blocks_stream_each_source_in_order(cells_per_sample, step):
     # a ragged last block, an empty source and a source shorter than one block
     maps = zm_sector_maps(classical_filtered_family())
     rng = np.random.default_rng(41)
-    sources = {
-        "grid": rng.uniform(-2.0, 2.0, (2 * step + step // 2 + 1, 4)),
-        "empty": np.zeros((0, 4)),
-        "draws": rng.uniform(-2.0, 2.0, (step // 2 + 1, 4)),
-    }
-    expected = [
-        (name, min(step, len(rows) - start))
-        for name, rows in sources.items()
-        for start in range(0, len(rows), step)
-    ]
-    assert [size for name, size in expected if name == "grid"][-1] == step // 2 + 1
-    got = list(_sector_blocks(sources, maps, cells_per_sample))
-    assert [(name, len(rows)) for name, rows, _ in got] == expected
-    for name, rows, blocks in got:
-        assert blocks.shape == (2, len(rows), 4)
-        assert np.array_equal(blocks, rows @ maps)
-    for name, samples in sources.items():
-        streamed = [rows for n, rows, _ in got if n == name]
+    ragged, empty, short = (
+        rng.uniform(-2.0, 2.0, (2 * step + step // 2 + 1, 4)),
+        np.zeros((0, 4)),
+        rng.uniform(-2.0, 2.0, (step // 2 + 1, 4)),
+    )
+    for samples in (ragged, empty, short):
+        expected = [min(step, len(samples) - start) for start in range(0, len(samples), step)]
+        if samples is ragged:
+            assert expected[-1] == step // 2 + 1
+        got = list(_sector_blocks(samples, maps, cells_per_sample))
+        assert [len(rows) for rows, _ in got] == expected
+        for rows, blocks in got:
+            assert blocks.shape == (2, len(rows), 4)
+            assert np.array_equal(blocks, rows @ maps)
+        streamed = [rows for rows, _ in got]
         assert np.array_equal(np.concatenate(streamed or [np.zeros((0, 4))]), samples)
 
 

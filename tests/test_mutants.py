@@ -1,22 +1,24 @@
 """``tools/mutants.py`` stays in step with the source and the tests it names.
 
-The mutation run itself is slow and lives outside the suite; this check reads
-its ``MUTANTS`` table only, so a mutant whose source line moved or whose test
-was renamed fails here at once.
+The mutation run itself is slow and lives outside the suite; these checks read
+its ``MUTANTS`` table, so a mutant whose source line moved or whose test was
+renamed fails here at once, and run its test runner on one skipping test.
 """
 
 import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _mutants() -> list:
+def _tool():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
 def _test_names(path: Path) -> set[str]:
@@ -33,7 +35,7 @@ def _test_names(path: Path) -> set[str]:
 
 
 def test_every_mutant_targets_one_source_site_and_existing_tests():
-    mutants = _mutants()
+    mutants = _tool().MUTANTS
     names = [m[0] for m in mutants]
     assert len(set(names)) == len(names)
     stale = []
@@ -48,3 +50,13 @@ def test_every_mutant_targets_one_source_site_and_existing_tests():
             if node.split("[")[0] not in _test_names(ROOT / file):
                 stale.append(f"{name}: {test} does not exist")
     assert stale == []
+
+
+def test_a_skipped_test_is_no_verdict(tmp_path):
+    # a test that skips where the environment differs exits 0 with nothing
+    # checked; the run stops and names it rather than record a survivor
+    (tmp_path / "test_skips.py").write_text(
+        "import pytest\n\n\ndef test_elsewhere():\n    pytest.skip('other environment')\n"
+    )
+    with pytest.raises(SystemExit, match=r"skipped test_skips\.py::test_elsewhere in"):
+        _tool()._run_tests(tmp_path, ["test_skips.py::test_elsewhere"])

@@ -568,11 +568,10 @@ def chunked_sector_kernel(axes, times):
     return res_sq, coh
 
 
-def chunked_search_scan(sources, times, maps):
-    """Oracle for ``_search_scan``: the sources stacked into one sample set,
-    full (2048, T) residual and coherence arrays per chunk, scaled before the
-    arg-extrema are taken; returns (value, sample row, time index)."""
-    samples = np.vstack(tuple(sources.values()))
+def chunked_search_scan(samples, times, maps):
+    """Oracle for ``_search_scan``: full (2048, T) residual and coherence
+    arrays per chunk of the samples, scaled before the arg-extrema are taken;
+    returns (value, sample row, time index)."""
     best = {
         "joint": (np.inf, None, None),
         "sector_plus": (np.inf, None, None),
@@ -602,7 +601,7 @@ def chunked_search_scan(sources, times, maps):
     return best
 
 
-def full_search_scan(sources, times, maps):
+def full_search_scan(samples, times, maps):
     """Oracle for ``_search_scan``: the kernel on every row of every
     ``_sector_blocks`` block, with the scan's update code; returns (value,
     sample row, time index)."""
@@ -613,7 +612,7 @@ def full_search_scan(sources, times, maps):
         "sector_minus": (np.inf, None, 0),
         "state_level": (-np.inf, None, 0),
     }
-    for _, rows, blocks in _sector_blocks(sources, maps, time_points):
+    for rows, blocks in _sector_blocks(samples, maps, time_points):
         (res_plus, pop_plus), (res_minus, pop_minus) = (
             _sector_kernel(blocks[m][:, 1:], times) for m in range(2)
         )
@@ -710,7 +709,7 @@ def state_level_of_crafted_pops(
     maps = np.zeros((2, 2, 4))
     maps[:, 0, 1] = 1.0  # n_x = k
     maps[1, 1, 2] = 1.0  # n_y = m
-    best = witness._search_scan({"grid": samples}, np.zeros(time_points), maps)
+    best = witness._search_scan(samples, np.zeros(time_points), maps)
     return best["state_level"]
 
 
@@ -746,15 +745,14 @@ def test_search_scan_keeps_every_row_of_an_all_zero_coherence(monkeypatch):
     rows = np.zeros((300, 4))
     rows[:, [0, 3]] = np.random.default_rng(37).uniform(-2.0, 2.0, (300, 2))
     rows[5] = 0.0  # both axes zero: the degenerate e_z
-    sources = {"grid": rows[:100], "draws": rows[100:]}
     certificates = np.empty((4, 300))
     _sector_certificates(rows @ maps, times, certificates)
     assert (certificates[3] < 0.0).all()
     sizes = recorded_scan_blocks(monkeypatch)
-    best = witness._search_scan(sources, times, maps)
+    best = witness._search_scan(rows, times, maps)
     assert sizes == [4, 256, 44]
     assert best["state_level"] == (0.0, rows[0].tolist(), 0)
-    assert best == full_search_scan(sources, times, maps)
+    assert best == full_search_scan(rows, times, maps)
 
 
 def test_impossibility_search_budget_zero_is_unproven():
@@ -825,7 +823,8 @@ def test_streamed_search_matches_chunked_oracle(monkeypatch, kwargs):
 
 def test_search_scan_ties_go_to_the_first_occurrence(monkeypatch):
     # a repeated sample set ties every extremum across kernel blocks (256
-    # kept rows at T = 64) and across sources; the first copy must win, as
+    # kept rows at T = 64) and across the end of the first copy, where a
+    # grid would end and its draws begin; the first copy must win, as
     # in the chunked oracle.  A fifth column, mapped to zero, tags each copy,
     # so the winning row tells the copies apart.  The copies sit a kernel
     # block apart: 256 rows of each have the plus axis (0, 0, gamma) with
@@ -841,14 +840,14 @@ def test_search_scan_ties_go_to_the_first_occurrence(monkeypatch):
     reach = np.column_stack((np.full(256, math.pi / 2 / times[16]), once[:256, 1:3], np.zeros(256)))
     once = np.vstack((once, reach))
     copy = [np.column_stack((once, np.full(len(once), k))) for k in range(3)]
-    sources = {"grid": copy[0], "draws": np.vstack((copy[1], copy[2]))}
+    samples = np.vstack(copy)
     sizes = recorded_scan_blocks(monkeypatch)
-    best = witness._search_scan(sources, times, tagged_maps)
+    best = witness._search_scan(samples, times, tagged_maps)
     assert sum(sizes[1:]) >= 3 * 256
-    assert best == chunked_search_scan(sources, times, tagged_maps)
-    assert best == witness._search_scan({"grid": copy[0]}, times, tagged_maps)
+    assert best == chunked_search_scan(samples, times, tagged_maps)
+    assert best == witness._search_scan(copy[0], times, tagged_maps)
     assert all(row[-1] == 0.0 for _, row, _ in best.values())
-    untagged = witness._search_scan({"grid": once}, times, maps)
+    untagged = witness._search_scan(once, times, maps)
     assert {key: (val, row[:-1], j) for key, (val, row, j) in best.items()} == untagged
 
 
@@ -861,10 +860,10 @@ def test_search_scan_keeps_rows_whose_certificate_ties_the_optimum():
     # non-strict residual test keeps it, and its first copy must win
     times = np.linspace(0.0, 2 * math.pi, 64)
     tie = [0.0, *(math.pi / 2 / times[16] * np.array([0.6, 0.0, 0.8]))]
-    sources = {"grid": np.array([[0.0, 1.3, 0.0, 0.0], tie]), "draws": np.array([tie, tie])}
+    samples = np.array([[0.0, 1.3, 0.0, 0.0], tie, tie, tie])
     maps = np.stack((np.eye(4), np.eye(4)))
-    best = witness._search_scan(sources, times, maps)
-    assert best == full_search_scan(sources, times, maps)
+    best = witness._search_scan(samples, times, maps)
+    assert best == full_search_scan(samples, times, maps)
     certificates = np.empty((4, 1))
     _sector_certificates(np.array([[tie], [tie]]), times, certificates)
     for k, key in enumerate(("joint", "sector_plus", "sector_minus")):
@@ -1016,7 +1015,7 @@ def test_certificate_lattice_gap_is_below_its_50_digit_value(monkeypatch):
 
 
 def default_scan_inputs(monkeypatch):
-    """The (sources, times, maps) the CLI's default search hands ``_search_scan``."""
+    """The (samples, times, maps) the CLI's default search hands ``_search_scan``."""
     seen = []
     scan = witness._search_scan
     with monkeypatch.context() as mp:
@@ -1042,8 +1041,8 @@ def test_sector_certificates_equal_the_broadcast_certificates(monkeypatch):
     # the running extrema over time change no certificate: on the default
     # search's 16,561 rows in the scan's 1,024-row blocks, and on the bound
     # test's axes
-    sources, times, maps = default_scan_inputs(monkeypatch)
-    cases = [blocks for _, _, blocks in _sector_blocks(sources, maps, 16)]
+    samples, times, maps = default_scan_inputs(monkeypatch)
+    cases = [blocks for _, blocks in _sector_blocks(samples, maps, 16)]
     assert sum(b.shape[1] for b in cases) == 16_561 and cases[0].shape[1] == 1024
     cases.append(certificate_test_blocks(times))
     for blocks in cases:
@@ -1057,9 +1056,9 @@ def test_sector_certificates_equal_the_broadcast_certificates(monkeypatch):
 def test_search_scan_runs_the_kernel_on_the_incumbents_then_the_kept_rows(monkeypatch):
     # the default search runs the kernel on its four incumbent rows, then on
     # the 151 rows whose certificate reaches or ties an incumbent
-    sources, times, maps = default_scan_inputs(monkeypatch)
+    samples, times, maps = default_scan_inputs(monkeypatch)
     sizes = recorded_scan_blocks(monkeypatch)
-    witness._search_scan(sources, times, maps)
+    witness._search_scan(samples, times, maps)
     assert sizes == [4, 151]
 
 
@@ -1071,13 +1070,13 @@ def test_search_scan_streams_every_kept_row_in_kernel_blocks(monkeypatch):
     # take 8.1 MiB
     times = np.linspace(0.0, 2 * math.pi, 64)
     tie = [0.0, *(math.pi / 2 / times[16] * np.array([0.6, 0.0, 0.8]))]
-    sources = {"grid": np.tile(tie, (6561, 1)), "draws": np.tile(tie, (10_000, 1))}
+    samples = np.tile(tie, (16_561, 1))
     maps = np.stack((np.eye(4), np.eye(4)))
-    assert witness._search_scan(sources, times, maps) == full_search_scan(sources, times, maps)
+    assert witness._search_scan(samples, times, maps) == full_search_scan(samples, times, maps)
     sizes = recorded_scan_blocks(monkeypatch)
     tracemalloc.start()
     try:
-        witness._search_scan(sources, times, maps)
+        witness._search_scan(samples, times, maps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1099,6 +1098,19 @@ def test_impossibility_search_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_impossibility_search_holds_one_copy_of_its_samples():
+    # at budget 100,000 the 106,561 samples and their (4, N) certificates
+    # take 3.25 MiB each; the draws beside the samples would add 3.05 MiB
+    # more (about 10.3 MiB in all)
+    tracemalloc.start()
+    try:
+        classical_impossibility_search(**search_arguments(budget=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_classical_family_members_never_move_the_mediator():

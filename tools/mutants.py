@@ -7,7 +7,7 @@ to a temporary directory, one exact ``old`` -> ``new`` string replacement is
 made in one file under ``src/`` (``old`` must occur there exactly once), and
 the mutant's tests run in that copy.  A mutant is killed when its tests fail
 and survives when they pass; any other pytest outcome (a test that is not
-found, a collection error) stops the script.  The unmutated copy must pass
+found, a collection error, a skipped test) stops the script and names it.  The unmutated copy must pass
 every named test first.  Results go to ``tools/mutants.json`` beside this
 script, and the exit code is 1 when any mutant survived.
 """
@@ -40,6 +40,7 @@ _CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_eve
 _OSCILLATOR_LOOP = "tests/test_oscillator.py::test_oscillator_witness_run_equals_the_per_time_loop"
 _MEMBER_LOOP = "tests/test_conservation.py::test_constrained_member_check_equals_the_per_member_loop"
 _LEDGER = "tests/test_artifact_ledger.py::test_artifacts_keep_their_ledger_bytes"
+_SEARCH_MEMORY = "tests/test_witness.py::test_impossibility_search_holds_one_copy_of_its_samples"
 _PLUS_GUARD = (
     "tests/test_homogenizer.py::test_reservoir_scan_refuses_a_plus_block_with_an_i_x_or_y_part"
 )
@@ -62,6 +63,11 @@ MUTANTS = [
      "if val < best[key][0]:", "if val <= best[key][0]:", [_SEARCH_TIES]),
     ("search-state-level-best-ge", "witness.py",
      'if val > best["state_level"][0]:', 'if val >= best["state_level"][0]:', [_SEARCH_TIES]),
+    ("search-report-runs-at-budget-zero", "conservation.py",
+     "if budget > 0:", "if budget >= 0:",
+     ["tests/test_witness.py::test_impossibility_search_budget_zero_is_unproven"]),
+    ("search-draws-kept-alive", "witness.py",
+     "        del draws  # the scan holds one copy of the samples\n", "", [_SEARCH_MEMORY]),
     ("search-certificate-keep-strict", "witness.py",
      "keep = (certificates <= limits", "keep = (certificates < limits", [_CERTIFICATE_TIES]),
     ("search-certificate-running-max-as-min", "witness.py",
@@ -190,9 +196,14 @@ def _copy_tree(dest: Path) -> None:
 def _run_tests(tree: Path, tests: list[str]) -> int:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-v", "-x", "-p", "no:cacheprovider", *tests],
         cwd=tree, env=env, capture_output=True, text=True,
     )
+    # a skipped test passes nothing: with exit code 0 it would record a survivor
+    skipped = [line.partition(" SKIPPED")[0] for line in proc.stdout.splitlines()
+               if " SKIPPED" in line]
+    if skipped:
+        sys.exit(f"pytest skipped {', '.join(skipped)} in {tree}:\n{proc.stdout}")
     if proc.returncode not in (0, 1):  # 1: tests failed; anything else is no verdict
         sys.exit(f"pytest exited {proc.returncode} in {tree}:\n{proc.stdout}{proc.stderr}")
     return proc.returncode
