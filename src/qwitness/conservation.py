@@ -56,14 +56,14 @@ class ConservedQuantity:
 class HamiltonianFamily:
     """A real-parametrised span of Hermitian expressions with linear constraints.
 
-    ``constraints`` is a list of homogeneous relations, each a mapping from
-    parameter name to coefficient meaning ``sum(coeff * param) = 0``.
-    A member is any real assignment of ``params`` satisfying them all.
+    ``constraints`` holds homogeneous relations ``sum(coeff * param) = 0``,
+    the reduced rows of :func:`constrain_family` keyed pivot first.  A member
+    is any real assignment of ``params`` satisfying them all.
     """
 
     basis: list[OperatorExpr]
     params: tuple[str, ...]
-    constraints: list[dict[str, float]] = field(default_factory=list)
+    constraints: list[dict[str, Fraction]] = field(default_factory=list)
     conserved: ConservedQuantity | None = None
     notes: str = ""
 
@@ -78,34 +78,27 @@ class HamiltonianFamily:
                 rows[i, self.params.index(name)] = coeff
         return rows
 
-    def pivot_params(self) -> tuple[str, ...]:
-        """Leading parameter of each reduced constraint row."""
-        return tuple(
-            min(rel, key=lambda name: self.params.index(name))
-            for rel in self.constraints
-        )
-
     def free_params(self) -> tuple[str, ...]:
         """Parameters that remain free once the constraints are solved."""
-        pivots = set(self.pivot_params())
+        pivots = {next(iter(rel)) for rel in self.constraints}
         return tuple(p for p in self.params if p not in pivots)
 
     def expansion_matrix(self) -> np.ndarray:
-        """Matrix E with full = free @ E, solving each constraint for its pivot.
+        """Exact matrix E with full = free @ E, an object array of ``Fraction``.
 
-        Rows are indexed by :meth:`free_params`, columns by ``params``; valid
-        because the constraints are kept in reduced row-echelon form, so
+        Rows are indexed by :meth:`free_params`, columns by ``params``.  Each
+        free parameter maps to itself and each pivot to minus the rest of its
+        row: the constraints are reduced rows, pivot first with lead 1, so
         pivot parameters never appear in each other's rows.
         """
         free = self.free_params()
-        expand = np.zeros((len(free), len(self.params)))
+        expand = np.full((len(free), len(self.params)), Fraction(0), dtype=object)
         for i, name in enumerate(free):
-            expand[i, self.params.index(name)] = 1.0
-        for rel, pivot in zip(self.constraints, self.pivot_params()):
-            lead = rel[pivot]
-            for name, coeff in rel.items():
-                if name != pivot:
-                    expand[free.index(name), self.params.index(pivot)] = -coeff / lead
+            expand[i, self.params.index(name)] = Fraction(1)
+        for rel in self.constraints:
+            pivot, *others = rel
+            for name in others:
+                expand[free.index(name), self.params.index(pivot)] = -rel[name]
         return expand
 
     def member_directions(self) -> np.ndarray:
@@ -156,7 +149,7 @@ def pauli_operator_basis(n_sites: int) -> list[OperatorExpr]:
 
 def _commutator_constraint_matrix(
     elements: list[OperatorExpr], conserved: ConservedQuantity
-) -> tuple[np.ndarray, list[str]]:
+) -> np.ndarray:
     """Real matrix whose null space is {x : [sum x_j B_j, C] = 0}.
 
     Commutators of Hermitian Pauli expressions have purely imaginary
@@ -173,7 +166,7 @@ def _commutator_constraint_matrix(
                     "non-imaginary commutator coefficient; ambient basis not Hermitian?"
                 )
             rows[i, j] = coeff.imag
-    return rows, labels
+    return rows
 
 
 def commutant_basis(
@@ -187,7 +180,7 @@ def commutant_basis(
     """
     if not ambient:
         raise StructuralError("ambient basis must be nonempty")
-    rows, _ = _commutator_constraint_matrix(ambient, conserved)
+    rows = _commutator_constraint_matrix(ambient, conserved)
     if rows.size == 0 or np.abs(rows).max() < 1e-13:
         warnings.warn(
             "conserved quantity commutes with the entire ambient span; "
@@ -220,12 +213,13 @@ def commutant_dimension(conserved: ConservedQuantity) -> int:
 
 
 def rref(matrix: np.ndarray) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Reduced row-echelon form of an integer matrix over the rationals.
+    """Reduced row-echelon form of a real matrix over the rationals.
 
-    Gauss-Jordan elimination in ``Fraction``; returns the rows and the pivot
-    columns.  The form is unique, so it is the one any exact rref gives.
+    Gauss-Jordan elimination in ``Fraction``, which holds each float entry
+    exactly; returns the rows and the pivot columns.  The form is unique, so
+    it is the one any exact rref gives.
     """
-    rows = [[Fraction(int(x)) for x in row] for row in matrix]
+    rows = [[Fraction(x) for x in row] for row in matrix]
     pivots: list[int] = []
     for j in range(matrix.shape[1]):
         r = len(pivots)
@@ -246,18 +240,14 @@ def constrain_family(
 ) -> HamiltonianFamily:
     """Family with the explicit linear constraints imposed by [H, C] = 0.
 
-    Constraints are returned in reduced row-echelon form over the rationals
-    (the commutator coefficients of unit Pauli expressions are integers).
-    The basis and parameter names are kept; if only the zero member
+    Constraints are the nonzero rows of the exact :func:`rref` of the
+    commutator coefficients, kept as ``Fraction`` coefficients keyed pivot
+    first.  The basis and parameter names are kept; if only the zero member
     survives, the returned family has no free parameter.
     """
-    rows, _ = _commutator_constraint_matrix(family.basis, conserved)
-    as_int = np.rint(rows)
-    if np.abs(rows - as_int).max(initial=0.0) > 1e-9:
-        raise StructuralError("constraint matrix is not integer-valued")
-    reduced, pivots = rref(as_int.astype(int))
+    reduced, pivots = rref(_commutator_constraint_matrix(family.basis, conserved))
     constraints = [
-        {family.params[j]: float(c) for j, c in enumerate(reduced[i]) if c != 0}
+        {family.params[j]: c for j, c in enumerate(reduced[i]) if c}
         for i in range(len(pivots))
     ]
     notes = family.notes
@@ -277,15 +267,15 @@ def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
 
     Because every mediator factor is I or Z, a member H = sum_p x_p B_p is
     block diagonal in Z_M: H = H_+ (x) |0><0| + H_- (x) |1><1| with 2x2 blocks
-    ``H_m = c_m I + n_m . sigma`` on Q.  Returns W of shape (2, n_free, 4)
-    with ``(c_m, n_m) = f @ W[m]`` in (I, X, Y, Z) coordinates, where ``f``
-    holds the values of :meth:`HamiltonianFamily.free_params` (the constraints
-    are solved through :meth:`HamiltonianFamily.expansion_matrix`); m = 0 is
-    the Z_M = +1 sector.
+    ``H_m = c_m I + n_m . sigma`` on Q.  Returns the exact (2, n_free, 4) table
+    W of ``Fraction`` with ``(c_m, n_m) = f @ W[m]`` in (I, X, Y, Z) coordinates,
+    where ``f`` holds the values of :meth:`HamiltonianFamily.free_params` (solved
+    through :meth:`HamiltonianFamily.expansion_matrix`); m = 0 is Z_M = +1.
     """
     if not family.basis or family.basis[0].n_sites != 2:
         raise StructuralError("sector reduction needs a two-system (Q, M) family")
-    w = np.zeros((2, len(family.params), 4))
+    expand = family.expansion_matrix()
+    w = np.full((2, len(expand), 4), Fraction(0), dtype=object)
     for p_idx, b in enumerate(family.basis):
         terms = list(b)
         if len(terms) != 1:
@@ -296,9 +286,13 @@ def zm_sector_maps(family: HamiltonianFamily) -> np.ndarray:
         if abs(coeff.imag) > 1e-13:
             raise StructuralError("family basis must be Hermitian")
         comp = PAULI_CHARS.index(label[0])
-        w[0, p_idx, comp] = coeff.real
-        w[1, p_idx, comp] = -coeff.real if label[1] == "Z" else coeff.real
-    return family.expansion_matrix() @ w
+        real = Fraction(coeff.real)
+        for i, e in enumerate(expand[:, p_idx]):
+            if e:
+                term = e * real
+                w[0, i, comp] += term
+                w[1, i, comp] += -term if label[1] == "Z" else term
+    return w
 
 
 def box_grid(n_free: int, grid_points: int, param_range: float) -> np.ndarray:
@@ -353,10 +347,10 @@ def _search_report(
     Both search :func:`classical_filtered_family`; the report's parameters are
     its free parameters, the sampling settings and the search's own
     ``parameters``.  ``search(report, maps, names)`` gets the family's
-    :func:`zm_sector_maps` and free parameter names, runs only for a positive
-    ``budget`` and adds the findings, and the checks once a sample counts.
-    The verdict stays unproven without checks, then tells whether every check
-    passed.
+    :func:`zm_sector_maps`, as floats (its one conversion), and free parameter
+    names, runs only for a positive ``budget`` and adds the findings, and the
+    checks once a sample counts.  The verdict stays unproven without checks,
+    then tells whether every check passed.
     """
     family = classical_filtered_family()
     names = family.free_params()
@@ -368,7 +362,7 @@ def _search_report(
     )
     report.verdict = "UNPROVEN"
     if budget > 0:
-        search(report, zm_sector_maps(family), names)
+        search(report, zm_sector_maps(family).astype(float), names)
     if report.checks:
         report.verdict = "POSITIVE-GAP" if report.all_passed() else "GAP-NOT-OBSERVED"
     return report
@@ -485,7 +479,7 @@ def family_to_json(family: HamiltonianFamily) -> dict:
     return {
         "params": list(family.params),
         "basis": [dict(b) for b in family.basis],
-        "constraints": family.constraints,
+        "constraints": [{name: float(c) for name, c in rel.items()} for rel in family.constraints],
         "conserved": family.conserved.kind if family.conserved else None,
         "notes": family.notes,
     }

@@ -170,9 +170,6 @@ class OperatorExpr:
             return NotImplemented
         return self.n_sites == other.n_sites and self._terms == other._terms
 
-    def __hash__(self):
-        raise TypeError("OperatorExpr is not hashable")
-
     def __repr__(self) -> str:
         if not self._terms:
             return f"OperatorExpr(0, n_sites={self.n_sites})"

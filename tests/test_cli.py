@@ -203,6 +203,38 @@ def test_cli_bad_config_returns_2(tmp_path):
     assert main(["table1", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_witness_root_set_check_fails_on_an_extra_root(monkeypatch):
+    # a root set of another length has no deviation to measure: it reads inf
+    solve = cli.wit.axis_constraint_report
+
+    def extra_z_root():
+        report = solve()
+        report.root_sets["z"] = [*report.root_sets["z"], (1.0, 0.0, 0.0)]
+        return report
+
+    monkeypatch.setattr(cli.wit, "axis_constraint_report", extra_z_root)
+    checks, _ = cli.experiment_witness(RunConfig(experiment="witness", budget=0))
+    by_name = {c.name: c for c in checks}
+    assert by_name["z-system-root-set"].value == math.inf
+    assert not by_name["z-system-root-set"].passed
+    assert by_name["x-system-root-set"].passed
+
+
+def test_module_entry_point_runs_and_exits_2_on_a_bad_config(tmp_path):
+    # python -m qwitness.cli, as the README documents it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("QWITNESS_OUT", None)
+    run = [sys.executable, "-m", "qwitness.cli", "table1", "--out", str(tmp_path / "o")]
+    proc = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "summary.json").exists()
+    (tmp_path / "cfg.json").write_text('{"bogus_key": 1}')
+    proc = subprocess.run([*run, "--config", str(tmp_path / "cfg.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+
+
 def test_cli_invalid_parameter_values(tmp_path):
     assert main(["oscillator", "--db", "1", "--out", str(tmp_path / "o")]) == 2
 
@@ -230,6 +262,8 @@ def test_cli_invalid_parameter_values(tmp_path):
         (["witness"], {"time_points": 10**19}, "config error"),
         (["homogenize"], {"eta_points": 10**19}, "config error"),
         (["witness"], {"grid_points": 100_000}, "config error"),
+        (["table1"], [1, 2], "config error"),  # not a JSON object
+        (["homogenize"], {"eta": 10**399}, "config error"),  # math.isfinite overflows
     ],
 )
 def test_cli_invalid_input_exits_2_without_a_summary(tmp_path, capsys, argv, config, message):

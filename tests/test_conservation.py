@@ -78,7 +78,7 @@ def test_nonadditive_commutant_dimension_matches_rank():
     ambient = pauli_operator_basis(2)
     c = ConservedQuantity.nonadditive()
     basis = commutant_basis(c, ambient)
-    rows, _ = _commutator_constraint_matrix(ambient, c)
+    rows = _commutator_constraint_matrix(ambient, c)
     # independent exact rank through integer arithmetic
     as_int = np.rint(rows).astype(int)
     assert np.abs(rows - as_int).max() < 1e-12
@@ -133,7 +133,8 @@ def test_null_space_is_an_orthonormal_kernel(a):
 
 def assert_rref_matches_sympy(matrix):
     reduced, pivots = rref(matrix)
-    want, want_pivots = sympy.Matrix(*matrix.shape, matrix.ravel().tolist()).rref()
+    exact = [sympy.Rational(x) for x in matrix.ravel().tolist()]  # a float is a dyadic rational
+    want, want_pivots = sympy.Matrix(*matrix.shape, exact).rref()
     assert pivots == want_pivots
     assert reduced == [
         [Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)
@@ -151,21 +152,32 @@ def assert_rref_matches_sympy(matrix):
     ids=["classical", "channel3", "additive-ambient", "nonadditive-ambient"],
 )
 def test_rref_matches_sympy_on_the_cli_constraint_matrices(basis, conserved):
-    rows, _ = _commutator_constraint_matrix(basis, conserved)
-    assert_rref_matches_sympy(np.rint(rows).astype(int))
+    assert_rref_matches_sympy(_commutator_constraint_matrix(basis, conserved))
 
 
 @settings(max_examples=100, deadline=None)
-@given(integer_matrices)
+@given(st.one_of(integer_matrices, integer_matrices.map(lambda a: a / 4)))  # dyadic reals too
 @example(np.zeros((0, 4)))  # no constraint row at all
 @example(np.zeros((3, 4)))
+@example(np.array([[0.25, -0.5, 0.75], [0.5, 0.25, 0.0]]))  # entries that round to 0 or 1
 def test_rref_matches_sympy_on_small_integer_matrices(a):
-    assert_rref_matches_sympy(a.astype(int))
+    assert_rref_matches_sympy(a)
 
 
 def test_empty_ambient_is_rejected():
     with pytest.raises(StructuralError):
         commutant_basis(ConservedQuantity.additive(), [])
+
+
+def test_non_hermitian_ambient_is_rejected():
+    # i X_Q has a real commutator with the charge, which no Hermitian span gives
+    with pytest.raises(StructuralError, match="non-imaginary commutator coefficient"):
+        commutant_basis(ConservedQuantity.nonadditive(), [OperatorExpr({"XI": 1j})])
+
+
+def test_family_needs_one_parameter_name_per_basis_element():
+    with pytest.raises(StructuralError, match="one parameter name per basis element"):
+        HamiltonianFamily(basis=[OperatorExpr.from_label("XI")], params=("p", "q"))
 
 
 def test_constrain_family_yields_alpha_a_and_beta_b_relations():
@@ -267,6 +279,47 @@ def test_zm_sector_maps_rejects_each_malformed_basis(terms, message):
 def test_zm_sector_maps_accepts_an_imaginary_part_within_the_cut():
     family = HamiltonianFamily(basis=[OperatorExpr({"XZ": 1 + 0.5e-13j})], params=("p",))
     assert zm_sector_maps(family).tolist() == [[[0.0, 1.0, 0.0, 0.0]], [[0.0, -1.0, 0.0, 0.0]]]
+
+
+def test_expansion_matrix_maps_each_pivot_to_minus_the_rest_of_its_row():
+    # rows (gamma, a, b, c), columns (alpha, beta, gamma, a, b, c): alpha = -a, beta = -b
+    expand = classical_filtered_family().expansion_matrix()
+    assert expand.tolist() == [
+        [0, 0, 1, 0, 0, 0], [-1, 0, 0, 1, 0, 0], [0, -1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1],
+    ]
+    assert all(type(x) is Fraction for x in expand.flat)
+
+
+def test_classical_sector_table_is_exact_small_and_sparse():
+    # the premise of the searches' float blocks: entries 0, +-1 or +-2 with at
+    # most two nonzeros per (sector, component) column, so that rows @ maps
+    # rounds alike in any block; and the plus block is n_z Z exactly
+    maps = zm_sector_maps(classical_filtered_family())
+    assert maps.shape == (2, 4, 4)
+    assert all(type(x) is Fraction and x in (0, 1, -1, 2, -2) for x in maps.flat)
+    assert all(np.count_nonzero(maps[m, :, k]) <= 2 for m in range(2) for k in range(4))
+    assert all(x == Fraction(0) for x in maps[0, :, :3].flat)
+    assert maps[0, :, 3].tolist() == [1, 0, 0, 1]  # n_z = gamma + c
+    assert all(Fraction(float(x)) == x for x in maps.astype(float).flat)
+    assert maps.astype(float).tolist() == maps.tolist()
+
+
+def test_a_non_integer_family_constrains_exactly():
+    # 0.3 X_Q makes the row -0.6 alpha - 2 a = 0; the rref keeps alpha = -(2 / 0.6) a
+    # exactly, so the plus sector's X entry cancels to an exact 0.  In floats
+    # the pivot's coefficient is 3.3333333333333335, and 1 - 3.3333333333333335
+    # * 0.3 is -7.4e-18 before rounding: a fused multiply-add keeps it
+    labels = ("XI", "YI", "ZI", "XZ", "YZ", "ZZ")
+    basis = [OperatorExpr({l: 0.3 if l == "XI" else 1.0}) for l in labels]
+    family = constrain_family(
+        HamiltonianFamily(basis=basis, params=classical_mediator_family().params),
+        ConservedQuantity.nonadditive(),
+    )
+    assert family.constraints == [{"alpha": 1, "a": 2 / Fraction(0.6)}, {"beta": 1, "b": 1}]
+    maps = zm_sector_maps(family)
+    assert family.free_params() == ("gamma", "a", "b", "c")
+    assert all(x == Fraction(0) for x in maps[0, :, :3].flat)
+    assert maps[1, 1, 1] == -2
 
 
 @pytest.mark.parametrize(

@@ -138,7 +138,7 @@ def _dense_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_ra
     """
     family = classical_filtered_family()
     free_names = family.free_params()
-    expand = family.expansion_matrix()
+    expand = family.expansion_matrix().astype(float)
     basis_stack = np.stack([to_dense(b) for b in family.basis])
 
     def members(free_mat):
@@ -184,7 +184,7 @@ def _matrix_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_r
     operator-image gaps (B,).
     """
     family = classical_filtered_family()
-    to_sectors = zm_sector_maps(family)
+    to_sectors = zm_sector_maps(family).astype(float)
     grid = box_grid(len(family.free_params()), grid_points, param_range)
     surface = surface_rows(np.random.default_rng(seed), budget)
     masks, kept = {}, []
@@ -198,7 +198,7 @@ def _matrix_reservoir_scan(eta_grid, n_steps, budget, seed, grid_points, param_r
 
 
 def _default_maps():
-    return zm_sector_maps(classical_filtered_family())
+    return zm_sector_maps(classical_filtered_family()).astype(float)
 
 
 def _bests_of_matrix(masks, free_params, distances, image_gap):
@@ -462,7 +462,7 @@ def test_surface_draws_are_always_admissible():
     assert draws.shape == (500, 4)
     assert _admissible(_from_free(draws)).all()
     # the same rows as free parameters of the family the search maps
-    blocks = draws @ zm_sector_maps(classical_filtered_family())
+    blocks = draws @ zm_sector_maps(classical_filtered_family()).astype(float)
     assert (_sector_involution_residual(blocks) <= 1e-7).all()
 
 

@@ -96,6 +96,13 @@ def test_hp_substitute_halves_single_letter_weights():
     assert np.allclose(mapped, np.kron(np.diag([0.5, -0.5]), np.eye(2)))
 
 
+def test_hp_substitute_and_difference_reject_mismatched_shapes():
+    with pytest.raises(StructuralError, match="two-site"):
+        hp_substitute(OperatorExpr.from_label("X"), 3)
+    with pytest.raises(StructuralError, match="shape mismatch"):
+        identity_free_difference(np.eye(2), np.eye(4))
+
+
 def test_number_operator_not_conserved():
     # the hopping term moves quanta; the commutator is reported, not asserted
     for d_b in (2, 4):

@@ -158,6 +158,32 @@ def test_structural_errors():
     assert is_zero(OperatorExpr({}, n_sites=2))
 
 
+def test_expressions_are_unhashable():
+    # __eq__ without __hash__: instances are treated as immutable, not hashed
+    expr = OperatorExpr.from_label("XI")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(expr)
+    with pytest.raises(TypeError, match="unhashable"):
+        {expr}
+
+
+def test_operations_with_a_non_operator_are_refused():
+    expr = OperatorExpr({"XI": 1.0, "ZZ": -0.5})
+    with pytest.raises(TypeError):
+        expr + 1
+    with pytest.raises(TypeError):
+        expr @ 1
+    with pytest.raises(TypeError, match="use @ for operator products"):
+        expr * expr
+    assert (expr == 1) is False
+    assert expr != "XI"
+
+
+def test_zero_operator_repr_names_its_site_count():
+    assert repr(OperatorExpr.zero(3)) == "OperatorExpr(0, n_sites=3)"
+    assert repr(OperatorExpr({"XI": 1.0, "ZZ": -0.5})) == "(1+0j)*XI + (-0.5+0j)*ZZ"
+
+
 @pytest.mark.parametrize(
     "coeff", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(1.0, math.nan)]
 )

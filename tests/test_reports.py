@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qwitness.reports import WitnessReport, write_csv, write_json
+from qwitness.reports import Check, WitnessReport, write_csv, write_json
 
 ROUND_TRIP = [0.1 + 0.2, 1 / 3, math.pi, 2.0**-1074, 1e300, -2.5e-16, 0.7071067811865475]
 
@@ -89,3 +89,8 @@ def test_write_json_writes_a_report_with_its_checks(tmp_path):
     assert report.parameters == {"grid": (1, 2)}
     assert report.findings == {"amplitude": 0.5 - 0.25j}
 
+
+
+def test_check_rejects_an_unknown_comparator():
+    with pytest.raises(ValueError, match="unknown comparator '=<'"):
+        Check.compare("c", 1.0, "=<", 2.0, "an anchor")

@@ -519,8 +519,8 @@ def test_sector_reduction_matches_joint_evolution():
     from qwitness.conservation import classical_filtered_family, zm_sector_maps
 
     family = classical_filtered_family()
-    expand = family.expansion_matrix()
-    maps = zm_sector_maps(family)
+    expand = family.expansion_matrix().astype(float)
+    maps = zm_sector_maps(family).astype(float)
     free = family.free_params()
     rng = np.random.default_rng(37)
     q_ops = {g: to_dense(OperatorExpr.from_label(l))
@@ -740,7 +740,7 @@ def test_search_scan_keeps_every_row_of_an_all_zero_coherence(monkeypatch):
     # and the first sample at time 0 carries the state-level best
     from qwitness.conservation import classical_filtered_family, zm_sector_maps
 
-    maps = zm_sector_maps(classical_filtered_family())
+    maps = zm_sector_maps(classical_filtered_family()).astype(float)
     times = np.linspace(0.0, 2 * math.pi, 64)
     rows = np.zeros((300, 4))
     rows[:, [0, 3]] = np.random.default_rng(37).uniform(-2.0, 2.0, (300, 2))
@@ -832,7 +832,7 @@ def test_search_scan_ties_go_to_the_first_occurrence(monkeypatch):
     # 2 sqrt(2) that their residual reaches, and every one is kept
     from qwitness.conservation import classical_filtered_family, zm_sector_maps
 
-    maps = zm_sector_maps(classical_filtered_family())
+    maps = zm_sector_maps(classical_filtered_family()).astype(float)
     tagged_maps = np.concatenate((maps, np.zeros((2, 1, 4))), axis=1)
     times = np.linspace(0.0, 2 * math.pi, 64)
     rng = np.random.default_rng(31)

@@ -101,9 +101,15 @@ MUTANTS = [
      "if abs(coeff.imag) > 1e-13:", "if abs(coeff.imag) > 2e-13:",
      ["tests/test_conservation.py::test_zm_sector_maps_rejects_each_malformed_basis"]),
     ("sector-map-sign", "conservation.py",
-     '-coeff.real if label[1] == "Z" else coeff.real',
-     'coeff.real if label[1] == "Z" else -coeff.real',
+     '-term if label[1] == "Z" else term', 'term if label[1] == "Z" else -term',
      ["tests/test_conservation.py::test_zm_sector_maps_reproduce_dense_blocks"]),
+    ("expansion-pivot-last", "conservation.py",
+     "pivot, *others = rel", "*others, pivot = rel",
+     ["tests/test_conservation.py::"
+      "test_expansion_matrix_maps_each_pivot_to_minus_the_rest_of_its_row"]),
+    ("rref-entries-rounded", "conservation.py",
+     "Fraction(x) for x in row", "Fraction(round(x)) for x in row",
+     ["tests/test_conservation.py::test_rref_matches_sympy_on_small_integer_matrices"]),
     ("z-convention-flipped", "dense.py",
      '"Z": np.array([[1, 0], [0, -1]], dtype=complex)',
      '"Z": np.array([[-1, 0], [0, 1]], dtype=complex)',
