@@ -90,7 +90,6 @@ def test_write_json_writes_a_report_with_its_checks(tmp_path):
     assert report.findings == {"amplitude": 0.5 - 0.25j}
 
 
-
 def test_check_rejects_an_unknown_comparator():
     with pytest.raises(ValueError, match="unknown comparator '=<'"):
         Check.compare("c", 1.0, "=<", 2.0, "an anchor")
