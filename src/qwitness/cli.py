@@ -259,11 +259,11 @@ def experiment_conservation(cfg: RunConfig) -> tuple[list[Check], dict]:
 
     # random constrained members generate conserving unitaries; the draws
     # keep their order, each member's coordinates then its time
-    dirs = family.member_directions()
-    draws = [(rng.uniform(-2.0, 2.0, size=dirs.shape[1]), rng.uniform(0.0, 2 * math.pi))
+    expand = family.expansion_matrix().astype(float)
+    draws = [(rng.uniform(-2.0, 2.0, size=len(expand)), rng.uniform(0.0, 2 * math.pi))
              for _ in range(100)]
     coords, times = (np.array(d) for d in zip(*draws))
-    members = family.dense_members((dirs @ coords[..., None])[..., 0])
+    members = family.dense_members(coords @ expand)
     worst = float(cons.conservation_residual(expm_hermitian(members, times), c_non).max())
     checks.append(Check.compare(
         "constrained-members-generate-conserving-unitaries", worst, "<", 1e-10,

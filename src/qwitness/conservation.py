@@ -2,8 +2,8 @@
 
 Given a conserved Hermitian operator C, the allowed generators are the
 Hermitian operators H with [H, C] = 0.  Within a real span of Hermitian
-Pauli expressions this is a linear condition, solved here as a null-space
-problem on the (purely imaginary) commutator coefficients.
+Pauli expressions this is a linear condition on the (purely imaginary)
+commutator coefficients, solved here by one exact elimination, :func:`rref`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .reports import WitnessReport
 ADDITIVE = "additive"
 NONADDITIVE = "nonadditive"
 CHANNEL3 = "channel3"
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,13 @@ class HamiltonianFamily:
 
         Rows are indexed by :meth:`free_params`, columns by ``params``.  Each
         free parameter maps to itself and each pivot to minus the rest of its
-        row: the constraints are reduced rows, pivot first with lead 1, so
-        pivot parameters never appear in each other's rows.
+        row.  So the constraints must be reduced rows, pivot first with lead 1,
+        each pivot in its own row only; any other relation is refused.
         """
+        for rel in self.constraints:
+            pivot = next(iter(rel))
+            if rel[pivot] != 1 or sum(pivot in other for other in self.constraints) > 1:
+                raise StructuralError(f"{rel} is not a reduced row with lead 1 on {pivot}")
         free = self.free_params()
         expand = np.full((len(free), len(self.params)), Fraction(0), dtype=object)
         for i, name in enumerate(free):
@@ -100,10 +105,6 @@ class HamiltonianFamily:
             for name in others:
                 expand[free.index(name), self.params.index(pivot)] = -rel[name]
         return expand
-
-    def member_directions(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the parameter vectors the constraints allow."""
-        return _null_space(self.constraint_matrix())
 
     def dense_members(self, vecs: np.ndarray) -> np.ndarray:
         """Dense members for the parameter vectors ``vecs`` (..., n_params), stacked.
@@ -126,17 +127,6 @@ class HamiltonianFamily:
             c = np.where(np.abs(vecs[..., j]) >= COEFF_TOL, vecs[..., j], 0.0) * coeff
             out += c[..., None, None] * stack[labels.index(label)]
         return out
-
-
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : a @ x = 0} for a real matrix a.
-
-    Taken from a full SVD; singular values at most 1e-10 times the largest
-    count as zero, so with no rows, or only zero rows, every direction is free.
-    """
-    _u, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * np.amax(s, initial=0.0)))
-    return vh[rank:].T
 
 
 def pauli_operator_basis(n_sites: int) -> list[OperatorExpr]:
@@ -174,29 +164,26 @@ def commutant_basis(
 ) -> list[OperatorExpr]:
     """Basis of {H in span(ambient) : [H, C] = 0} over the reals.
 
-    The ambient elements must be Hermitian and linearly independent.  If C
-    commutes with the whole ambient span (e.g. C proportional to identity)
-    the full ambient list is returned and a warning is emitted.
+    The ambient elements must be Hermitian and linearly independent.  Each
+    row of the expansion matrix of :func:`constrain_family` on the ambient
+    span gives one element, with exact rational coefficients.  If C commutes
+    with the whole ambient span (e.g. C proportional to identity) the full
+    ambient list is returned and a warning is emitted.
     """
     if not ambient:
         raise StructuralError("ambient basis must be nonempty")
-    rows = _commutator_constraint_matrix(ambient, conserved)
-    if rows.size == 0 or np.abs(rows).max() < 1e-13:
+    params = tuple(map(str, range(len(ambient))))
+    family = constrain_family(HamiltonianFamily(list(ambient), params), conserved)
+    if not family.constraints:
         warnings.warn(
             "conserved quantity commutes with the entire ambient span; "
             "returning the full ambient basis",
             stacklevel=2,
         )
         return list(ambient)
-    kernel = _null_space(rows)
-    out = []
-    for col in kernel.T:
-        expr = OperatorExpr.zero(ambient[0].n_sites)
-        for c, b in zip(col, ambient):
-            if abs(c) > 1e-12:
-                expr = expr + float(c) * b
-        out.append(expr)
-    return out
+    zero = OperatorExpr.zero(ambient[0].n_sites)
+    return [sum((float(c) * b for c, b in zip(row, ambient) if c), zero)
+            for row in family.expansion_matrix()]
 
 
 def commutant_dimension(conserved: ConservedQuantity) -> int:
@@ -217,9 +204,10 @@ def rref(matrix: np.ndarray) -> tuple[list[list[Fraction]], tuple[int, ...]]:
 
     Gauss-Jordan elimination in ``Fraction``, which holds each float entry
     exactly; returns the rows and the pivot columns.  The form is unique, so
-    it is the one any exact rref gives.
+    it is the one any exact rref gives.  Zero entries are never converted,
+    divided or subtracted, and a lead of 1 is not divided by.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[Fraction(x) if x else _ZERO for x in row] for row in matrix.tolist()]
     pivots: list[int] = []
     for j in range(matrix.shape[1]):
         r = len(pivots)
@@ -227,10 +215,13 @@ def rref(matrix: np.ndarray) -> tuple[list[list[Fraction]], tuple[int, ...]]:
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][j] for x in rows[r]]
+        lead = rows[r][j]
+        if lead != 1:
+            rows[r] = [x / lead if x else x for x in rows[r]]
         for i, row in enumerate(rows):
-            if i != r and row[j]:
-                rows[i] = [x - row[j] * y for x, y in zip(row, rows[r])]
+            f = row[j]
+            if i != r and f:
+                rows[i] = [x - f * y if y else x for x, y in zip(row, rows[r])]
         pivots.append(j)
     return rows, tuple(pivots)
 
@@ -451,27 +442,18 @@ def additive_commutant_reference() -> list[OperatorExpr]:
 def span_projection_residual(
     candidates: list[OperatorExpr], reference: list[OperatorExpr]
 ) -> float:
-    """Largest norm left after projecting each candidate onto span(reference).
+    """Rank the candidates add to span(reference): 0 exactly when each lies in it.
 
     Expressions are embedded as real coefficient vectors over the union of
-    their Pauli labels (all inputs must be Hermitian).
+    their Pauli labels (all inputs must be Hermitian), and each rank is read
+    off one exact :func:`rref`.
     """
-    labels = sorted(
-        {l for e in candidates for l in e.labels()}
-        | {l for e in reference for l in e.labels()}
-    )
+    labels = sorted({l for e in candidates + reference for l in e.labels()})
 
-    def vec(e: OperatorExpr) -> np.ndarray:
-        return np.array([e.coeff(l).real for l in labels])
+    def rank(exprs: list[OperatorExpr]) -> int:
+        return len(rref(np.array([[e.coeff(l).real for l in labels] for e in exprs]))[1])
 
-    ref = np.array([vec(e) for e in reference]).T
-    q, _ = np.linalg.qr(ref)
-    worst = 0.0
-    for e in candidates:
-        v = vec(e)
-        resid = v - q @ (q.T @ v)
-        worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+    return float(rank(reference + candidates) - rank(reference))
 
 
 def family_to_json(family: HamiltonianFamily) -> dict:

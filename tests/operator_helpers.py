@@ -155,10 +155,11 @@ def random_member(
 ) -> tuple[OperatorExpr, np.ndarray]:
     """Random constrained member of ``family``: (expression, parameter vector).
 
-    Coordinates along ``family.member_directions()`` are uniform on [-2, 2].
+    The free parameters are uniform on [-2, 2], expanded through
+    ``family.expansion_matrix()``.
     """
-    dirs = family.member_directions()
-    vec = dirs @ rng.uniform(-2.0, 2.0, size=dirs.shape[1])
+    expand = family.expansion_matrix().astype(float)
+    vec = rng.uniform(-2.0, 2.0, size=len(expand)) @ expand
     return member(family, dict(zip(family.params, vec))), vec
 
 
@@ -166,8 +167,8 @@ def member_residual_loop(seed: int) -> float:
     """``experiment_conservation``'s worst residual over 100 constrained members.
 
     The rng is fresh at ``seed``, as the experiment's is when it reaches its
-    members; each draw takes a :func:`random_member` (the null space solved
-    again), then its time.  The residual is ``np.linalg.norm`` of the
+    members; each draw takes a :func:`random_member` (the expansion matrix
+    built again), then its time.  The residual is ``np.linalg.norm`` of the
     commutator.
     """
     rng = np.random.default_rng(seed)

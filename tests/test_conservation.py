@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -13,7 +16,6 @@ from qwitness.conservation import (
     ConservedQuantity,
     HamiltonianFamily,
     _commutator_constraint_matrix,
-    _null_space,
     _sector_blocks,
     additive_commutant_reference,
     channel_extension_family,
@@ -29,7 +31,7 @@ from qwitness.conservation import (
     span_projection_residual,
     zm_sector_maps,
 )
-from qwitness.cli import RunConfig, experiment_conservation
+from qwitness.cli import RunConfig, experiment_conservation, main
 from qwitness.dense import expm_hermitian, to_dense
 from qwitness.errors import StructuralError
 from qwitness.paulis import COEFF_TOL, OperatorExpr
@@ -59,12 +61,40 @@ def test_additive_commutant_is_six_dimensional_and_matches_reference():
     basis = commutant_basis(ConservedQuantity.additive(), pauli_operator_basis(2))
     assert len(basis) == 6
     reference = additive_commutant_reference()
-    assert span_projection_residual(basis, reference) < 1e-12
-    assert span_projection_residual(reference, basis) < 1e-12
+    assert span_projection_residual(basis, reference) == 0.0
+    assert span_projection_residual(reference, basis) == 0.0
     c_dense = to_dense(ConservedQuantity.additive().expr)
     for b in basis:
         m = to_dense(b)
         assert np.linalg.norm(m @ c_dense - c_dense @ m) < 1e-12
+
+
+ADDITIVE_BASIS = [  # II, IZ, ZI, ZZ, XX + YY and YX - XY
+    {"II": 1}, {"IZ": 1}, {"ZI": 1}, {"ZZ": 1}, {"XX": 1, "YY": 1}, {"YX": 1, "XY": -1},
+]
+NONADDITIVE_EXTRA = [  # XZ - XI, YZ - YI, ZX - IX and ZY - IY
+    {"XZ": 1, "XI": -1}, {"YZ": 1, "YI": -1}, {"ZX": 1, "IX": -1}, {"ZY": 1, "IY": -1},
+]
+
+
+def test_commutant_artifacts_hold_the_integer_bases(tmp_path):
+    # read from the files as written, in any environment: every coefficient
+    # is exactly +1 or -1, with no imaginary part
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["conservation", "--out", str(tmp_path)]) == 0
+
+    def written(name):
+        payload = json.loads((tmp_path / name).read_text())
+        basis = [{label: complex(*c) for label, c in b.items()} for b in payload["basis"]]
+        assert payload["dimension"] == len(basis)
+        return sorted(basis, key=sorted), payload
+
+    additive, _ = written("commutant_additive.json")
+    assert additive == sorted(ADDITIVE_BASIS, key=sorted)
+    nonadditive, payload = written("commutant_nonadditive.json")
+    assert nonadditive == sorted(ADDITIVE_BASIS + NONADDITIVE_EXTRA, key=sorted)
+    assert payload["constraint_rank"] == 6
+    assert all(c in (1, -1) for b in additive + nonadditive for c in b.values())
 
 
 def test_identity_conserved_quantity_returns_full_ambient_with_warning():
@@ -121,14 +151,18 @@ integer_matrices = st.integers(1, 6).flatmap(
 @given(integer_matrices)
 @example(np.zeros((0, 4)))
 @example(np.zeros((3, 4)))
-def test_null_space_is_an_orthonormal_kernel(a):
+def test_expansion_matrix_is_the_exact_kernel_of_the_constraint_rows(a):
+    # the constraint rows a, as constrain_family reduces them, through E
     n = a.shape[1]
-    kernel = _null_space(a)
-    assert kernel.shape == (n, n - np.linalg.matrix_rank(a))
-    assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max(initial=0.0) < 1e-12
-    assert np.abs(a @ kernel).max(initial=0.0) < 1e-12
+    family = HamiltonianFamily([OperatorExpr.from_label("I")] * n, tuple(map(str, range(n))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qwitness.conservation._commutator_constraint_matrix", lambda *_: a)
+        expand = constrain_family(family, ConservedQuantity.additive()).expansion_matrix()
+    exact = np.array([Fraction(x) for x in a.ravel().tolist()], dtype=object).reshape(a.shape)
+    assert all(x == 0 and type(x) is Fraction for x in (exact @ expand.T).flat)
+    assert expand.shape == (n - sympy.Matrix(*a.shape, a.ravel().tolist()).rank(), n)
     if not a.any():  # no constraint at all: every direction is free
-        assert np.array_equal(kernel, np.eye(n))
+        assert expand.tolist() == np.eye(n).tolist()
 
 
 def assert_rref_matches_sympy(matrix):
@@ -290,6 +324,31 @@ def test_expansion_matrix_maps_each_pivot_to_minus_the_rest_of_its_row():
     assert all(type(x) is Fraction for x in expand.flat)
 
 
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        [{"alpha": 2.0, "a": 1.0}],  # lead 2: E would map alpha to -1.0 a, not -0.5 a
+        [{"alpha": 1, "a": 1}, {"a": 1, "b": 1}],  # a pivot in another relation
+        [{"alpha": 1, "a": 1}, {"alpha": 1, "b": 1}],  # one pivot, two relations
+    ],
+    ids=["lead-two", "pivot-in-another-row", "repeated-pivot"],
+)
+def test_expansion_matrix_refuses_constraints_that_are_not_reduced_rows(constraints):
+    family = classical_mediator_family()
+    family.constraints = constraints
+    with pytest.raises(StructuralError, match="not a reduced row with lead 1"):
+        family.expansion_matrix()
+
+
+def test_rref_fills_in_entries_that_start_at_zero():
+    # row 1 has a 0 where the pivot row has a 1: the elimination must write
+    # -1 there, and a pivot row with lead -2 is divided through
+    reduced, pivots = rref(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    assert (reduced, pivots) == ([[1, 0], [0, 1]], (0, 1))
+    reduced, pivots = rref(np.array([[-2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+    assert (reduced, pivots) == ([[1, Fraction(-1, 2), 0], [0, 0, 1]], (0, 2))
+
+
 def test_classical_sector_table_is_exact_small_and_sparse():
     # the premise of the searches' float blocks: entries 0, +-1 or +-2 with at
     # most two nonzeros per (sector, component) column, so that rows @ maps
@@ -375,6 +434,46 @@ def test_constrained_member_check_equals_the_per_member_loop(seed):
     assert check.value == member_residual_loop(seed)
 
 
+def conservation_checks(monkeypatch, name, replacement):
+    """Checks of ``experiment_conservation`` with one function of the module replaced."""
+    monkeypatch.setattr(f"qwitness.conservation.{name}", replacement)
+    checks, _files = experiment_conservation(RunConfig())
+    return {c.name: c for c in checks}
+
+
+def test_commutant_projection_fails_on_a_generator_off_the_reference_span(monkeypatch):
+    def plus_xq(conserved, ambient):  # X_Q does not commute with Z_Q + Z_M
+        basis = commutant_basis(conserved, ambient)
+        return basis + [OperatorExpr.from_label("XI")] if conserved.kind == "additive" else basis
+
+    checks = conservation_checks(monkeypatch, "commutant_basis", plus_xq)
+    assert checks["additive-commutant-projection"].value == 1.0
+    assert not checks["additive-commutant-projection"].passed
+    assert checks["additive-reference-projection"].passed
+
+
+def test_reference_projection_fails_without_the_exchange_generator(monkeypatch):
+    exchange = OperatorExpr({"XX": 1.0, "YY": 1.0})
+
+    def without_exchange(conserved, ambient):
+        return [b for b in commutant_basis(conserved, ambient) if b != exchange]
+
+    checks = conservation_checks(monkeypatch, "commutant_basis", without_exchange)
+    assert checks["additive-reference-projection"].value == 1.0
+    assert not checks["additive-reference-projection"].passed
+    assert checks["additive-commutant-projection"].passed
+
+
+def test_member_check_fails_on_the_unconstrained_family(monkeypatch):
+    # a = -alpha and b = -beta no longer hold, so exp(-iHt) moves the charge
+    checks = conservation_checks(
+        monkeypatch, "classical_filtered_family", classical_mediator_family
+    )
+    check = checks["constrained-members-generate-conserving-unitaries"]
+    assert check.value > 1e-10
+    assert not check.passed
+
+
 @pytest.mark.parametrize(
     "family",
     [classical_filtered_family(), classical_mediator_family(),
@@ -382,8 +481,8 @@ def test_constrained_member_check_equals_the_per_member_loop(seed):
 )
 def test_dense_members_equal_each_members_dense_matrix(family):
     rng = np.random.default_rng(3)
-    dirs = family.member_directions()
-    vecs = (dirs @ rng.uniform(-2.0, 2.0, size=(12, dirs.shape[1], 1)))[..., 0]
+    expand = family.expansion_matrix().astype(float)
+    vecs = rng.uniform(-2.0, 2.0, size=(12, len(expand))) @ expand
     vecs[1] = 0.0
     # a free coordinate below the canonical tolerance is dropped, as member() drops it
     free = family.params.index(family.free_params()[-1])

@@ -38,7 +38,6 @@ _CERTIFICATE_TIES = (
 )
 _CERTIFICATE_BOUNDS = "tests/test_witness.py::test_sector_certificates_bound_every_kernel_cell"
 _OSCILLATOR_LOOP = "tests/test_oscillator.py::test_oscillator_witness_run_equals_the_per_time_loop"
-_MEMBER_LOOP = "tests/test_conservation.py::test_constrained_member_check_equals_the_per_member_loop"
 _LEDGER = "tests/test_artifact_ledger.py::test_artifacts_keep_their_ledger_bytes"
 _SEARCH_MEMORY = "tests/test_witness.py::test_impossibility_search_holds_one_copy_of_its_samples"
 _PLUS_GUARD = (
@@ -108,8 +107,20 @@ MUTANTS = [
      ["tests/test_conservation.py::"
       "test_expansion_matrix_maps_each_pivot_to_minus_the_rest_of_its_row"]),
     ("rref-entries-rounded", "conservation.py",
-     "Fraction(x) for x in row", "Fraction(round(x)) for x in row",
+     "Fraction(x) if x else", "Fraction(round(x)) if x else",
      ["tests/test_conservation.py::test_rref_matches_sympy_on_small_integer_matrices"]),
+    ("rref-zero-skip-reads-x", "conservation.py",
+     "x - f * y if y else x", "x - f * y if x else x",
+     ["tests/test_conservation.py::test_rref_fills_in_entries_that_start_at_zero"]),
+    ("span-rank-gap-absolute", "conservation.py",
+     "return float(rank(reference + candidates) - rank(reference))",
+     "return float(rank(reference + candidates))",
+     ["tests/test_conservation.py::"
+      "test_additive_commutant_is_six_dimensional_and_matches_reference"]),
+    ("expansion-lead-guard-dropped", "conservation.py",
+     "if rel[pivot] != 1 or sum(", "if sum(",
+     ["tests/test_conservation.py::"
+      "test_expansion_matrix_refuses_constraints_that_are_not_reduced_rows[lead-two]"]),
     ("z-convention-flipped", "dense.py",
      '"Z": np.array([[1, 0], [0, -1]], dtype=complex)',
      '"Z": np.array([[-1, 0], [0, 1]], dtype=complex)',
@@ -128,7 +139,7 @@ MUTANTS = [
      [_OSCILLATOR_LOOP]),
     ("frobenius-norm-by-axis", "dense.py",
      "norm = np.sqrt(squares[..., 0, 0])", "norm = np.linalg.norm(mat, axis=(-2, -1))",
-     [_MEMBER_LOOP]),
+     ["tests/test_dense.py::test_stacked_norms_and_distances_equal_one_matrix_at_a_time[2-0]"]),
     ("homogenizer-stack-kron-transposed", "homogenizer.py",
      "kron = states[-1][..., :, None, :, None] * xi[..., None, :, None, :]",
      "kron = states[-1][..., None, :, None, :] * xi[..., :, None, :, None]",
